@@ -29,6 +29,9 @@
 //! | `contract_par_10e5` | round-based parallel CH contraction at 4 threads |
 //! | `store_load_heap` | PHASTBIN artifact load, heap decode (`read_instance`) |
 //! | `store_load_mmap` | the same artifact through the zero-copy mmap path (`load_instance_mmap`) |
+//! | `wire_encode_tree` / `wire_encode_matrix` | `protocol::encode_answer_into` a reused buffer: one full tree; a 16 × `scale/16` matrix |
+//! | `wire_decode_tree` | `protocol::decode_reply_with_epoch` of that tree line (the client's one pass) |
+//! | `wire_classify_tree` | `protocol::classify_reply` of the same line (the router's validate-only pass) |
 //!
 //! ## Comparison policy
 //!
@@ -488,6 +491,40 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    // 11. The reply codec (DESIGN §9), one pass per hop of a served tree:
+    //    the server's encode into its per-connection buffer, the router's
+    //    validate-only classification, the client's decode. A real tree
+    //    gives the digit mix of real replies; the matrix has as many
+    //    cells in 16 rows.
+    {
+        use phast_serve::protocol;
+        let tree = phast.engine().distances_sweep(src(0)).to_vec();
+        let rows: Vec<Vec<u32>> = tree
+            .chunks(tree.len().div_ceil(16))
+            .map(<[u32]>::to_vec)
+            .collect();
+        let tree = phast_core::HeteroAnswer::Tree(tree);
+        let matrix = phast_core::HeteroAnswer::Matrix(rows);
+        let mut line = String::new();
+        for (name, answer) in [("wire_encode_matrix", &matrix), ("wire_encode_tree", &tree)] {
+            let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
+                line.clear();
+                protocol::encode_answer_into(&mut line, Some(i as i64), answer, Some(1));
+            });
+            record(name, s, None);
+        }
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            let (reply, epoch) = protocol::decode_reply_with_epoch(&line).expect("own encoding");
+            std::hint::black_box((reply, epoch));
+        });
+        record("wire_decode_tree", s, None);
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            let class = protocol::classify_reply(line.as_bytes());
+            assert_eq!(class, Ok(protocol::ReplyClass::Ok));
+        });
+        record("wire_classify_tree", s, None);
+    }
+
     Ok(BenchArtifact {
         schema_version: SCHEMA_VERSION,
         suite: SUITE_NAME.to_string(),
@@ -835,6 +872,10 @@ mod tests {
             "contract_par_10e5",
             "store_load_heap",
             "store_load_mmap",
+            "wire_encode_tree",
+            "wire_encode_matrix",
+            "wire_decode_tree",
+            "wire_classify_tree",
         ] {
             let b = a.get(name).unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(b.stats.runs, 5, "{name}");

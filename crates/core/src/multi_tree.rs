@@ -67,15 +67,12 @@ impl<'p> MultiTreeEngine<'p> {
         self.simd
     }
 
-    /// Forces a kernel (ablation: measure SSE off, as Table II does).
-    /// Ignored (falls back to scalar) if the CPU lacks the feature or `k`
-    /// violates the lane constraint.
+    /// Forces a kernel (ablation: measure SSE off, as Table II does),
+    /// clamped to the best one the CPU and `k` allow: asking for AVX2 on
+    /// an SSE4.1-only CPU runs SSE4.1, a `k` that violates the lane
+    /// constraint runs scalar.
     pub fn force_simd(&mut self, level: SimdLevel) {
-        self.simd = match level {
-            SimdLevel::Scalar => SimdLevel::Scalar,
-            other if best_simd_for(self.k) != SimdLevel::Scalar => other,
-            _ => SimdLevel::Scalar,
-        };
+        self.simd = level.min(best_simd_for(self.k));
     }
 
     /// Phase 1 for tree `i`: forward CH search from sweep vertex `s`,

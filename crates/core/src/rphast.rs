@@ -255,14 +255,10 @@ impl<'p> RestrictedMultiEngine<'p> {
         self.simd
     }
 
-    /// Forces a kernel; falls back to scalar when the CPU or `k` cannot
-    /// honor it (same policy as [`crate::MultiTreeEngine::force_simd`]).
+    /// Forces a kernel, clamped to the best one the CPU and `k` allow
+    /// (same policy as [`crate::MultiTreeEngine::force_simd`]).
     pub fn force_simd(&mut self, level: SimdLevel) {
-        self.simd = match level {
-            SimdLevel::Scalar => SimdLevel::Scalar,
-            other if best_simd_for(self.k) != SimdLevel::Scalar => other,
-            _ => SimdLevel::Scalar,
-        };
+        self.simd = level.min(best_simd_for(self.k));
     }
 
     /// Statistics of the most recent [`Self::run`] (or the sum over every

@@ -15,8 +15,12 @@ use phast_graph::csr::ReverseArc;
 use phast_graph::INF;
 use std::ops::Range;
 
-/// Kernel selection for the batched sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Kernel selection for the batched sweep, ordered by what the CPU must
+/// offer: each level needs everything the one before it needs, so
+/// `requested.min(best_simd_for(k))` is the most a request may be granted
+/// — running a kernel the CPU lacks is undefined behaviour, not a slow
+/// path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar loop (any `k`).
     Scalar,
@@ -254,6 +258,32 @@ mod tests {
         assert_eq!(best_simd_for(7), SimdLevel::Scalar);
         // Oversized k falls back to scalar.
         assert_eq!(best_simd_for(MAX_K + 4), SimdLevel::Scalar);
+    }
+
+    /// Regression: `force_simd` used to grant any non-scalar request
+    /// whenever *some* SIMD level was available, so `Avx2` on an
+    /// SSE4.1-only CPU selected the AVX2 kernel. It now grants
+    /// `requested.min(available)`, which rests on the variant order.
+    #[test]
+    fn a_forced_level_never_exceeds_the_available_one() {
+        use SimdLevel::{Avx2, Scalar, Sse41};
+        for (requested, available, want) in [
+            (Scalar, Scalar, Scalar),
+            (Scalar, Sse41, Scalar),
+            (Scalar, Avx2, Scalar),
+            (Sse41, Scalar, Scalar),
+            (Sse41, Sse41, Sse41),
+            (Sse41, Avx2, Sse41),
+            (Avx2, Scalar, Scalar),
+            (Avx2, Sse41, Sse41),
+            (Avx2, Avx2, Avx2),
+        ] {
+            assert_eq!(
+                requested.min(available),
+                want,
+                "{requested:?} asked, {available:?} available"
+            );
+        }
     }
 
     #[test]

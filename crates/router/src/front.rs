@@ -11,7 +11,7 @@ use crate::backend::BackendPool;
 use crate::stats::RouterStats;
 use crate::RouterConfig;
 use phast_serve::conn::{BoundedLineReader, ConnRegistry, LineOutcome};
-use phast_serve::protocol::{self, ErrorKind, Reply, ServeError};
+use phast_serve::protocol::{self, ErrorKind, ReplyClass, ServeError};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -148,6 +148,9 @@ struct BackendConn {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     generation: u64,
+    /// The most recent reply line; reused across exchanges, and swapped
+    /// with the client connection's buffer when the line is relayed.
+    reply: Vec<u8>,
 }
 
 fn open_conn(addr: SocketAddr, generation: u64, cfg: &RouterConfig) -> std::io::Result<BackendConn> {
@@ -160,32 +163,32 @@ fn open_conn(addr: SocketAddr, generation: u64, cfg: &RouterConfig) -> std::io::
         reader: BufReader::new(stream.try_clone()?),
         writer: stream,
         generation,
+        reply: Vec::new(),
     })
 }
 
-/// Writes one request line and reads one reply line. Any error —
-/// including a clean EOF, which mid-exchange means the replica died —
-/// leaves the connection unusable (possible stream desync), so the
-/// caller must drop it.
-fn exchange(conn: &mut BackendConn, line: &str, read_budget: Duration) -> std::io::Result<String> {
+/// Writes one request line and reads one reply line into `conn.reply`
+/// (line end cut). Any error — including a clean EOF, which mid-exchange
+/// means the replica died — leaves the connection unusable (possible
+/// stream desync), so the caller must drop it.
+fn exchange(conn: &mut BackendConn, line: &str, read_budget: Duration) -> std::io::Result<()> {
     // A shrinking deadline budget caps the read: waiting the full
     // io_timeout on a doomed attempt would eat the failover attempts.
     conn.writer
         .set_read_timeout(Some(read_budget.max(Duration::from_millis(1))))?;
     conn.writer.write_all(line.as_bytes())?;
     conn.writer.write_all(b"\n")?;
-    let mut reply = String::new();
-    let n = conn.reader.read_line(&mut reply)?;
-    if n == 0 {
+    conn.reply.clear();
+    if conn.reader.read_until(b'\n', &mut conn.reply)? == 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "backend closed mid-request",
         ));
     }
-    while reply.ends_with('\n') || reply.ends_with('\r') {
-        reply.pop();
+    while let Some(b'\n' | b'\r') = conn.reply.last() {
+        conn.reply.pop();
     }
-    Ok(reply)
+    Ok(())
 }
 
 fn prober_loop(cfg: &RouterConfig, pool: &BackendPool, stats: &RouterStats, stop: &AtomicBool) {
@@ -229,10 +232,8 @@ fn probe(addr: SocketAddr, cfg: &RouterConfig) -> bool {
         Ok(c) => c,
         Err(_) => return false,
     };
-    match exchange(&mut conn, "{\"op\":\"stats\"}", cfg.io_timeout) {
-        Ok(reply) => matches!(protocol::decode_reply(&reply), Ok(Reply::Stats(_))),
-        Err(_) => false,
-    }
+    exchange(&mut conn, "{\"op\":\"stats\"}", cfg.io_timeout).is_ok()
+        && protocol::classify_reply(&conn.reply) == Ok(ReplyClass::Ok)
 }
 
 fn accept_loop(
@@ -313,6 +314,9 @@ fn client_loop(
     // (one line in flight per backend socket) at the cost of more
     // sockets; replicas already bound their own connection counts.
     let mut conns: HashMap<usize, BackendConn> = HashMap::new();
+    // The one reply line this connection is about to send, newline
+    // included so it leaves in a single write.
+    let mut reply: Vec<u8> = Vec::new();
     loop {
         let line = match reader.read_line() {
             Ok(LineOutcome::Eof) => return Ok(()),
@@ -322,7 +326,9 @@ fn client_loop(
                     ErrorKind::Malformed,
                     format!("request line exceeds {} bytes", cfg.max_line_bytes),
                 );
-                write_line(&mut writer, &protocol::encode_error(None, &err))?;
+                let mut refusal = protocol::encode_error(None, &err);
+                refusal.push('\n');
+                writer.write_all(refusal.as_bytes())?;
                 return Ok(());
             }
             // An idle keep-alive connection timing out is a normal
@@ -333,19 +339,14 @@ fn client_loop(
         if line.trim().is_empty() {
             continue;
         }
-        let reply = dispatch(&line, cfg, pool, stats, &mut conns);
-        write_line(&mut writer, &reply)?;
+        dispatch(&line, cfg, pool, stats, &mut conns, &mut reply);
+        reply.push(b'\n');
+        writer.write_all(&reply)?;
     }
 }
 
-fn write_line(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
-    writer.write_all(reply.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-/// Routes one request line and returns the one reply line the client
-/// gets. Failover policy:
+/// Routes one request line and leaves in `reply` the one reply line the
+/// client gets (no newline). Failover policy:
 ///
 /// * A transport failure (connect/write/read error, EOF, garbage reply)
 ///   counts against the backend's health, drops the pooled connection,
@@ -366,7 +367,8 @@ fn dispatch(
     pool: &BackendPool,
     stats: &RouterStats,
     conns: &mut HashMap<usize, BackendConn>,
-) -> String {
+    reply: &mut Vec<u8>,
+) {
     let parsed = protocol::parse_request(line).ok();
     let id = parsed.as_ref().and_then(|r| r.id);
     let budget = parsed
@@ -426,20 +428,19 @@ fn dispatch(
         stats.add_forwarded(1);
         let outcome = exchange(&mut conn, line, read_budget);
         backend.finish();
-        let reply = match outcome {
-            Ok(reply) => reply,
-            Err(e) => {
-                backend.note_failure(cfg.eject_after, stats);
-                tried.push(idx);
-                last_err = Some(ServeError::new(
-                    ErrorKind::Transport,
-                    format!("backend {} failed mid-request: {e}", backend.addr()),
-                ));
-                continue;
-            }
-        };
-        match protocol::decode_reply(&reply) {
-            Ok(Reply::Error(e)) if e.kind.is_retryable() && max_attempts > 1 => {
+        if let Err(e) = outcome {
+            backend.note_failure(cfg.eject_after, stats);
+            tried.push(idx);
+            last_err = Some(ServeError::new(
+                ErrorKind::Transport,
+                format!("backend {} failed mid-request: {e}", backend.addr()),
+            ));
+            continue;
+        }
+        // One validating pass over the whole line and nothing kept of it:
+        // the hop needs "relay, retry elsewhere, or fault", not the tree.
+        match protocol::classify_reply(&conn.reply) {
+            Ok(ReplyClass::Error(e)) if e.kind.is_retryable() && max_attempts > 1 => {
                 // The replica is alive and talking — keep its connection
                 // and its health, just take the work elsewhere.
                 backend.note_success(stats);
@@ -449,9 +450,12 @@ fn dispatch(
             }
             Ok(_) => {
                 backend.note_success(stats);
+                // Hand the line over by swapping buffers: both keep their
+                // capacity for the next reply.
+                std::mem::swap(reply, &mut conn.reply);
                 conns.insert(idx, conn);
                 stats.add_answered(1);
-                return reply;
+                return;
             }
             Err(e) => {
                 // Garbage on a trusted stream: possible desync, treat
@@ -475,9 +479,6 @@ fn dispatch(
             ServeError::overloaded(NO_BACKEND_RETRY_MS, "no healthy backend in rotation")
         }
     };
-    encode_final_error(id, err)
-}
-
-fn encode_final_error(id: Option<i64>, err: ServeError) -> String {
-    protocol::encode_error(id, &err)
+    reply.clear();
+    reply.extend_from_slice(protocol::encode_error(id, &err).as_bytes());
 }

@@ -28,25 +28,64 @@ fn spawn_backend(net: &phast_graph::gen::RoadNetwork) -> Server {
     Server::spawn(svc, "127.0.0.1:0").expect("backend bind")
 }
 
-/// A backend that accepts, reads one request line, then slams the
-/// connection shut — the shape of a replica dying mid-request. Runs
-/// until its listener is dropped by the OS at process exit (the accept
-/// thread is detached; tests are short-lived).
-fn spawn_flaky_backend() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("flaky bind");
+/// A misbehaving backend. It answers the prober's `stats` lines honestly
+/// and any other request line with `reply` — valid JSON up to wherever the
+/// caller broke it — or, given none, by slamming the connection shut: the
+/// shape of a replica dying mid-request. Runs until its listener is
+/// dropped by the OS at process exit (the accept thread is detached; tests
+/// are short-lived).
+fn spawn_scripted_backend(reply: Option<Vec<u8>>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("scripted bind");
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
+            let reply = reply.clone();
             std::thread::spawn(move || {
-                let mut reader = BufReader::new(stream);
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
                 let mut line = String::new();
-                let _ = reader.read_line(&mut line);
-                // Drop: RST/EOF toward the router mid-request.
+                while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                    let reply = match &reply {
+                        _ if line.contains("\"stats\"") => {
+                            b"{\"ok\":true,\"op\":\"stats\",\"report\":{}}\n".as_slice()
+                        }
+                        Some(reply) => reply,
+                        // Drop: RST/EOF toward the router mid-request.
+                        None => return,
+                    };
+                    if (&stream).write_all(reply).is_err() {
+                        return;
+                    }
+                    line.clear();
+                }
             });
         }
     });
     addr
+}
+
+/// Spawns a router over `[misbehaving, healthy]` whose prober runs once, at
+/// start-up, and returns when that round is past the misbehaving replica.
+/// The scripted request must find it in rotation (idle least-inflight
+/// picking tries the first backend first), and no probe verdict may land
+/// after the request's own: a probe racing the request used to eject the
+/// replica first — no failover to observe — about once in thirty runs.
+fn spawn_router_after_startup_probe(misbehaving: SocketAddr, healthy: SocketAddr) -> Router {
+    let router = Router::spawn(
+        RouterConfig {
+            backends: vec![misbehaving, healthy],
+            probe_interval: Duration::from_secs(3600),
+            eject_after: 1,
+            ..RouterConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("router bind");
+    // Probes run in backend order and are counted as they start.
+    wait_until("the start-up probe round", Duration::from_secs(10), || {
+        router.stats().probes() >= 2
+    });
+    router
 }
 
 fn send_line(stream: &mut TcpStream, line: &str) {
@@ -65,21 +104,8 @@ fn read_reply_line(reader: &mut BufReader<TcpStream>) -> String {
 fn request_caught_by_dying_replica_fails_over_exactly_once() {
     let net = RoadNetworkConfig::new(6, 6, 3, Metric::TravelTime).build();
     let healthy = spawn_backend(&net);
-    let flaky = spawn_flaky_backend();
-    let router = Router::spawn(
-        RouterConfig {
-            // The flaky replica first: with everything healthy and idle,
-            // least-inflight picking tries it before the real one.
-            backends: vec![flaky, healthy.local_addr()],
-            // Long interval: no probe interferes with the scripted
-            // request ordering below.
-            probe_interval: Duration::from_secs(3600),
-            eject_after: 1,
-            ..RouterConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("router bind");
+    let flaky = spawn_scripted_backend(None);
+    let router = spawn_router_after_startup_probe(flaky, healthy.local_addr());
 
     let mut client = TcpStream::connect(router.local_addr()).unwrap();
     client
@@ -118,6 +144,70 @@ fn request_caught_by_dying_replica_fails_over_exactly_once() {
         router.pool().backends()[0].state(),
         HealthState::Ejected,
         "the flaky replica is out of rotation"
+    );
+
+    router.shutdown();
+    healthy.shutdown();
+}
+
+/// The router classifies a reply without keeping its distances; that must
+/// not mean without reading them. A replica that sends a well-formed
+/// ~500 KB prefix of a tree and then garbage is a transport fault like any
+/// other: counted against its health, and the request answered once, by
+/// the healthy replica.
+#[test]
+fn corrupt_tail_of_a_large_reply_is_a_transport_fault() {
+    let net = RoadNetworkConfig::new(6, 6, 3, Metric::TravelTime).build();
+    let healthy = spawn_backend(&net);
+    let tree = HeteroAnswer::Tree(vec![123_456; 75_000]);
+    let mut corrupt = phast_serve::protocol::encode_answer(Some(7), &tree, Some(1)).into_bytes();
+    assert!(corrupt.len() > 500_000);
+    // Break the last distance; braces, brackets and length stay plausible.
+    let at = corrupt.len() - 16;
+    corrupt[at] = b'x';
+    corrupt.push(b'\n');
+    let liar = spawn_scripted_backend(Some(corrupt));
+    let router = spawn_router_after_startup_probe(liar, healthy.local_addr());
+
+    let mut client = TcpStream::connect(router.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(client.try_clone().unwrap());
+    send_line(&mut client, r#"{"id":7,"op":"tree","source":0}"#);
+    let reply = read_reply_line(&mut reader);
+    let answer = match decode_reply(&reply).expect("the relayed line is well-formed") {
+        Reply::Answer(HeteroAnswer::Tree(dist)) => dist,
+        other => panic!("expected the healthy replica's tree, got {other:?}"),
+    };
+    let reference = shortest_paths(net.graph.forward(), 0);
+    assert_eq!(
+        answer, reference.dist,
+        "the corrupt line must not be relayed"
+    );
+
+    // Exactly once: nothing follows the one reply.
+    client
+        .set_read_timeout(Some(Duration::from_millis(150)))
+        .unwrap();
+    let mut probe_buf = [0u8; 1];
+    match reader.read(&mut probe_buf) {
+        Ok(0) | Err(_) => {}
+        Ok(_) => panic!("router sent a second reply for one request"),
+    }
+
+    let stats = router.stats();
+    assert_eq!(
+        stats.failovers(),
+        1,
+        "the corrupt reply forced one failover"
+    );
+    assert_eq!(stats.answered(), 1, "exactly one reply relayed");
+    assert_eq!(stats.ejections(), 1, "eject_after=1: the fault counted");
+    assert_eq!(
+        router.pool().backends()[0].state(),
+        HealthState::Ejected,
+        "the lying replica is out of rotation"
     );
 
     router.shutdown();

@@ -25,7 +25,7 @@
 //! Load generators and production callers opt into retries via
 //! [`Client::connect_with`].
 
-use crate::protocol::{decode_reply, ErrorKind, Reply, ServeError};
+use crate::protocol::{decode_reply_with_epoch, ErrorKind, Reply, ServeError};
 use phast_core::HeteroAnswer;
 use phast_graph::{Vertex, Weight};
 use serde::Value;
@@ -92,6 +92,9 @@ pub struct Client {
     /// Metric-epoch stamp of the most recent successful reply, when the
     /// server sent one (see [`crate::protocol::decode_epoch`]).
     last_epoch: Option<u64>,
+    /// The most recent reply line; kept so that a `tree` reply is read
+    /// into memory this connection already owns.
+    reply: String,
 }
 
 fn transport(e: &std::io::Error) -> ServeError {
@@ -121,6 +124,7 @@ impl Client {
             next_id: 0,
             jitter: seed | 1,
             last_epoch: None,
+            reply: String::new(),
         };
         client.reconnect()?;
         Ok(client)
@@ -145,6 +149,13 @@ impl Client {
     /// robustness tests can send deliberately malformed requests. No
     /// retries at this layer.
     pub fn roundtrip_line(&mut self, line: &str) -> std::io::Result<String> {
+        self.exchange(line)?;
+        Ok(std::mem::take(&mut self.reply))
+    }
+
+    /// Sends one raw line and reads the reply line into `self.reply`,
+    /// trailing whitespace cut.
+    fn exchange(&mut self, line: &str) -> std::io::Result<()> {
         let conn = match self.conn.as_mut() {
             Some(c) => c,
             None => {
@@ -152,19 +163,20 @@ impl Client {
                 self.conn.as_mut().expect("just connected")
             }
         };
+        let reply = &mut self.reply;
+        reply.clear();
         let result = (|| {
             conn.writer.write_all(line.as_bytes())?;
             conn.writer.write_all(b"\n")?;
             conn.writer.flush()?;
-            let mut reply = String::new();
-            let n = conn.reader.read_line(&mut reply)?;
-            if n == 0 {
+            if conn.reader.read_line(reply)? == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ));
             }
-            Ok(reply.trim_end().to_owned())
+            reply.truncate(reply.trim_end().len());
+            Ok(())
         })();
         if result.is_err() {
             // The connection is in an unknown half-spoken state; the next
@@ -238,9 +250,10 @@ impl Client {
             .map(|ms| format!(",\"deadline_ms\":{ms}"))
             .unwrap_or_default();
         let line = format!("{{\"id\":{id},{body}{deadline}}}");
-        let reply = self.roundtrip_line(&line).map_err(|e| transport(&e))?;
-        self.last_epoch = crate::protocol::decode_epoch(&reply);
-        decode_reply(&reply)
+        self.exchange(&line).map_err(|e| transport(&e))?;
+        let (reply, epoch) = decode_reply_with_epoch(&self.reply)?;
+        self.last_epoch = epoch;
+        Ok(reply)
     }
 
     /// The metric-epoch stamp of the most recent reply, when the server
@@ -273,7 +286,7 @@ impl Client {
     ) -> Result<Vec<Weight>, ServeError> {
         match self.answer(&format!("\"op\":\"tree\",\"source\":{source}"), deadline_ms)? {
             HeteroAnswer::Tree(d) => Ok(d),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected("tree", &other)),
         }
     }
 
@@ -294,7 +307,7 @@ impl Client {
             deadline_ms,
         )? {
             HeteroAnswer::Many(d) => Ok(d),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected("many", &other)),
         }
     }
 
@@ -322,7 +335,7 @@ impl Client {
             deadline_ms,
         )? {
             HeteroAnswer::Matrix(rows) => Ok(rows),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected("matrix", &other)),
         }
     }
 
@@ -338,7 +351,7 @@ impl Client {
             deadline_ms,
         )? {
             HeteroAnswer::Point(d) => Ok(d),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected("p2p", &other)),
         }
     }
 
@@ -356,11 +369,18 @@ impl Client {
     }
 }
 
-fn unexpected(answer: &HeteroAnswer) -> ServeError {
-    let line = crate::protocol::encode_answer(None, answer, None);
+/// A well-formed answer of another shape than `expected`. Names the
+/// shape and its length only: the answer itself can be a whole tree.
+fn unexpected(expected: &str, answer: &HeteroAnswer) -> ServeError {
+    let got = match answer {
+        HeteroAnswer::Tree(d) => format!("tree of {}", d.len()),
+        HeteroAnswer::Many(d) => format!("many of {}", d.len()),
+        HeteroAnswer::Matrix(rows) => format!("matrix of {} rows", rows.len()),
+        HeteroAnswer::Point(_) => "p2p".to_owned(),
+    };
     ServeError::new(
         ErrorKind::Internal,
-        format!("reply shape does not match the request: {line}"),
+        format!("reply shape does not match the request: expected {expected}, got {got}"),
     )
 }
 
@@ -406,6 +426,32 @@ mod tests {
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "the 60s retry hint must be clamped to the 250ms budget"
+        );
+        server.join().unwrap();
+    }
+
+    /// Regression: a well-formed answer of the wrong shape used to be
+    /// rendered whole into the error message — 586 KB for a tree.
+    #[test]
+    fn shape_mismatch_names_the_shape_not_the_payload() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let tree = HeteroAnswer::Tree(vec![7; 99_618]);
+            let mut reply = encode_answer(None, &tree, Some(1));
+            reply.push('\n');
+            (&stream).write_all(reply.as_bytes()).unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.many(0, &[1, 2], None).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Internal);
+        assert_eq!(
+            err.message,
+            "reply shape does not match the request: expected many, got tree of 99618"
         );
         server.join().unwrap();
     }

@@ -47,11 +47,28 @@
 //! ```json
 //! {"id":5,"ok":false,"error":"overloaded","message":"...","retry_after_ms":40}
 //! ```
+//!
+//! # The reply codec
+//!
+//! An answer can be one integer per vertex, so answers do not pass through
+//! a `serde` `Value` tree: [`encode_answer_into`] writes the digits into a
+//! caller-owned buffer, and one scanner (`scan`) reads a reply line in a
+//! single validating pass — storing the distances for
+//! [`decode_reply_with_epoch`], only counting them for [`classify_reply`]
+//! and [`decode_epoch`]. Requests, error replies and `stats` reports are
+//! small and stay on `serde_json`. The bytes on the wire are those the
+//! `Value` path wrote, and a line is accepted exactly when it was before;
+//! that path survives in `oracle` as the test-only reference
+//! (`tests/wire_codec.rs`, DESIGN.md §9).
 
 use phast_core::{HeteroAnswer, HeteroQuery};
 use phast_graph::{Vertex, INF};
 use phast_obs::Report;
 use serde::Value;
+
+#[cfg(test)]
+mod oracle;
+mod scan;
 
 /// The category of a typed error reply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -323,57 +340,136 @@ fn id_value(id: Option<i64>) -> Value {
     }
 }
 
-fn dist_array(dist: &[u32]) -> Value {
-    Value::Array(dist.iter().map(|&d| Value::Int(i64::from(d))).collect())
-}
-
 fn write_line(v: &Value) -> String {
     let mut out = String::new();
     v.write_json(&mut out);
     out
 }
 
-/// Encodes a successful answer as one reply line (no trailing newline).
-/// `epoch` (when known) records the metric epoch the answer is exact for,
-/// so clients can differentially check replies across a live metric swap;
-/// [`decode_epoch`] reads it back.
-pub fn encode_answer(id: Option<i64>, answer: &HeteroAnswer, epoch: Option<u64>) -> String {
-    let (op, dist) = match answer {
-        HeteroAnswer::Tree(d) => ("tree", dist_array(d)),
-        HeteroAnswer::Many(d) => ("many", dist_array(d)),
-        HeteroAnswer::Matrix(rows) => (
-            "matrix",
-            Value::Array(rows.iter().map(|r| dist_array(r)).collect()),
-        ),
-        HeteroAnswer::Point(d) => (
-            "p2p",
-            if *d >= INF {
-                Value::Null
-            } else {
-                Value::Int(i64::from(*d))
-            },
-        ),
-    };
-    let mut fields = vec![
-        ("id".into(), id_value(id)),
-        ("ok".into(), Value::Bool(true)),
-        ("op".into(), Value::String(op.into())),
-        ("dist".into(), dist),
-    ];
-    if let Some(e) = epoch {
-        fields.push(("epoch".into(), Value::Int(e as i64)));
+/// `00` to `99`, for two digits per division.
+const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// The powers of ten a `u32` can reach: it has one digit more than it
+/// reaches of them.
+const POWERS: [u32; 9] = [
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+    1_000_000_000,
+];
+
+/// Appends `[d,d,...]`, byte for byte what `{d}` formatting would write.
+fn push_dists(out: &mut String, dist: &[u32]) {
+    // Ten digits and a comma bound one entry: reserve once, never grow.
+    out.reserve(dist.len() * 11 + 2);
+    out.push('[');
+    // Entries are laid out in a block on the stack and appended a block at
+    // a time: no per-entry capacity check, and each entry's digits go
+    // straight to their place, its length counted first.
+    let mut block = [0u8; 4096];
+    let mut used = 0;
+    for (i, &d) in dist.iter().enumerate() {
+        if used + 11 > block.len() {
+            out.push_str(std::str::from_utf8(&block[..used]).expect("digits and commas"));
+            used = 0;
+        }
+        if i > 0 {
+            block[used] = b',';
+            used += 1;
+        }
+        // Branch-free: neighbouring distances differ in length all the time.
+        let len = 1 + POWERS.iter().map(|&p| usize::from(d >= p)).sum::<usize>();
+        used += len;
+        let mut at = used;
+        let mut v = d;
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            at -= 2;
+            block[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            block[at - 2..at].copy_from_slice(&PAIRS[pair..pair + 2]);
+        } else {
+            block[at - 1] = b'0' + v as u8;
+        }
     }
-    write_line(&Value::Object(fields))
+    out.push_str(std::str::from_utf8(&block[..used]).expect("digits and commas"));
+    out.push(']');
+}
+
+/// Appends a successful answer to `out` as one reply line (no trailing
+/// newline), writing every distance straight into the buffer — a caller
+/// that keeps `out` across replies encodes without allocating. `epoch`
+/// (when known) records the metric epoch the answer is exact for, so
+/// clients can differentially check replies across a live metric swap;
+/// [`decode_epoch`] reads it back.
+pub fn encode_answer_into(
+    out: &mut String,
+    id: Option<i64>,
+    answer: &HeteroAnswer,
+    epoch: Option<u64>,
+) {
+    use std::fmt::Write;
+    let fmt = "formatting into a String cannot fail";
+    out.push_str("{\"id\":");
+    match id {
+        Some(i) => write!(out, "{i}").expect(fmt),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"ok\":true,\"op\":\"");
+    out.push_str(match answer {
+        HeteroAnswer::Tree(_) => "tree",
+        HeteroAnswer::Many(_) => "many",
+        HeteroAnswer::Matrix(_) => "matrix",
+        HeteroAnswer::Point(_) => "p2p",
+    });
+    out.push_str("\",\"dist\":");
+    match answer {
+        HeteroAnswer::Tree(d) | HeteroAnswer::Many(d) => push_dists(out, d),
+        HeteroAnswer::Matrix(rows) => {
+            out.push('[');
+            for (i, row) in rows.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_dists(out, row);
+            }
+            out.push(']');
+        }
+        HeteroAnswer::Point(d) if *d >= INF => out.push_str("null"),
+        HeteroAnswer::Point(d) => write!(out, "{d}").expect(fmt),
+    }
+    if let Some(e) = epoch {
+        // Signed, as the `Value::Int` it used to pass through.
+        write!(out, ",\"epoch\":{}", e as i64).expect(fmt);
+    }
+    out.push('}');
+}
+
+/// [`encode_answer_into`] a fresh `String`.
+pub fn encode_answer(id: Option<i64>, answer: &HeteroAnswer, epoch: Option<u64>) -> String {
+    let mut out = String::new();
+    encode_answer_into(&mut out, id, answer, epoch);
+    out
 }
 
 /// Reads the metric-epoch stamp out of a reply line, if the server sent
 /// one. Tolerant by design: replies from servers predating metric epochs
-/// (or error replies, which carry no epoch) yield `None`.
+/// (or error replies, which carry no epoch) yield `None`, as does a line
+/// that is not JSON.
 pub fn decode_epoch(line: &str) -> Option<u64> {
-    let v: Value = serde_json::from_str(line).ok()?;
-    v.get("epoch")
-        .and_then(Value::as_i64)
-        .and_then(|e| u64::try_from(e).ok())
+    scan::scan(line.as_bytes(), false).ok()?.epoch
 }
 
 /// Encodes a statistics reply embedding a `phast-obs` report.
@@ -413,88 +509,83 @@ pub enum Reply {
 
 /// Decodes one reply line.
 pub fn decode_reply(line: &str) -> Result<Reply, ServeError> {
-    let v: Value = serde_json::from_str(line)
-        .map_err(|e| ServeError::new(ErrorKind::Malformed, format!("invalid reply: {e}")))?;
-    let ok = v
-        .get("ok")
-        .and_then(Value::as_bool)
-        .ok_or_else(|| ServeError::new(ErrorKind::Malformed, "reply lacks `ok`"))?;
+    decode_reply_with_epoch(line).map(|(reply, _)| reply)
+}
+
+/// Decodes one reply line and its metric-epoch stamp (see
+/// [`decode_epoch`]) in the same pass.
+pub fn decode_reply_with_epoch(line: &str) -> Result<(Reply, Option<u64>), ServeError> {
+    let fields = scan_reply(line.as_bytes(), true)?;
+    let epoch = fields.epoch;
+    Ok((reply_of(fields)?, epoch))
+}
+
+/// What a relaying hop needs to know of a reply line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReplyClass {
+    /// A well-formed answer or statistics report.
+    Ok,
+    /// A well-formed typed error.
+    Error(ServeError),
+}
+
+/// Validates one reply line without keeping its payload: `Ok` and `Err`
+/// exactly when [`decode_reply`] is — every byte is checked — but an
+/// answer's distances are only counted, never stored.
+pub fn classify_reply(line: &[u8]) -> Result<ReplyClass, ServeError> {
+    Ok(match reply_of(scan_reply(line, false)?)? {
+        Reply::Error(e) => ReplyClass::Error(e),
+        Reply::Answer(_) | Reply::Stats(_) => ReplyClass::Ok,
+    })
+}
+
+fn malformed(message: impl Into<String>) -> ServeError {
+    ServeError::new(ErrorKind::Malformed, message)
+}
+
+fn scan_reply(line: &[u8], store: bool) -> Result<scan::Fields<'_>, ServeError> {
+    scan::scan(line, store).map_err(|e| malformed(format!("invalid reply: {e}")))
+}
+
+/// Reads a scanned line as a reply. Scanned without storing, the payload
+/// of the returned `Answer` / `Stats` is empty: only the variant means
+/// anything.
+fn reply_of(f: scan::Fields<'_>) -> Result<Reply, ServeError> {
+    use scan::Dist;
+    let ok = f.ok.ok_or_else(|| malformed("reply lacks `ok`"))?;
     if !ok {
-        let code = v.get("error").and_then(Value::as_str).unwrap_or("internal");
-        let kind = ErrorKind::from_code(code).unwrap_or(ErrorKind::Internal);
-        let message = v
-            .get("message")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_owned();
-        let mut err = ServeError::new(kind, message);
-        err.retry_after_ms = v
-            .get("retry_after_ms")
-            .and_then(Value::as_i64)
-            .and_then(|ms| u64::try_from(ms).ok());
+        let kind = f
+            .error
+            .and_then(|code| ErrorKind::from_code(&code))
+            .unwrap_or(ErrorKind::Internal);
+        let mut err = ServeError::new(kind, f.message.unwrap_or_default());
+        err.retry_after_ms = f.retry_after_ms;
         return Ok(Reply::Error(err));
     }
-    let op = v
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::new(ErrorKind::Malformed, "reply lacks `op`"))?;
-    let dists = |v: &Value| -> Result<Vec<u32>, ServeError> {
-        v.get("dist")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ServeError::new(ErrorKind::Malformed, "reply lacks `dist`"))?
-            .iter()
-            .map(|d| {
-                d.as_i64()
-                    .and_then(|i| u32::try_from(i).ok())
-                    .ok_or_else(|| ServeError::new(ErrorKind::Malformed, "bad distance"))
-            })
-            .collect()
-    };
-    Ok(match op {
-        "tree" => Reply::Answer(HeteroAnswer::Tree(dists(&v)?)),
-        "many" => Reply::Answer(HeteroAnswer::Many(dists(&v)?)),
-        "matrix" => {
-            let rows = v
-                .get("dist")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ServeError::new(ErrorKind::Malformed, "reply lacks `dist`"))?
-                .iter()
-                .map(|row| {
-                    row.as_array()
-                        .ok_or_else(|| {
-                            ServeError::new(ErrorKind::Malformed, "matrix row must be an array")
-                        })?
-                        .iter()
-                        .map(|d| {
-                            d.as_i64()
-                                .and_then(|i| u32::try_from(i).ok())
-                                .ok_or_else(|| {
-                                    ServeError::new(ErrorKind::Malformed, "bad distance")
-                                })
-                        })
-                        .collect()
-                })
-                .collect::<Result<Vec<Vec<u32>>, ServeError>>()?;
-            Reply::Answer(HeteroAnswer::Matrix(rows))
-        }
-        "p2p" => {
-            let d = match v.get("dist") {
-                None | Some(Value::Null) => INF,
-                Some(d) => d
-                    .as_i64()
-                    .and_then(|i| u32::try_from(i).ok())
-                    .ok_or_else(|| ServeError::new(ErrorKind::Malformed, "bad distance"))?,
+    let op = f.op.ok_or_else(|| malformed("reply lacks `op`"))?;
+    let answer = match (op.as_ref(), f.dist) {
+        ("tree", Dist::Flat { vals, .. }) => HeteroAnswer::Tree(vals),
+        ("many", Dist::Flat { vals, .. }) => HeteroAnswer::Many(vals),
+        ("matrix", Dist::Rows(rows)) => HeteroAnswer::Matrix(rows),
+        ("matrix", Dist::Flat { len: 0, .. }) => HeteroAnswer::Matrix(Vec::new()),
+        ("p2p", Dist::Scalar(d)) => HeteroAnswer::Point(d),
+        ("p2p", Dist::None) => HeteroAnswer::Point(INF),
+        ("stats", _) => {
+            let report = match f.report {
+                Some(json) => std::str::from_utf8(json)
+                    .ok()
+                    .and_then(|s| serde_json::from_str(s).ok())
+                    .ok_or_else(|| malformed("unreadable `report`"))?,
+                None => Value::Null,
             };
-            Reply::Answer(HeteroAnswer::Point(d))
+            return Ok(Reply::Stats(report));
         }
-        "stats" => Reply::Stats(v.get("report").cloned().unwrap_or(Value::Null)),
-        other => {
-            return Err(ServeError::new(
-                ErrorKind::Malformed,
-                format!("unknown reply op `{other}`"),
-            ))
+        ("tree" | "many" | "matrix" | "p2p", _) => {
+            return Err(malformed("reply lacks a well-formed `dist`"))
         }
-    })
+        (other, _) => return Err(malformed(format!("unknown reply op `{other}`"))),
+    };
+    Ok(Reply::Answer(answer))
 }
 
 #[cfg(test)]
@@ -616,6 +707,33 @@ mod tests {
         ] {
             let line = encode_answer(Some(3), &answer, None);
             assert_eq!(decode_reply(&line).unwrap(), Reply::Answer(answer));
+        }
+    }
+
+    /// A thin slice of `tests/wire_codec.rs`, so this crate's own tests
+    /// hold the streaming codec against the `Value` oracle too.
+    #[test]
+    fn codec_agrees_with_the_value_oracle() {
+        for answer in [
+            HeteroAnswer::Tree(vec![0, 5, INF, u32::MAX]),
+            HeteroAnswer::Many(vec![]),
+            HeteroAnswer::Matrix(vec![vec![0, 4], vec![], vec![9]]),
+            HeteroAnswer::Point(INF),
+        ] {
+            let line = oracle::assert_encoders_agree(Some(-3), &answer, Some(7));
+            for cut in 0..=line.len() {
+                oracle::assert_decoders_agree(&line[..cut]);
+            }
+        }
+        for line in [
+            r#"{"ok":true,"op":"tree","dist":[1.0,1e3,07]}"#,
+            r#"{"ok":true,"op":"tree","dist":[1,-1]}"#,
+            r#"{"dist":[[1],2],"op":"matrix","ok":true}"#,
+            r#"{"ok":false,"ok":true,"error":"overloaded","retry_after_ms":4e1}"#,
+            r#"{"ok":true,"op":"stats","report":{"a":[1,{"b":"\u00e9"}]}}"#,
+            r#" { "ok" : true , "op" : "p2p" , "dist" : null , "epoch" : 3 } x"#,
+        ] {
+            oracle::assert_decoders_agree(line);
         }
     }
 

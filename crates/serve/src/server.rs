@@ -30,7 +30,7 @@ use crate::conn::{BoundedLineReader, ConnRegistry, LineOutcome};
 use crate::protocol::{self, ErrorKind, Op, ServeError};
 use crate::scheduler::Service;
 use phast_core::HeteroAnswer;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -213,15 +213,18 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> std::io::Result<()
     stream.set_read_timeout(io_timeout)?;
     stream.set_write_timeout(io_timeout)?;
     let mut reader = BoundedLineReader::new(stream.try_clone()?, cfg.max_line_bytes);
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    // One reply buffer per connection: an answer is encoded straight into
+    // it and leaves in one write, so a served tree allocates nothing here.
+    let mut reply = String::new();
     loop {
-        let reply = match reader.read_line() {
+        reply.clear();
+        match reader.read_line() {
             Ok(LineOutcome::Eof) => return Ok(()),
             Ok(LineOutcome::Line(line)) => {
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(service, &line)
+                handle_line_into(service, &line, &mut reply);
             }
             Ok(LineOutcome::TooLong) => {
                 // Reply, then close: there is no resynchronizing with a
@@ -231,7 +234,8 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> std::io::Result<()
                     ErrorKind::Malformed,
                     format!("request line exceeds {} bytes", cfg.max_line_bytes),
                 );
-                let _ = write_reply(&mut writer, &protocol::encode_error(None, &err));
+                reply.push_str(&protocol::encode_error(None, &err));
+                let _ = write_reply(stream, &mut reply);
                 let _ = stream.shutdown(std::net::Shutdown::Both);
                 return Ok(());
             }
@@ -243,7 +247,7 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> std::io::Result<()
             }
             Err(e) => return Err(e),
         };
-        if let Err(e) = write_reply(&mut writer, &reply) {
+        if let Err(e) = write_reply(stream, &mut reply) {
             if is_timeout(&e) {
                 // A reader that stopped draining its replies is as dead
                 // as a writer that stopped sending.
@@ -255,45 +259,47 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> std::io::Result<()
     }
 }
 
-fn write_reply(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
-    writer.write_all(reply.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+/// Sends `reply` and its newline in one write: on a `TCP_NODELAY` socket
+/// a separate one-byte write is a segment and a wake-up of its own.
+fn write_reply(mut stream: &TcpStream, reply: &mut String) -> std::io::Result<()> {
+    reply.push('\n');
+    stream.write_all(reply.as_bytes())
 }
 
 /// Parses and executes one request line, returning the reply line. Never
 /// panics on client input — every failure maps to a typed error reply.
 pub fn handle_line(service: &Service, line: &str) -> String {
-    match protocol::parse_request(line) {
+    let mut reply = String::new();
+    handle_line_into(service, line, &mut reply);
+    reply
+}
+
+/// [`handle_line`] appending the reply line to a caller-owned buffer.
+pub fn handle_line_into(service: &Service, line: &str, reply: &mut String) {
+    let (id, outcome) = match protocol::parse_request(line) {
         Err(err) => {
             service.stats().add_rejected_invalid(1);
-            protocol::encode_error(None, &err)
+            (None, Err(err))
         }
-        Ok(req) => match req.op {
-            Op::Stats => {
-                protocol::encode_report(req.id, &service.stats().report("phast-serve"))
-            }
-            Op::Query(query) => {
-                let deadline = req.deadline_ms.map(Duration::from_millis);
-                match service.call_with_epoch(query, deadline) {
-                    Ok((answer, epoch)) => {
-                        protocol::encode_answer(req.id, &answer, Some(epoch))
-                    }
-                    Err(err) => protocol::encode_error(req.id, &err),
+        Ok(req) => {
+            let deadline = req.deadline_ms.map(Duration::from_millis);
+            let outcome = match req.op {
+                Op::Stats => {
+                    let report = service.stats().report("phast-serve");
+                    reply.push_str(&protocol::encode_report(req.id, &report));
+                    return;
                 }
-            }
-            Op::Matrix { sources, targets } => {
-                let deadline = req.deadline_ms.map(Duration::from_millis);
-                match service.matrix_with_epoch(sources, targets, deadline) {
-                    Ok((rows, epoch)) => protocol::encode_answer(
-                        req.id,
-                        &HeteroAnswer::Matrix(rows),
-                        Some(epoch),
-                    ),
-                    Err(err) => protocol::encode_error(req.id, &err),
-                }
-            }
-        },
+                Op::Query(query) => service.call_with_epoch(query, deadline),
+                Op::Matrix { sources, targets } => service
+                    .matrix_with_epoch(sources, targets, deadline)
+                    .map(|(rows, epoch)| (HeteroAnswer::Matrix(rows), epoch)),
+            };
+            (req.id, outcome)
+        }
+    };
+    match outcome {
+        Ok((answer, epoch)) => protocol::encode_answer_into(reply, id, &answer, Some(epoch)),
+        Err(err) => reply.push_str(&protocol::encode_error(id, &err)),
     }
 }
 

@@ -11,6 +11,7 @@
 #   tools/ci.sh router-chaos  # only the replicated-tier kill-a-backend gate
 #   tools/ci.sh mmap-smoke    # only the zero-copy artifact load gate
 #   tools/ci.sh contract-smoke  # only the parallel-contraction gate
+#   tools/ci.sh wire-smoke    # only the reply-codec gate + the benchmark's smoke suite
 #
 # Mirrors the checks the repo treats as tier-1: a release build, the full
 # test suite in the default build AND with the hot-path observability
@@ -238,6 +239,26 @@ contract_smoke() {
     echo "contract smoke ok"
 }
 
+# The reply-codec gate (DESIGN.md §9): the streaming encoder and the
+# single-pass scanner against the `Value` oracle they replaced, in
+# release (byte-identical lines; same verdict on every truncation, byte
+# flip and spelling), and the router's proof that its validate-only pass
+# still reads the whole line (a ~500 KB reply with a corrupt tail is a
+# transport fault, answered once by the healthy replica). Then the
+# benchmark package, which times this codec end to end: its own tests
+# (BENCHMARK.json and the program in step) and its smoke suite — every
+# workload once at n = 5 000 with every answer verified, ~1 min.
+wire_smoke() {
+    step "reply codec gate (differential battery + corrupt-tail failover, release)"
+    cargo test -q --release --test wire_codec
+    cargo test -q --release -p phast-router --test failover corrupt_tail
+    step "benchmark package: tests + smoke suite"
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        suite --smoke --repeat 1 --out benchmark/out/smoke.json
+    echo "wire smoke ok"
+}
+
 PROFILE_FLAG=""
 if [[ "${1:-}" == "bench-smoke" || "${1:-}" == "--bench-smoke" ]]; then
     bench_smoke
@@ -272,6 +293,11 @@ fi
 if [[ "${1:-}" == "contract-smoke" || "${1:-}" == "--contract-smoke" ]]; then
     contract_smoke
     step "ci green (contract-smoke only)"
+    exit 0
+fi
+if [[ "${1:-}" == "wire-smoke" || "${1:-}" == "--wire-smoke" ]]; then
+    wire_smoke
+    step "ci green (wire-smoke only)"
     exit 0
 fi
 if [[ "${1:-}" != "quick" ]]; then
@@ -332,6 +358,8 @@ router_chaos
 mmap_smoke
 
 contract_smoke
+
+wire_smoke
 
 step "clippy (default features)"
 cargo clippy --workspace --all-targets -- -D warnings
