@@ -17,7 +17,7 @@
 //! |------|------|
 //! | `dijkstra_scalar` | scalar Dijkstra baseline (`phast-dijkstra`) |
 //! | `phast_single_tree` | single-tree level-ordered sweep |
-//! | `phast_k{k}_scalar` / `_sse41` / `_avx2` | k-tree batched sweep per kernel (SIMD rows only where the CPU has the feature) |
+//! | `phast_k{k}_scalar` / `_sse41` / `_avx2` | k-tree batched sweep per kernel (SIMD rows only where the CPU has the feature); `obs` carries each one's roofline: `sweep_bytes`, `stream_gbps`, `roofline_share` |
 //! | `phast_par_k{k}` | `run_par` intra-level parallel batched sweep |
 //! | `gphast_k{k}` | GPHAST simulator batch (GTX 580 profile) |
 //! | `serve_batch_k{k}` | the serve scheduler's batch-execution path ([`phast_serve::BatchRunner`]) |
@@ -48,6 +48,7 @@
 //! prove the gate actually fails on an injected regression.
 
 use crate::hostinfo::HostInfo;
+use crate::lower_bound;
 use crate::report::Table;
 use crate::timing::{SampleStats, Samples};
 use crate::workload::{scale_from_env, InstanceConfig};
@@ -116,15 +117,18 @@ impl BenchArtifact {
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             format!("bench suite ({} vertices, k={})", self.scale, self.k),
-            &["benchmark", "runs", "median", "mad", "p95"],
+            &["benchmark", "runs", "median", "mad", "p95", "of roofline"],
         );
         for b in &self.benchmarks {
+            let share = format!("{}.roofline_share", b.name);
+            let share = self.obs["metrics"][share.as_str()].as_f64();
             t.row(&[
                 b.name.clone(),
                 b.stats.runs.to_string(),
                 crate::report::fmt_duration(Duration::from_nanos(b.stats.median_ns)),
                 crate::report::fmt_duration(Duration::from_nanos(b.stats.mad_ns)),
                 crate::report::fmt_duration(Duration::from_nanos(b.stats.p95_ns)),
+                share.map_or("-".into(), |s| format!("{s:.2}")),
             ]);
         }
         t
@@ -313,7 +317,18 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         record("phast_single_tree", s, Some(&e.stats().report("single")));
     }
 
-    // 3. k-tree batched sweep, one benchmark per kernel the CPU has.
+    // 3. k-tree batched sweep, one benchmark per kernel the CPU has, each
+    // against its roofline (the paper's Section VIII-B bound): the bytes
+    // a sweep moves if `first`, the downward arcs and the k-wide label
+    // rows (read and written) each stream once — computed from the array
+    // sizes — over the bandwidth of a sequential scan of arrays of those
+    // very sizes, measured here, in the same run (best pass of `runs`).
+    let mut rows = vec![0; phast.num_vertices() * k];
+    let stream = (0..cfg.runs)
+        .map(|_| lower_bound::measure(&phast, &mut rows))
+        .min_by_key(|bound| bound.sequential_scan)
+        .expect("runs >= 5");
+    drop(rows);
     let kernels: &[SimdLevel] = match best_simd_for(k) {
         SimdLevel::Scalar => &[SimdLevel::Scalar],
         SimdLevel::Sse41 => &[SimdLevel::Scalar, SimdLevel::Sse41],
@@ -330,11 +345,16 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
             e.run(&batch_at(i));
         });
-        record(
-            &format!("phast_k{k}_{suffix}"),
-            s,
-            Some(&e.stats().report(suffix)),
-        );
+        let mut report = e.stats().report(suffix);
+        let median_ns = s.stats().median_ns.max(1);
+        report
+            .push_count("sweep_bytes", stream.bytes as u64)
+            .push_ratio("stream_gbps", stream.bandwidth_gbps())
+            .push_ratio(
+                "roofline_share",
+                stream.sequential_scan.as_nanos() as f64 / median_ns as f64,
+            );
+        record(&format!("phast_k{k}_{suffix}"), s, Some(&report));
     }
 
     // 4. Intra-level parallel batched sweep (`run_par`, rayon pool).
@@ -882,6 +902,24 @@ mod tests {
             assert_eq!(b.samples_ns.len(), 5, "{name}");
             assert!(b.stats.min_ns <= b.stats.median_ns, "{name}");
             assert!(b.stats.median_ns <= b.stats.max_ns, "{name}");
+        }
+        // Each k-tree kernel entry carries its roofline: bytes computed
+        // from the array sizes (`first` + 8-byte arcs + the 4-wide rows
+        // read and written), a bandwidth measured in this run, and the
+        // share of it the measured median reaches.
+        let metrics = &a.obs["metrics"];
+        let n = metrics["phast_k4_scalar.sweep_bytes"].as_i64().expect("bytes");
+        assert!(n > 2 * 4 * 4 * 500 && n < 64 * 600, "sweep_bytes {n}");
+        for level in ["scalar", "sse41", "avx2"] {
+            if a.get(&format!("phast_k4_{level}")).is_none() {
+                continue;
+            }
+            let bytes = format!("phast_k4_{level}.sweep_bytes");
+            assert_eq!(metrics[bytes.as_str()].as_i64(), Some(n));
+            for field in ["stream_gbps", "roofline_share"] {
+                let x = metrics[format!("phast_k4_{level}.{field}").as_str()].as_f64();
+                assert!(x.is_some_and(|x| x > 0.0 && x.is_finite()), "{level} {field}: {x:?}");
+            }
         }
         // The point of metric customization: producing a servable
         // instance for a new metric must be at least 10x faster than

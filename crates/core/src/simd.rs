@@ -1,10 +1,17 @@
-//! Sweep kernels: scalar, SSE4.1 and AVX2.
+//! Sweep kernels: the scalar reference and one packed kernel body,
+//! instantiated for SSE4.1 (4 lanes) and AVX2 (8 lanes).
 //!
 //! The paper's Section IV-B: distance labels are 32-bit, so a 128-bit SSE
 //! register holds four of them and one packed `add` + packed `min` relaxes
 //! one arc for four trees at once (packed *unsigned* min needs SSE 4.1 —
-//! the paper makes the same observation). The AVX2 kernel is the natural
-//! 8-lane extension on newer cores.
+//! the paper makes the same observation); a 256-bit AVX2 register holds
+//! eight. The `k`-wide row of the vertex being relaxed stays in registers
+//! across its arc loop, which takes a chunk count known at compile time:
+//! the body is generic over the lane type and a `const` chunk count, and
+//! there is one instantiation per admitted `k` and level (the table in
+//! `x86::kernel`). With the count a run-time value the accumulators are a
+//! stack array, reloaded and stored again for every chunk of every arc —
+//! that cost 40 % of the sweep at `k = 16` (DESIGN §4).
 //!
 //! All kernels share one contract, [`SweepParams`]: process vertices of a
 //! range in increasing sweep-ID order; for each vertex either take its `k`
@@ -24,27 +31,28 @@ use std::ops::Range;
 pub enum SimdLevel {
     /// Portable scalar loop (any `k`).
     Scalar,
-    /// SSE4.1 packed 4-lane kernel (`k` must be a multiple of 4).
+    /// The packed kernel on 4-lane SSE4.1 registers (`k` must be a
+    /// multiple of 4).
     Sse41,
-    /// AVX2 packed 8-lane kernel (`k` must be a multiple of 4; odd
-    /// half-chunks fall back to one SSE chunk).
+    /// The packed kernel on 8-lane AVX2 registers (`k` must be a multiple
+    /// of 4; an odd half-chunk is one 4-lane column block).
     Avx2,
 }
 
-/// Largest `k` the register-resident SIMD kernels support.
+/// Largest `k` the packed kernel is instantiated for.
 pub const MAX_K: usize = 64;
 
-/// Detects the best kernel the CPU supports for batch width `k`.
+/// Detects the best kernel the CPU supports for batch width `k`: the
+/// highest level the CPU has that holds an instantiation for `k`
+/// (multiples of 4 up to [`MAX_K`]).
 pub fn best_simd_for(k: usize) -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        if k.is_multiple_of(4) && k <= MAX_K {
-            if is_x86_feature_detected!("avx2") {
-                return SimdLevel::Avx2;
-            }
-            if is_x86_feature_detected!("sse4.1") {
-                return SimdLevel::Sse41;
-            }
+        if is_x86_feature_detected!("avx2") && x86::kernel(SimdLevel::Avx2, k).is_some() {
+            return SimdLevel::Avx2;
+        }
+        if is_x86_feature_detected!("sse4.1") && x86::kernel(SimdLevel::Sse41, k).is_some() {
+            return SimdLevel::Sse41;
         }
     }
     let _ = k;
@@ -73,28 +81,24 @@ pub(crate) struct SweepParams<'a> {
 ///   already finalized (the caller guarantees the topological property);
 /// * the caller must have exclusive access to the label rows and marks of
 ///   `range` and shared access to all earlier rows (no other thread may
-///   write them concurrently).
+///   write them concurrently);
+/// * a SIMD `level` must not exceed `best_simd_for(p.k)` — running a
+///   kernel the CPU lacks is undefined behaviour.
 pub(crate) unsafe fn sweep_range(level: SimdLevel, p: &SweepParams<'_>, range: Range<usize>) {
-    // The caller upholds this function's own contract, which is exactly
-    // each kernel's contract; the SIMD arms are only selected when
-    // `best_simd_for`/`force_simd` verified the CPU feature.
-    match level {
-        // SAFETY: see above.
-        SimdLevel::Scalar => unsafe { sweep_range_scalar(p, range) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see above.
-        SimdLevel::Sse41 => unsafe { sweep_range_sse41(p, range) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see above.
-        SimdLevel::Avx2 => unsafe { sweep_range_avx2(p, range) },
-        #[cfg(not(target_arch = "x86_64"))]
-        // SAFETY: see above.
-        _ => unsafe { sweep_range_scalar(p, range) },
+    #[cfg(target_arch = "x86_64")]
+    if let Some(kernel) = x86::kernel(level, p.k) {
+        // SAFETY: the caller upholds this function's contract, which is
+        // the kernel's; `kernel` is the instantiation for `p.k`, and the
+        // caller vouches for the CPU feature behind `level`.
+        return unsafe { kernel(p, range) };
     }
+    let _ = level;
+    // SAFETY: the caller upholds this function's contract.
+    unsafe { sweep_range_scalar(p, range) }
 }
 
-/// Portable kernel; the structure mirrors the SIMD versions so the compiler
-/// can auto-vectorize the inner lane loop.
+/// Portable kernel for any `k`, and the reference the packed kernel is
+/// tested against: same order, same clamp, bit-identical labels.
 ///
 /// # Safety
 ///
@@ -137,115 +141,222 @@ mod x86 {
     use super::*;
     use std::arch::x86_64::*;
 
-    /// SSE4.1 kernel: the whole `k`-wide accumulator row lives in XMM
-    /// registers across the arc loop (`k <= 64` means at most 16 chunks).
+    /// One packed register of `N` 32-bit labels. The methods carry no
+    /// `#[target_feature]` of their own: they are inlined into
+    /// [`sse41`] / [`avx2`], which do.
     ///
     /// # Safety
     ///
-    /// See [`sweep_range`]; additionally requires SSE4.1 and `k % 4 == 0`.
-    #[target_feature(enable = "sse4.1")]
-    pub(crate) unsafe fn sweep_range_sse41(p: &SweepParams<'_>, range: Range<usize>) {
-        debug_assert_eq!(p.k % 4, 0);
-        debug_assert!(p.k <= MAX_K);
-        let chunks = p.k / 4;
-        // SAFETY: intrinsics below stay within the bounds the caller
-        // guarantees (rows v and tail rows of length k).
+    /// Every method requires the ISA extension of the implementing type;
+    /// `load` and `store` also `N` valid labels at `p`.
+    trait Lanes: Copy {
+        const N: usize;
+        unsafe fn splat(x: u32) -> Self;
+        unsafe fn load(p: *const u32) -> Self;
+        unsafe fn store(self, p: *mut u32);
+        unsafe fn add(self, o: Self) -> Self;
+        unsafe fn min(self, o: Self) -> Self;
+    }
+
+    macro_rules! impl_lanes {
+        ($t:ty, $n:literal, $splat:ident, $load:ident, $store:ident, $add:ident, $min:ident) => {
+            impl Lanes for $t {
+                const N: usize = $n;
+                #[inline(always)]
+                unsafe fn splat(x: u32) -> Self {
+                    // SAFETY: the caller guarantees the ISA extension.
+                    unsafe { $splat(x as i32) }
+                }
+                #[inline(always)]
+                unsafe fn load(p: *const u32) -> Self {
+                    // SAFETY: as above, and `N` readable labels at `p`;
+                    // the intrinsic takes any alignment.
+                    unsafe { $load(p.cast()) }
+                }
+                #[inline(always)]
+                unsafe fn store(self, p: *mut u32) {
+                    // SAFETY: as above, and `N` writable labels at `p`;
+                    // the intrinsic takes any alignment.
+                    unsafe { $store(p.cast(), self) }
+                }
+                #[inline(always)]
+                unsafe fn add(self, o: Self) -> Self {
+                    // SAFETY: the caller guarantees the ISA extension.
+                    unsafe { $add(self, o) }
+                }
+                #[inline(always)]
+                unsafe fn min(self, o: Self) -> Self {
+                    // SAFETY: the caller guarantees the ISA extension.
+                    unsafe { $min(self, o) }
+                }
+            }
+        };
+    }
+    impl_lanes!(
+        __m128i,
+        4,
+        _mm_set1_epi32,
+        _mm_loadu_si128,
+        _mm_storeu_si128,
+        _mm_add_epi32,
+        _mm_min_epu32
+    );
+    impl_lanes!(
+        __m256i,
+        8,
+        _mm256_set1_epi32,
+        _mm256_loadu_si256,
+        _mm256_storeu_si256,
+        _mm256_add_epi32,
+        _mm256_min_epu32
+    );
+
+    /// The kernel body: relaxes the incoming arcs of sweep vertex `v` for
+    /// the `C * V::N` trees whose labels start at column `col` of each
+    /// `k`-wide row. `C` is a compile-time constant, so the accumulators
+    /// are `C` registers for the whole arc loop and every `0..C` loop is
+    /// unrolled: per arc and chunk, one packed add (with the tail row as
+    /// its memory operand) and one packed min.
+    ///
+    /// # Safety
+    ///
+    /// See [`sweep_range`]; additionally `V`'s ISA extension must be
+    /// present and `col + C * V::N <= k`.
+    #[inline(always)]
+    unsafe fn relax_columns<V: Lanes, const C: usize>(
+        dist: *mut u32,
+        k: usize,
+        col: usize,
+        v: usize,
+        reached: bool,
+        arcs: &[ReverseArc],
+    ) {
+        // SAFETY: row `v` and every tail row are `k` labels long and the
+        // columns `col .. col + C * V::N` lie inside them; the caller has
+        // exclusive access to row `v`, and tail rows are final.
         unsafe {
-            let inf = _mm_set1_epi32(INF as i32);
-            let mut acc = [_mm_setzero_si128(); MAX_K / 4];
-            for v in range {
-                let row = p.dist.add(v * p.k);
-                if *p.marked.add(v) == 0 {
-                    acc[..chunks].fill(inf);
-                } else {
-                    for (c, a) in acc[..chunks].iter_mut().enumerate() {
-                        *a = _mm_loadu_si128(row.add(4 * c).cast());
-                    }
+            let inf = V::splat(INF);
+            let row = dist.add(v * k + col);
+            let mut acc = [inf; C];
+            if reached {
+                for (c, a) in acc.iter_mut().enumerate() {
+                    *a = V::load(row.add(c * V::N));
                 }
-                let lo = p.first[v] as usize;
-                let hi = p.first[v + 1] as usize;
-                for a in &p.arcs[lo..hi] {
-                    let w4 = _mm_set1_epi32(a.weight as i32);
-                    let base = p.dist.add(a.tail as usize * p.k);
-                    for (c, av) in acc[..chunks].iter_mut().enumerate() {
-                        let t = _mm_add_epi32(_mm_loadu_si128(base.add(4 * c).cast()), w4);
-                        *av = _mm_min_epu32(*av, t);
-                    }
+            }
+            for arc in arcs {
+                let w = V::splat(arc.weight);
+                let tail = dist.add(arc.tail as usize * k + col);
+                for (c, a) in acc.iter_mut().enumerate() {
+                    *a = a.min(V::load(tail.add(c * V::N)).add(w));
                 }
-                for (c, av) in acc[..chunks].iter_mut().enumerate() {
-                    *av = _mm_min_epu32(*av, inf);
-                    _mm_storeu_si128(row.add(4 * c).cast(), *av);
-                }
-                *p.marked.add(v) = 0;
+            }
+            for (c, a) in acc.iter().enumerate() {
+                a.min(inf).store(row.add(c * V::N));
             }
         }
     }
 
-    /// AVX2 kernel: 8 lanes per chunk; a trailing 4-lane chunk (when
-    /// `k % 8 == 4`) is handled with SSE operations.
+    /// Sweeps `range` at `k = CA * A::N + CB * B::N`: per vertex, one
+    /// column block of `CA` chunks of lane type `A`, then (when `CB > 0`)
+    /// a second of `CB` chunks of `B` over the same arc slice, which is in
+    /// L1 by then.
     ///
     /// # Safety
     ///
-    /// See [`sweep_range`]; additionally requires AVX2 and `k % 4 == 0`.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn sweep_range_avx2(p: &SweepParams<'_>, range: Range<usize>) {
-        debug_assert_eq!(p.k % 4, 0);
-        debug_assert!(p.k <= MAX_K);
-        let wide = p.k / 8;
-        let has_tail = p.k % 8 == 4;
-        let tail_off = wide * 8;
-        // SAFETY: as in the SSE kernel.
-        unsafe {
-            let inf8 = _mm256_set1_epi32(INF as i32);
-            let inf4 = _mm_set1_epi32(INF as i32);
-            let mut acc = [_mm256_setzero_si256(); MAX_K / 8];
-            let mut tacc = _mm_setzero_si128();
-            for v in range {
-                let row = p.dist.add(v * p.k);
-                if *p.marked.add(v) == 0 {
-                    acc[..wide].fill(inf8);
-                    if has_tail {
-                        tacc = inf4;
-                    }
-                } else {
-                    for (c, a) in acc[..wide].iter_mut().enumerate() {
-                        *a = _mm256_loadu_si256(row.add(8 * c).cast());
-                    }
-                    if has_tail {
-                        tacc = _mm_loadu_si128(row.add(tail_off).cast());
-                    }
+    /// See [`sweep_range`]; additionally the ISA extensions of `A` and `B`
+    /// must be present and `p.k` must equal the `k` above.
+    #[inline(always)]
+    unsafe fn sweep_rows<A: Lanes, const CA: usize, B: Lanes, const CB: usize>(
+        p: &SweepParams<'_>,
+        range: Range<usize>,
+    ) {
+        let k = CA * A::N + CB * B::N;
+        debug_assert_eq!(p.k, k);
+        for v in range {
+            let arcs = &p.arcs[p.first[v] as usize..p.first[v + 1] as usize];
+            // SAFETY: mark `v` belongs to this range; the blocks cover
+            // columns `0..k` of rows the caller vouches for.
+            unsafe {
+                let mark = p.marked.add(v);
+                let reached = *mark != 0;
+                relax_columns::<A, CA>(p.dist, k, 0, v, reached, arcs);
+                if CB > 0 {
+                    relax_columns::<B, CB>(p.dist, k, CA * A::N, v, reached, arcs);
                 }
-                let lo = p.first[v] as usize;
-                let hi = p.first[v + 1] as usize;
-                for a in &p.arcs[lo..hi] {
-                    let w8 = _mm256_set1_epi32(a.weight as i32);
-                    let base = p.dist.add(a.tail as usize * p.k);
-                    for (c, av) in acc[..wide].iter_mut().enumerate() {
-                        let t = _mm256_add_epi32(_mm256_loadu_si256(base.add(8 * c).cast()), w8);
-                        *av = _mm256_min_epu32(*av, t);
-                    }
-                    if has_tail {
-                        let w4 = _mm_set1_epi32(a.weight as i32);
-                        let t = _mm_add_epi32(_mm_loadu_si128(base.add(tail_off).cast()), w4);
-                        tacc = _mm_min_epu32(tacc, t);
-                    }
-                }
-                for (c, av) in acc[..wide].iter_mut().enumerate() {
-                    *av = _mm256_min_epu32(*av, inf8);
-                    _mm256_storeu_si256(row.add(8 * c).cast(), *av);
-                }
-                if has_tail {
-                    tacc = _mm_min_epu32(tacc, inf4);
-                    _mm_storeu_si128(row.add(tail_off).cast(), tacc);
-                }
-                *p.marked.add(v) = 0;
+                *mark = 0;
             }
+        }
+    }
+
+    /// [`sweep_rows`] compiled for SSE4.1: `k = 4 * (C0 + C1)`.
+    ///
+    /// # Safety
+    ///
+    /// See [`sweep_range`]; additionally requires SSE4.1 and `p.k` equal
+    /// to the `k` above.
+    #[target_feature(enable = "sse4.1")]
+    unsafe fn sse41<const C0: usize, const C1: usize>(p: &SweepParams<'_>, range: Range<usize>) {
+        // SAFETY: forwarded contract; SSE4.1 is enabled here.
+        unsafe { sweep_rows::<__m128i, C0, __m128i, C1>(p, range) }
+    }
+
+    /// [`sweep_rows`] compiled for AVX2: `k = 8 * W + 4 * T`, the odd
+    /// half-chunk (`T = 1`) being one 4-lane column block.
+    ///
+    /// # Safety
+    ///
+    /// See [`sweep_range`]; additionally requires AVX2 and `p.k` equal to
+    /// the `k` above.
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2<const W: usize, const T: usize>(p: &SweepParams<'_>, range: Range<usize>) {
+        // SAFETY: forwarded contract; AVX2 (hence SSE4.1) is enabled here.
+        unsafe { sweep_rows::<__m256i, W, __m128i, T>(p, range) }
+    }
+
+    /// A kernel instantiation: [`sweep_range`]'s contract at one fixed `k`.
+    pub(super) type Kernel = unsafe fn(&SweepParams<'_>, Range<usize>);
+
+    /// The instantiation of the kernel body for `level` at width `k`, and
+    /// so the definition of the widths [`best_simd_for`] admits. Each entry
+    /// reads `chunks of 4 labels => first block + second block`, in chunks
+    /// of the level's own width (for AVX2 the second block is 4-lane).
+    ///
+    /// A block holds at most 12 accumulators, which with the broadcast
+    /// weight and one scratch register leaves two of the 16 vector
+    /// registers free, so only the four widest SSE4.1 rows are split.
+    /// Measured at n = 100k on the development host: splitting from 9
+    /// chunks on was 3-7 % slower at `k` = 36..48, 13-16 chunks in one
+    /// block no faster than 8 + rest, and AVX2 `k` = 12 as three 4-lane
+    /// chunks the same as 8 + 4.
+    pub(super) fn kernel(level: SimdLevel, k: usize) -> Option<Kernel> {
+        macro_rules! by_chunks {
+            ($f:ident: $($chunks:literal => $a:literal + $b:literal,)*) => {
+                match k / 4 {
+                    $($chunks => Some($f::<$a, $b> as Kernel),)*
+                    _ => None,
+                }
+            };
+        }
+        if !k.is_multiple_of(4) {
+            return None;
+        }
+        match level {
+            SimdLevel::Scalar => None,
+            SimdLevel::Sse41 => by_chunks!(sse41:
+                1 => 1 + 0, 2 => 2 + 0, 3 => 3 + 0, 4 => 4 + 0,
+                5 => 5 + 0, 6 => 6 + 0, 7 => 7 + 0, 8 => 8 + 0,
+                9 => 9 + 0, 10 => 10 + 0, 11 => 11 + 0, 12 => 12 + 0,
+                13 => 8 + 5, 14 => 8 + 6, 15 => 8 + 7, 16 => 8 + 8,
+            ),
+            SimdLevel::Avx2 => by_chunks!(avx2:
+                1 => 0 + 1, 2 => 1 + 0, 3 => 1 + 1, 4 => 2 + 0,
+                5 => 2 + 1, 6 => 3 + 0, 7 => 3 + 1, 8 => 4 + 0,
+                9 => 4 + 1, 10 => 5 + 0, 11 => 5 + 1, 12 => 6 + 0,
+                13 => 6 + 1, 14 => 7 + 0, 15 => 7 + 1, 16 => 8 + 0,
+            ),
         }
     }
 }
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{sweep_range_avx2, sweep_range_sse41};
 
 #[cfg(test)]
 mod tests {
@@ -258,6 +369,16 @@ mod tests {
         assert_eq!(best_simd_for(7), SimdLevel::Scalar);
         // Oversized k falls back to scalar.
         assert_eq!(best_simd_for(MAX_K + 4), SimdLevel::Scalar);
+        // The packed kernel is instantiated for exactly the multiples of
+        // 4 up to MAX_K, at either level.
+        for k in 0..=MAX_K + 8 {
+            let admitted = k % 4 == 0 && (4..=MAX_K).contains(&k);
+            assert!(admitted || best_simd_for(k) == SimdLevel::Scalar, "k={k}");
+            #[cfg(target_arch = "x86_64")]
+            for level in [SimdLevel::Sse41, SimdLevel::Avx2] {
+                assert_eq!(x86::kernel(level, k).is_some(), admitted, "{level:?} k={k}");
+            }
+        }
     }
 
     /// Regression: `force_simd` used to grant any non-scalar request
@@ -286,79 +407,196 @@ mod tests {
         }
     }
 
+    /// Every width the packed kernel is instantiated for.
+    fn widths() -> impl Iterator<Item = usize> {
+        (4..=MAX_K).step_by(4)
+    }
+
+    /// Every level this CPU can run at width `k`, the scalar one first.
+    fn levels(k: usize) -> impl Iterator<Item = SimdLevel> {
+        [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2]
+            .into_iter()
+            .filter(move |&level| level <= best_simd_for(k))
+    }
+
+    /// One `sweep_range` call on copies of `dist` and `marked`.
+    fn sweep(
+        level: SimdLevel,
+        (first, arcs): (&[u32], &[ReverseArc]),
+        k: usize,
+        (dist, marked): (&[u32], &[u8]),
+        range: Range<usize>,
+    ) -> (Vec<u32>, Vec<u8>) {
+        let (mut dist, mut marked) = (dist.to_vec(), marked.to_vec());
+        assert_eq!(dist.len(), (first.len() - 1) * k);
+        assert_eq!(marked.len(), first.len() - 1);
+        let p = SweepParams {
+            first,
+            arcs,
+            k,
+            dist: dist.as_mut_ptr(),
+            marked: marked.as_mut_ptr(),
+        };
+        // SAFETY: single-threaded call over arrays of n*k labels and n
+        // marks; every test graph has its tails below their heads, and
+        // `levels` offers only what the CPU has.
+        unsafe { sweep_range(level, &p, range) };
+        (dist, marked)
+    }
+
     #[test]
     fn kernels_agree_on_a_tiny_sweep() {
         // Hand-built G↓: 3 vertices; vertex 2 has arcs from 0 and 1.
-        let first = vec![0u32, 0, 1, 3];
-        let arcs = vec![
+        let first = [0u32, 0, 1, 3];
+        let arcs = [
             ReverseArc::new(0, 5),
             ReverseArc::new(0, 7),
             ReverseArc::new(1, 1),
         ];
-        let k = 8;
-        let run = |level: SimdLevel| {
-            let mut dist = vec![0u32; 3 * k];
-            let mut marked = vec![0u8; 3];
+        for k in widths() {
             // Seed tree labels at vertex 0 and 1 as if a CH search ran.
+            let mut dist = vec![0u32; 3 * k];
             for i in 0..k {
                 dist[i] = 10 + i as u32; // vertex 0
                 dist[k + i] = 100 + i as u32; // vertex 1
             }
-            marked[0] = 1;
-            marked[1] = 1;
-            let p = SweepParams {
-                first: &first,
-                arcs: &arcs,
-                k,
-                dist: dist.as_mut_ptr(),
-                marked: marked.as_mut_ptr(),
-            };
-            // SAFETY: single-threaded full-range call over valid arrays.
-            unsafe { sweep_range(level, &p, 0..3) };
-            assert!(marked.iter().all(|&m| m == 0));
-            dist
+            for level in levels(k) {
+                let (got, marked) = sweep(level, (&first, &arcs), k, (&dist, &[1, 1, 0]), 0..3);
+                assert_eq!(marked, [0, 0, 0], "{level:?} k={k}");
+                // Vertex 1 improves to 10+i+5 = 15+i via its arc from
+                // vertex 0; vertex 2 then sees min(10+i+7, 15+i+1) = 16+i.
+                for i in 0..k {
+                    assert_eq!(got[i], 10 + i as u32, "{level:?} k={k}");
+                    assert_eq!(got[k + i], 15 + i as u32, "{level:?} k={k}");
+                    assert_eq!(got[2 * k + i], 16 + i as u32, "{level:?} k={k}");
+                }
+            }
+        }
+    }
+
+    /// A 48-vertex G↓ with everything a sweep meets at once: vertices
+    /// without incoming arcs, parallel and zero-weight arcs, weights up to
+    /// `MAX_WEIGHT`; marked rows with labels from 0 to beyond `INF` per
+    /// lane mixed with unmarked rows holding stale labels or garbage. Swept in pieces, as
+    /// `run_par` does: the rows below a piece are final, and a piece must
+    /// leave everything outside itself alone.
+    #[test]
+    fn kernels_agree_with_scalar_on_every_piece_of_a_mixed_sweep() {
+        const N: usize = 48;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
         };
-        let scalar = run(SimdLevel::Scalar);
-        // Vertex 1 improves to 10+i+5 = 15+i via its arc from vertex 0;
-        // vertex 2 then sees min(10+i+7, 15+i+1) = 16+i.
-        for i in 0..k {
-            assert_eq!(scalar[k + i], 15 + i as u32);
-            assert_eq!(scalar[2 * k + i], 16 + i as u32);
+        let mut first = vec![0u32];
+        let mut arcs = Vec::new();
+        for v in 0..N as u64 {
+            let degree = if v == 0 || next(4) == 0 {
+                0
+            } else {
+                1 + next(5)
+            };
+            for _ in 0..degree {
+                let weight = match next(4) {
+                    0 => 0,
+                    1 => phast_graph::MAX_WEIGHT - next(3) as u32,
+                    _ => next(1000) as u32,
+                };
+                arcs.push(ReverseArc::new(next(v) as u32, weight));
+            }
+            if degree > 1 {
+                arcs.push(*arcs.last().expect("degree > 1")); // parallel arc
+            }
+            first.push(arcs.len() as u32);
         }
-        if is_x86_feature_detected!("sse4.1") {
-            assert_eq!(run(SimdLevel::Sse41), scalar);
-        }
-        if is_x86_feature_detected!("avx2") {
-            assert_eq!(run(SimdLevel::Avx2), scalar);
+        for k in widths() {
+            let mut marked = vec![0u8; N];
+            let mut dist = vec![0xDEAD_BEEFu32; N * k];
+            for v in 0..N {
+                let row = &mut dist[v * k..(v + 1) * k];
+                match next(3) {
+                    0 => marked[v] = 1,
+                    // What an unreached row really holds: the labels of
+                    // an earlier batch, smaller than this one's.
+                    1 => row.fill_with(|| next(100) as u32),
+                    _ => continue,
+                }
+                if marked[v] == 1 {
+                    // Above INF is nothing an upward search writes; the
+                    // clamp makes it INF in every kernel all the same.
+                    row.fill_with(|| match next(5) {
+                        0 => INF,
+                        1 => INF - next(50) as u32,
+                        2 => INF + next(50) as u32,
+                        _ => next(5000) as u32,
+                    });
+                }
+            }
+            for (lo, hi) in [(0, N), (1, N), (5, 29), (29, N), (17, 17), (N - 1, N)] {
+                // Rows below the piece are final before it runs.
+                let (dist, marked) = sweep(
+                    SimdLevel::Scalar,
+                    (&first, &arcs),
+                    k,
+                    (&dist, &marked),
+                    0..lo,
+                );
+                let want = sweep(
+                    SimdLevel::Scalar,
+                    (&first, &arcs),
+                    k,
+                    (&dist, &marked),
+                    lo..hi,
+                );
+                assert!(want.1[lo..hi].iter().all(|&m| m == 0));
+                assert!(want.0[lo * k..hi * k].iter().all(|&d| d <= INF));
+                assert_eq!(want.0[..lo * k], dist[..lo * k]);
+                assert_eq!(want.0[hi * k..], dist[hi * k..]);
+                assert_eq!(want.1[hi..], marked[hi..]);
+                for level in levels(k) {
+                    let got = sweep(level, (&first, &arcs), k, (&dist, &marked), lo..hi);
+                    assert_eq!(got, want, "{level:?} k={k} piece {lo}..{hi}");
+                }
+            }
         }
     }
 
     #[test]
     fn kernels_clamp_unreached_chains_to_inf() {
         // Vertex 1 unreached (mark clear, stale garbage label), vertex 2
-        // hangs off it: the result must clamp to INF, not overflow.
-        let first = vec![0u32, 0, 0, 1];
-        let arcs = vec![ReverseArc::new(1, 1000)];
-        for k in [4usize, 12] {
-            for level in [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2] {
-                if level == SimdLevel::Sse41 && !is_x86_feature_detected!("sse4.1") {
-                    continue;
-                }
-                if level == SimdLevel::Avx2 && !is_x86_feature_detected!("avx2") {
-                    continue;
-                }
-                let mut dist = vec![0xDEAD_BEEFu32; 3 * k];
-                let mut marked = vec![0u8; 3];
-                let p = SweepParams {
-                    first: &first,
-                    arcs: &arcs,
+        // hangs off it, vertex 3 off that by the heaviest arc there is:
+        // the result must clamp to INF, not overflow. Vertex 4 is reached
+        // at INF - 1 - lane, and vertex 5 hangs off it by MAX_WEIGHT:
+        // `label + w` passes INF in every lane and must not wrap either.
+        let first = [0u32, 0, 0, 1, 2, 2, 3];
+        let arcs = [
+            ReverseArc::new(1, 1000),
+            ReverseArc::new(2, phast_graph::MAX_WEIGHT),
+            ReverseArc::new(4, phast_graph::MAX_WEIGHT),
+        ];
+        for k in widths() {
+            let mut dist = vec![0xDEAD_BEEFu32; 6 * k];
+            for (i, label) in dist[4 * k..5 * k].iter_mut().enumerate() {
+                *label = INF - 1 - i as u32;
+            }
+            for level in levels(k) {
+                let (got, marked) = sweep(
+                    level,
+                    (&first, &arcs),
                     k,
-                    dist: dist.as_mut_ptr(),
-                    marked: marked.as_mut_ptr(),
-                };
-                // SAFETY: single-threaded full-range call over valid arrays.
-                unsafe { sweep_range(level, &p, 0..3) };
-                assert!(dist[k..].iter().all(|&d| d == INF), "{level:?} k={k}");
+                    (&dist, &[0, 0, 0, 0, 1, 0]),
+                    0..6,
+                );
+                assert_eq!(marked, [0; 6], "{level:?} k={k}");
+                assert_eq!(got[4 * k..5 * k], dist[4 * k..5 * k], "{level:?} k={k}");
+                for v in [0, 1, 2, 3, 5] {
+                    assert!(
+                        got[v * k..(v + 1) * k].iter().all(|&d| d == INF),
+                        "{level:?} k={k} vertex {v}"
+                    );
+                }
             }
         }
     }

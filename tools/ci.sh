@@ -12,6 +12,7 @@
 #   tools/ci.sh mmap-smoke    # only the zero-copy artifact load gate
 #   tools/ci.sh contract-smoke  # only the parallel-contraction gate
 #   tools/ci.sh wire-smoke    # only the reply-codec gate + the benchmark's smoke suite
+#   tools/ci.sh kernel-smoke  # only the sweep-kernel gate (release, both feature states)
 #
 # Mirrors the checks the repo treats as tier-1: a release build, the full
 # test suite in the default build AND with the hot-path observability
@@ -259,6 +260,25 @@ wire_smoke() {
     echo "wire smoke ok"
 }
 
+# The sweep-kernel gate (DESIGN.md §4): the packed kernel against the
+# scalar reference at every width and level the CPU has — the raw-kernel
+# tests in `phast-core` (clamp, stale rows, sub-ranges), the forced-level
+# engine tests beside them, and the public-API battery — in release,
+# because the optimised instantiations are what ships and debug builds
+# keep the accumulators on the stack; once more with the obs counters
+# compiled in, which changes the code around every `sweep_range` call.
+kernel_smoke() {
+    step "sweep kernel gate (raw kernels + engines + battery, release, both feature states)"
+    local features
+    for features in "" "--features obs-counters"; do
+        # shellcheck disable=SC2086
+        cargo test -q --release $features --test kernel_battery
+        # shellcheck disable=SC2086
+        cargo test -q --release $features -p phast-core --lib -- simd:: multi_tree:: rphast::
+    done
+    echo "kernel smoke ok"
+}
+
 PROFILE_FLAG=""
 if [[ "${1:-}" == "bench-smoke" || "${1:-}" == "--bench-smoke" ]]; then
     bench_smoke
@@ -298,6 +318,11 @@ fi
 if [[ "${1:-}" == "wire-smoke" || "${1:-}" == "--wire-smoke" ]]; then
     wire_smoke
     step "ci green (wire-smoke only)"
+    exit 0
+fi
+if [[ "${1:-}" == "kernel-smoke" || "${1:-}" == "--kernel-smoke" ]]; then
+    kernel_smoke
+    step "ci green (kernel-smoke only)"
     exit 0
 fi
 if [[ "${1:-}" != "quick" ]]; then
@@ -360,6 +385,8 @@ mmap_smoke
 contract_smoke
 
 wire_smoke
+
+kernel_smoke
 
 step "clippy (default features)"
 cargo clippy --workspace --all-targets -- -D warnings
