@@ -400,7 +400,7 @@ fn cmd_matrix(args: &[String]) -> CliResult {
     let mut builder = phast_core::SelectionBuilder::new(&p);
     let sel = builder.build(&targets);
     let build = t0.elapsed();
-    let mut engine = phast_core::RestrictedMultiEngine::new(&p, k);
+    let mut engine = p.multi_engine(k);
     let t1 = std::time::Instant::now();
     let rows = engine.matrix(&sel, &sources);
     eprintln!(

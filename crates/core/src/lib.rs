@@ -26,12 +26,12 @@
 
 pub mod batch;
 pub mod multi_tree;
-pub mod one_to_many;
 pub mod parallel;
 pub mod rphast;
 pub mod simd;
 pub mod sweep;
 pub mod tree;
+mod upward;
 
 use phast_ch::hierarchy::NO_MIDDLE;
 use phast_ch::{contract_graph, ContractionConfig, Hierarchy};
@@ -40,9 +40,8 @@ use phast_graph::{Arc, Csr, Graph, Permutation, Vertex, Weight, INF};
 
 pub use batch::{run_hetero_batch, HeteroAnswer, HeteroQuery};
 pub use multi_tree::MultiTreeEngine;
-pub use one_to_many::{OneToManyEngine, TargetRestriction};
-pub use rphast::{RestrictedEngine, RestrictedMultiEngine, SelectionBuilder, TargetSelection};
-pub use parallel::{par_multi_trees, par_multi_trees_with, par_trees, SweepPlan};
+pub use parallel::{par_multi_trees, par_multi_trees_with, par_trees};
+pub use rphast::{RestrictedEngine, SelectionBuilder, TargetSelection};
 pub use sweep::PhastEngine;
 pub use tree::TreeEngine;
 
@@ -215,19 +214,7 @@ impl Phast {
             .iter()
             .map(|&old| h.level[old as usize])
             .collect();
-        // Contiguous ranges of equal level (works for both orders; ByRank
-        // produces singleton "levels" degenerating to a sequential sweep,
-        // so only ByLevel exposes real ranges).
-        let mut level_ranges = Vec::new();
-        let mut start = 0usize;
-        while start < n {
-            let mut end = start + 1;
-            while end < n && level_of_sweep[end] == level_of_sweep[start] {
-                end += 1;
-            }
-            level_ranges.push(start as u32..end as u32);
-            start = end;
-        }
+        let level_ranges = level_ranges_of(&level_of_sweep);
 
         // Select the search graphs by direction, then relabel. For the
         // reverse solver the roles swap and every arc flips. Shortcut
@@ -544,16 +531,7 @@ impl Phast {
         if parts.level_of_sweep.windows(2).any(|w| w[0] < w[1]) {
             return Err("levels are not non-increasing in sweep order".into());
         }
-        let mut level_ranges = Vec::new();
-        let mut start = 0usize;
-        while start < n {
-            let mut end = start + 1;
-            while end < n && parts.level_of_sweep[end] == parts.level_of_sweep[start] {
-                end += 1;
-            }
-            level_ranges.push(start as u32..end as u32);
-            start = end;
-        }
+        let level_ranges = level_ranges_of(&parts.level_of_sweep);
 
         let up = Csr::try_from_segments(parts.up_first, parts.up_arcs)?;
         let down = ReverseCsr::try_from_segments(parts.down_first, parts.down_arcs)?;
@@ -629,6 +607,19 @@ pub struct PhastParts {
     pub direction: Direction,
     /// Shortcut count carried from the hierarchy.
     pub num_shortcuts: usize,
+}
+
+/// Contiguous ranges of equal level (works for both orders; ByRank
+/// produces singleton "levels" degenerating to a sequential sweep, so only
+/// ByLevel exposes real ranges).
+fn level_ranges_of(level_of_sweep: &[u32]) -> Vec<std::ops::Range<u32>> {
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for chunk in level_of_sweep.chunk_by(|a, b| a == b) {
+        ranges.push(start..start + chunk.len() as u32);
+        start += chunk.len() as u32;
+    }
+    ranges
 }
 
 /// Rebuilds a per-arc side array in CSR order by replaying the stable

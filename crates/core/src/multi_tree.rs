@@ -1,70 +1,131 @@
-//! Computing `k` shortest path trees per sweep (Section IV-B).
+//! The one sweep engine: `k` interleaved shortest path trees per pass
+//! (Section IV-B) over a *view* of `G↓`.
 //!
-//! The `k` distance labels of a vertex are interleaved (consecutive in
+//! The `k` distance labels of a row are interleaved (consecutive in
 //! memory), so the sweep relaxes one arc for all `k` trees with sequential
-//! loads — and, on x86-64, with packed SSE/AVX `add`/`min`.
+//! loads — and, on x86-64, with packed SSE/AVX `add`/`min`. A run makes
+//! four choices, none of which needs a type of its own:
+//!
+//! * the **view** — the full `G↓` (rows are sweep vertices) or a
+//!   [`TargetSelection`]'s restricted CSR (rows are restricted vertices):
+//!   the same `first`/`arcs` shape, so a full sweep is RPHAST with
+//!   selection = V;
+//! * the **lane count** `k`, up to the capacity the engine was built with
+//!   ([`MultiTreeEngine::set_k`]): a single tree is the sweep at `k = 1`;
+//! * **parents** on or off (the tree face, `k = 1`);
+//! * **sequential or level-blocked** over the rayon pool (Section V).
+//!
+//! The visited marks are the paper's *implicit initialization* (Section
+//! IV-C): a row whose mark is clear counts as unreached (its stale labels
+//! are ignored), and the sweep clears every mark as it scans. So between
+//! runs all marks are clear, whatever view and stride the last run used —
+//! which is why changing either is free. [`crate::PhastEngine`],
+//! [`crate::TreeEngine`] and [`crate::RestrictedEngine`] are `k = 1` faces.
 
+use crate::parallel::sweep_levels;
+use crate::rphast::TargetSelection;
 use crate::simd::{best_simd_for, sweep_range, SimdLevel, SweepParams, MAX_K};
+use crate::upward::{UpwardSearch, NO_PARENT};
 use crate::Phast;
 use phast_graph::{Vertex, Weight, INF};
 use phast_obs::{PhaseTimer, QueryStats};
-use phast_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
 
-/// Per-query state for `k`-trees-per-sweep PHAST computations.
+/// [`MultiTreeEngine::view`] after a run over the full `G↓`; selections
+/// number themselves from 1.
+const FULL_VIEW: u64 = 0;
+
+/// Per-query state for PHAST computations: the only owner of labels,
+/// marks, a heap and a sweep loop in this crate.
 pub struct MultiTreeEngine<'p> {
     p: &'p Phast,
+    /// Largest lane count the label array holds.
+    capacity: usize,
+    /// Lane count of the next run, and the row stride of the last.
     k: usize,
-    /// `n * k` labels; the labels of sweep vertex `v` occupy
-    /// `dist[v*k .. (v+1)*k]`.
+    /// `n * capacity` labels; the labels of row `r` of the last run
+    /// occupy `dist[r*k .. (r+1)*k]`. Stale outside a query.
     dist: Vec<Weight>,
+    /// `G+` parent per row (sweep IDs); empty unless built for the tree
+    /// face.
+    parent: Vec<Vertex>,
+    /// `1` if the row holds labels of the current run's upward searches.
     marked: Vec<u8>,
-    queue: IndexedBinaryHeap,
-    simd: SimdLevel,
+    up: UpwardSearch,
+    /// The kernel [`Self::force_simd`] asked for; `None` runs the best.
+    forced: Option<SimdLevel>,
     /// Original IDs of the sources of the last batch.
     sources: Vec<Vertex>,
-    /// Statistics of the most recent batch (reset by `upward_batch`);
-    /// upward counters are summed over the `k` searches.
+    /// What the last run swept: [`FULL_VIEW`] or a selection's id.
+    view: u64,
+    /// Statistics of the most recent run; upward counters are summed over
+    /// the `k` searches.
     stats: QueryStats,
 }
 
 impl<'p> MultiTreeEngine<'p> {
-    /// Creates an engine computing `k` trees per sweep (`1 <= k <= 64`).
+    /// Creates an engine computing up to `k` trees per sweep
+    /// (`1 <= k <= 64`), set to run `k`.
     pub fn new(p: &'p Phast, k: usize) -> Self {
+        Self::build(p, k, false)
+    }
+
+    /// [`Self::new`]; with `parents` (the tree face, one lane) the engine
+    /// also records parent pointers.
+    pub(crate) fn build(p: &'p Phast, k: usize, parents: bool) -> Self {
         assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
+        assert!(k == 1 || !parents, "parents need k = 1");
         let n = p.num_vertices();
         Self {
             p,
+            capacity: k,
             k,
             dist: vec![INF; n * k],
+            parent: vec![NO_PARENT; if parents { n } else { 0 }],
             marked: vec![0; n],
-            queue: IndexedBinaryHeap::new(n),
-            simd: best_simd_for(k),
+            up: UpwardSearch::new(n, parents),
+            forced: None,
             sources: Vec::new(),
+            view: FULL_VIEW,
             stats: QueryStats::default(),
         }
     }
 
-    /// Statistics of the most recent batch: phase times, the always-on
-    /// settled count (summed over the `k` upward searches), and — when
-    /// built with the `obs-counters` feature — the arc/mark/level
-    /// counters (see [`phast_obs`]).
+    /// Statistics of the most recent run (for [`Self::matrix`], the sum
+    /// over its chunks): phase times, the always-on settled count (summed
+    /// over the `k` upward searches), and — when built with the
+    /// `obs-counters` feature — the arc/mark/level counters (see
+    /// [`phast_obs`]). A restricted run scans its selection as one flat
+    /// block, so `levels_swept` stays 0 and `blocks_executed` counts
+    /// sweeps.
     pub fn stats(&self) -> &QueryStats {
         &self.stats
     }
 
-    /// Mutable statistics access for the sibling sweep implementations.
-    pub(crate) fn stats_mut(&mut self) -> &mut QueryStats {
-        &mut self.stats
-    }
-
-    /// Batch width.
+    /// Lane count of the next run.
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// The kernel currently selected.
+    /// Largest lane count [`Self::set_k`] accepts.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Sets the lane count of the following runs (`1..=capacity`). Free:
+    /// no label is moved, the marks of the last run are all clear.
+    pub fn set_k(&mut self, k: usize) {
+        assert!(
+            (1..=self.capacity).contains(&k),
+            "k must be in 1..={}",
+            self.capacity
+        );
+        self.k = k;
+    }
+
+    /// The kernel the next run takes.
     pub fn simd_level(&self) -> SimdLevel {
-        self.simd
+        let best = best_simd_for(self.k);
+        self.forced.map_or(best, |level| level.min(best))
     }
 
     /// Forces a kernel (ablation: measure SSE off, as Table II does),
@@ -72,129 +133,230 @@ impl<'p> MultiTreeEngine<'p> {
     /// an SSE4.1-only CPU runs SSE4.1, a `k` that violates the lane
     /// constraint runs scalar.
     pub fn force_simd(&mut self, level: SimdLevel) {
-        self.simd = level.min(best_simd_for(self.k));
+        self.forced = Some(level);
     }
 
-    /// Phase 1 for tree `i`: forward CH search from sweep vertex `s`,
-    /// writing interleaved labels. On the first touch of a vertex in this
-    /// batch its whole row is initialized to `∞`.
-    fn upward(&mut self, s: Vertex, i: usize) {
-        let k = self.k;
-        self.queue.clear();
-        let row = s as usize * k;
-        if self.marked[s as usize] == 0 {
-            self.dist[row..row + k].fill(INF);
-            self.marked[s as usize] = 1;
-        }
-        self.dist[row + i] = 0;
-        self.queue.insert(s, 0);
-        let mut settled: u64 = 0;
-        while let Some((v, dv)) = self.queue.pop_min() {
-            settled += 1;
-            let out = self.p.up().out(v);
-            self.stats.counters.add_upward_relaxed(out.len() as u64);
-            for a in out {
-                let w = a.head as usize;
-                let cand = dv + a.weight;
-                let slot = w * k + i;
-                if self.marked[w] == 0 {
-                    self.dist[w * k..(w + 1) * k].fill(INF);
-                    self.marked[w] = 1;
+    /// Runs one batch over the full `G↓`: exactly `k` sources (original
+    /// IDs). Results stay in the engine until the next run.
+    pub fn run(&mut self, sources: &[Vertex]) {
+        self.stats.reset();
+        self.sweep_view(None, sources, false);
+    }
+
+    /// [`Self::run`] with the intra-level **parallel** sweep — levels are
+    /// split into blocks across the rayon pool and each block runs the
+    /// selected kernel. This combines all three accelerations of Sections
+    /// IV–V (batching + SIMD + intra-level cores), the CPU analogue of
+    /// GPHAST's execution model.
+    pub fn run_par(&mut self, sources: &[Vertex]) {
+        self.stats.reset();
+        self.sweep_view(None, sources, true);
+    }
+
+    /// Runs one batch of exactly `k` sources restricted to `sel`: only
+    /// the selection's rows are swept. Read the results back with the
+    /// same selection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources.len() != k` or `sel` was built on a different
+    /// instance.
+    pub fn run_selected(&mut self, sel: &TargetSelection<'p>, sources: &[Vertex]) {
+        self.stats.reset();
+        self.sweep_view(Some(sel), sources, false);
+    }
+
+    /// Both phases of one run, adding to the statistics (so the chunks of
+    /// a matrix sum): `k` upward searches, each copied into its lane of
+    /// the view's rows, then one sweep over the view.
+    fn sweep_view(&mut self, sel: Option<&TargetSelection<'p>>, sources: &[Vertex], par: bool) {
+        let (p, k, level) = (self.p, self.k, self.simd_level());
+        assert_eq!(sources.len(), k, "batch must contain exactly k sources");
+        let (first, arcs, rows) = match sel {
+            None => (p.down().first(), p.down().arcs(), p.num_vertices()),
+            Some(sel) => {
+                assert!(
+                    std::ptr::eq(p, sel.phast()),
+                    "selection was built on a different instance"
+                );
+                (&sel.first[..], &sel.arcs[..], sel.len())
+            }
+        };
+        self.view = sel.map_or(FULL_VIEW, |sel| sel.id);
+        self.sources.clear();
+        self.sources.extend_from_slice(sources);
+
+        let timer = PhaseTimer::start();
+        let mut cleared: u64 = 0;
+        for (lane, &s) in sources.iter().enumerate() {
+            self.up.run(p.up(), p.to_sweep(s), &mut self.stats.counters);
+            // On the first touch of a row in this batch the whole row is
+            // initialized to `∞`; the mark says it was.
+            let mut copy = |row: usize, v: Vertex| {
+                let fresh = self.marked[row] == 0;
+                if fresh {
+                    self.dist[row * k..(row + 1) * k].fill(INF);
+                    self.marked[row] = 1;
                 }
-                if cand < self.dist[slot] {
-                    let fresh = self.dist[slot] == INF;
-                    self.dist[slot] = cand;
-                    if fresh && !self.queue.contains(a.head) {
-                        self.queue.insert(a.head, cand);
-                    } else if self.queue.contains(a.head) {
-                        self.queue.decrease_key(a.head, cand);
-                    } else {
-                        // Already settled with a larger bound; re-insert.
-                        self.queue.insert(a.head, cand);
+                self.dist[row * k + lane] = self.up.label(v);
+                if let Some(slot) = self.parent.get_mut(row) {
+                    *slot = self.up.parent(v);
+                }
+                fresh
+            };
+            match sel {
+                // Full view: rows are sweep vertices. Counts the marks the
+                // sweep will clear.
+                None => {
+                    for &v in self.up.trail() {
+                        cleared += u64::from(copy(v as usize, v));
                     }
+                }
+                // Scanning the selection (not the trail) needs no n-sized
+                // sweep-id -> row map; it is O(|selection|) per lane,
+                // dominated by the sweep below. Counts the upward labels
+                // the next search resets.
+                Some(sel) => {
+                    for (row, &v) in sel.order.iter().enumerate() {
+                        if self.up.label(v) != INF {
+                            copy(row, v);
+                        }
+                    }
+                    cleared += self.up.trail().len() as u64;
                 }
             }
         }
-        self.stats.counters.add_upward_settled(settled);
-    }
+        let stats = &mut self.stats;
+        stats.counters.add_marks_cleared(cleared);
+        stats.upward_time += timer.elapsed();
 
-    /// Phase 1 for a whole batch (shared by [`Self::run`] and the parallel
-    /// sweep in `parallel.rs`).
-    pub(crate) fn upward_batch(&mut self, sources: &[Vertex]) {
-        assert_eq!(
-            sources.len(),
-            self.k,
-            "batch must contain exactly k sources"
-        );
-        self.sources = sources.to_vec();
-        self.stats.reset();
         let timer = PhaseTimer::start();
-        for (i, &s) in sources.iter().enumerate() {
-            let sw = self.p.to_sweep(s);
-            self.upward(sw, i);
-        }
-        self.stats.upward_time = timer.elapsed();
-    }
-
-    /// Splits the engine into the pieces the sweep kernels need.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (&'p Phast, usize, SimdLevel, &mut [Weight], &mut [u8]) {
-        (self.p, self.k, self.simd, &mut self.dist, &mut self.marked)
-    }
-
-    /// Runs one batch: exactly `k` sources (original IDs). Results stay in
-    /// the engine until the next batch.
-    pub fn run(&mut self, sources: &[Vertex]) {
-        self.upward_batch(sources);
-        let timer = PhaseTimer::start();
-        // Counted up front; the kernel clears marks while sweeping.
-        #[cfg(feature = "obs-counters")]
-        let cleared = self.marked.iter().filter(|&&m| m != 0).count() as u64;
         let params = SweepParams {
-            first: self.p.down().first(),
-            arcs: self.p.down().arcs(),
-            k: self.k,
+            first,
+            arcs,
+            k,
             dist: self.dist.as_mut_ptr(),
             marked: self.marked.as_mut_ptr(),
+            parent: if self.parent.is_empty() {
+                std::ptr::null_mut()
+            } else {
+                self.parent.as_mut_ptr()
+            },
         };
-        // SAFETY: single-threaded call over the whole range; the arrays are
-        // exactly n*k / n long and the sweep order is topological
-        // (Phast::validate checked tails precede heads).
-        unsafe { sweep_range(self.simd, &params, 0..self.p.num_vertices()) };
-        #[cfg(feature = "obs-counters")]
-        self.stats.counters.add_marks_cleared(cleared);
-        // The batched sweep is oblivious: every downward arc is relaxed
-        // once per tree, one block per level.
-        let levels = self.p.num_levels() as u64;
-        self.stats
-            .counters
-            .add_sweep_arcs(self.p.down().arcs().len() as u64 * self.k as u64);
-        self.stats.counters.add_levels_swept(levels);
-        self.stats.counters.add_blocks_executed(levels);
-        self.stats.sweep_time = timer.elapsed();
+        // SAFETY: `dist` holds at least `rows * k` labels, `marked` (and
+        // `parent`, if any, with `k = 1`) `rows` entries, all exclusively
+        // borrowed here; ascending row order is topological for the view
+        // (`Phast::validate` for the full CSR, the postorder construction
+        // for a selection) and `level_ranges` are the full view's levels;
+        // `level` is clamped to what the CPU has at this `k`.
+        let blocks = unsafe {
+            if par && sel.is_none() {
+                sweep_levels(level, &params, p.level_ranges())
+            } else {
+                sweep_range(level, &params, 0..rows);
+                // One block per level, or the selection as one flat block.
+                sel.map_or(p.num_levels() as u64, |_| 1)
+            }
+        };
+        // The sweep is oblivious: every arc of the view is relaxed once
+        // per tree.
+        stats.counters.add_sweep_arcs(arcs.len() as u64 * k as u64);
+        stats.counters.add_blocks_executed(blocks);
+        match sel {
+            None => stats.counters.add_levels_swept(p.num_levels() as u64),
+            Some(_) => stats.counters.add_restricted_scans(rows as u64),
+        }
+        stats.sweep_time += timer.elapsed();
+    }
+
+    /// Phase 1 alone, returning the search space as `(sweep ID, label)`
+    /// pairs in ascending sweep ID — the payload GPHAST ships to the
+    /// device. Leaves the label rows and marks untouched.
+    pub(crate) fn upward_search(&mut self, source: Vertex) -> Vec<(Vertex, Weight)> {
+        self.stats.reset();
+        let timer = PhaseTimer::start();
+        let (p, up) = (self.p, &mut self.up);
+        up.run(p.up(), p.to_sweep(source), &mut self.stats.counters);
+        let mut space: Vec<_> = up.trail().iter().map(|&v| (v, up.label(v))).collect();
+        space.sort_unstable_by_key(|&(v, _)| v);
+        self.stats.upward_time = timer.elapsed();
+        space
+    }
+
+    /// The one read path: the label slot of `lane` at `row`, provided the
+    /// last run swept `view`.
+    fn slot(&self, view: u64, row: usize, lane: usize) -> usize {
+        assert!(lane < self.k, "lane {lane} of {}", self.k);
+        assert_eq!(self.view, view, "read back through the view that ran");
+        row * self.k + lane
     }
 
     /// Label of tree `i` at original vertex `v` (after [`Self::run`]).
     pub fn dist_of(&self, i: usize, v: Vertex) -> Weight {
-        assert!(i < self.k);
-        self.dist[self.p.to_sweep(v) as usize * self.k + i]
+        self.dist[self.slot(FULL_VIEW, self.p.to_sweep(v) as usize, i)]
     }
 
-    /// All labels of tree `i` in original vertex order.
+    /// All labels of tree `i` in original vertex order (after
+    /// [`Self::run`]).
     pub fn tree_distances(&self, i: usize) -> Vec<Weight> {
-        assert!(i < self.k);
+        let base = self.slot(FULL_VIEW, 0, i);
         let n = self.p.num_vertices();
         let mut out = vec![INF; n];
         for sweep in 0..n {
-            out[self.p.to_original(sweep as Vertex) as usize] = self.dist[sweep * self.k + i];
+            out[self.p.to_original(sweep as Vertex) as usize] = self.dist[base + sweep * self.k];
         }
         out
     }
 
-    /// The interleaved sweep-order label matrix.
+    /// Distance of lane `i` to `sel.targets()[t]` (after
+    /// [`Self::run_selected`] with the same selection).
+    pub fn target_dist(&self, sel: &TargetSelection<'p>, i: usize, t: usize) -> Weight {
+        self.dist[self.slot(sel.id, sel.target_pos[t] as usize, i)]
+    }
+
+    /// All target distances of lane `i`, in target order (after
+    /// [`Self::run_selected`] with the same selection).
+    pub fn lane_distances(&self, sel: &TargetSelection<'p>, i: usize) -> Vec<Weight> {
+        let base = self.slot(sel.id, 0, i);
+        let label = |&row: &u32| self.dist[base + row as usize * self.k];
+        sel.target_pos.iter().map(label).collect()
+    }
+
+    /// The full many-to-many matrix: one row per source (in source
+    /// order), one column per target (in target order). Sources are
+    /// chunked into `k`-wide restricted sweeps — the selection is built
+    /// once and amortized over every chunk; short tails are padded with
+    /// the chunk's first source. [`Self::stats`] afterwards holds the sum
+    /// over all chunks.
+    pub fn matrix(&mut self, sel: &TargetSelection<'p>, sources: &[Vertex]) -> Vec<Vec<Weight>> {
+        self.stats.reset();
+        let mut rows = Vec::with_capacity(sources.len());
+        let mut padded: Vec<Vertex> = Vec::with_capacity(self.k);
+        for chunk in sources.chunks(self.k) {
+            padded.clear();
+            padded.extend_from_slice(chunk);
+            padded.resize(self.k, chunk[0]);
+            self.sweep_view(Some(sel), &padded, false);
+            rows.extend((0..chunk.len()).map(|i| self.lane_distances(sel, i)));
+        }
+        rows
+    }
+
+    /// Number of `k`-wide sweeps [`Self::matrix`] runs for `m` sources.
+    pub fn chunks_for(&self, m: usize) -> usize {
+        m.div_ceil(self.k)
+    }
+
+    /// The interleaved sweep-order label matrix (after [`Self::run`]).
     pub fn labels(&self) -> &[Weight] {
-        &self.dist
+        let start = self.slot(FULL_VIEW, 0, 0);
+        &self.dist[start..start + self.p.num_vertices() * self.k]
+    }
+
+    /// `G+` parent (sweep IDs) per sweep vertex of the last run
+    /// ([`NO_PARENT`] at the root and at unreached vertices).
+    pub(crate) fn parents(&self) -> &[Vertex] {
+        &self.parent
     }
 
     /// Sources of the last batch.
@@ -307,6 +469,17 @@ mod tests {
         let net = RoadNetworkConfig::new(4, 4, 32, Metric::TravelTime).build();
         let p = Phast::preprocess(&net.graph);
         let _ = p.multi_engine(crate::simd::MAX_K + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be in 1..=4")]
+    fn lane_count_is_bounded_by_the_capacity() {
+        let net = RoadNetworkConfig::new(4, 4, 34, Metric::TravelTime).build();
+        let p = Phast::preprocess(&net.graph);
+        let mut e = p.multi_engine(4);
+        e.set_k(3);
+        assert_eq!((e.k(), e.capacity()), (3, 4));
+        e.set_k(5);
     }
 
     #[test]

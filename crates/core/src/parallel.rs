@@ -7,218 +7,70 @@
 //!   [`par_multi_trees`]);
 //! * **intra-level**: one tree, but the vertices of each level are split
 //!   into blocks processed by different cores — the paper's 3.5× on four
-//!   cores, and the scheme GPHAST inherits
-//!   ([`PhastEngine::distances_par`]).
+//!   cores, and the scheme GPHAST inherits ([`MultiTreeEngine::run_par`],
+//!   [`PhastEngine::distances_par`]): [`sweep_levels`], the one
+//!   level-block loop.
 
-use crate::simd::{sweep_range_scalar, SweepParams};
+use crate::simd::{sweep_range, SimdLevel, SweepParams};
 use crate::sweep::PhastEngine;
 use crate::{MultiTreeEngine, Phast};
-use phast_graph::{Vertex, Weight};
-use phast_obs::PhaseTimer;
+use phast_graph::Vertex;
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Minimum vertices a parallel block is worth; smaller levels are swept
+/// Minimum labels a parallel block is worth; smaller levels are swept
 /// sequentially (the top of the hierarchy is tiny).
 const MIN_BLOCK: usize = 4096;
 
-/// A precomputed intra-level block decomposition — Section V: "Blocks and
-/// their assignment to threads can be computed during preprocessing."
+/// The block decomposition of one level — Section V: how many of a
+/// level's `len` vertices, `k` labels each, one of `threads` workers
+/// takes. `len` itself when the level is not worth a fork.
+fn block_len(len: usize, k: usize, threads: usize) -> usize {
+    if len * k < MIN_BLOCK || threads == 1 {
+        len
+    } else {
+        len.div_ceil(threads).max(MIN_BLOCK / (2 * k))
+    }
+}
+
+/// The intra-level parallel sweep: `levels` one after the other, each
+/// split into blocks across the current rayon pool where [`block_len`]
+/// says so, every block through the `level` kernel. Returns the number of
+/// blocks executed.
 ///
-/// One plan per thread count; levels too small to parallelize hold a
-/// single block.
-#[derive(Clone, Debug)]
-pub struct SweepPlan {
-    /// Per level (in sweep order), the vertex ranges assigned to workers.
-    blocks_per_level: Vec<Vec<(u32, u32)>>,
-    threads: usize,
-}
-
-impl SweepPlan {
-    /// Builds the plan for `threads` workers over `p`'s levels.
-    pub fn new(p: &Phast, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let blocks_per_level = p
-            .level_ranges()
-            .iter()
-            .map(|range| {
-                let (start, end) = (range.start as usize, range.end as usize);
-                let len = end - start;
-                if len < MIN_BLOCK || threads == 1 {
-                    vec![(range.start, range.end)]
-                } else {
-                    let block = len.div_ceil(threads).max(MIN_BLOCK / 2);
-                    (start..end)
-                        .step_by(block)
-                        .map(|b| (b as u32, ((b + block).min(end)) as u32))
-                        .collect()
-                }
-            })
-            .collect();
-        Self {
-            blocks_per_level,
-            threads,
-        }
-    }
-
-    /// Worker count the plan was built for.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Total blocks across all levels.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks_per_level.iter().map(Vec::len).sum()
-    }
-}
-
-/// A raw-pointer wrapper that lets sweep blocks of one level run on
-/// different threads.
+/// # Safety
 ///
-/// Safety argument (why sharing `*mut` here is sound): within a level no
-/// arcs connect two vertices (Lemma 4.1 makes levels independent sets of
-/// `G↓`), so each block writes only its own label rows and marks, and reads
-/// only rows of *earlier* levels, which were finalized before this level
-/// started — reads and writes never overlap.
-struct SyncSweep<'a>(SweepParams<'a>);
-
-// SAFETY: see the struct documentation; disjointness of writes is
-// guaranteed by the level structure, established by `Phast::validate`.
-unsafe impl Send for SyncSweep<'_> {}
-// SAFETY: as above.
-unsafe impl Sync for SyncSweep<'_> {}
-
-impl PhastEngine<'_> {
-    /// One NSSP computation with the intra-level parallel sweep; labels in
-    /// original vertex order. Equivalent to [`Self::distances`] but splits
-    /// each level across the rayon pool.
-    pub fn distances_par(&mut self, source: Vertex) -> Vec<Weight> {
-        self.distances_par_sweep(source);
-        let (p, dist, _) = self.state_mut();
-        p.labels_to_original(dist)
-    }
-
-    /// Parallel-sweep variant of [`Self::distances_sweep`], planning blocks
-    /// for the current rayon pool on the fly.
-    pub fn distances_par_sweep(&mut self, source: Vertex) -> &[Weight] {
-        let plan = SweepPlan::new(self.phast(), rayon::current_num_threads());
-        self.distances_par_planned(source, &plan)
-    }
-
-    /// Parallel sweep with a precomputed [`SweepPlan`] (Section V's
-    /// "blocks computed during preprocessing"): the per-query block
-    /// bookkeeping disappears.
-    pub fn distances_par_planned(&mut self, source: Vertex, plan: &SweepPlan) -> &[Weight] {
-        let s = self.phast().to_sweep(source);
-        self.upward(s);
-        let timer = PhaseTimer::start();
-        let (p, dist, marked) = self.state_mut();
-        assert_eq!(
-            plan.blocks_per_level.len(),
-            p.level_ranges().len(),
-            "plan built for a different instance"
-        );
-        // The parallel kernel clears marks as it sweeps, so count them
-        // up front (only when counters are compiled in — it is an O(n)
-        // scan).
-        #[cfg(feature = "obs-counters")]
-        let cleared = marked.iter().filter(|&&m| m != 0).count() as u64;
-        let arcs_total = p.down().arcs().len() as u64;
-        let shared = SyncSweep(SweepParams {
-            first: p.down().first(),
-            arcs: p.down().arcs(),
-            k: 1,
-            dist: dist.as_mut_ptr(),
-            marked: marked.as_mut_ptr(),
-        });
-        let mut blocks_executed: u64 = 0;
-        for blocks in &plan.blocks_per_level {
-            blocks_executed += blocks.len() as u64;
-            match blocks.as_slice() {
-                [(lo, hi)] => {
-                    // SAFETY: sequential call, exclusive access.
-                    unsafe { sweep_range_scalar(&shared.0, *lo as usize..*hi as usize) };
-                }
-                many => {
-                    many.par_iter().for_each(|&(lo, hi)| {
-                        let shared = &shared;
-                        // SAFETY: blocks of one level are disjoint vertex
-                        // ranges; see SyncSweep. Earlier levels are complete
-                        // because the level loop is sequential with a
-                        // barrier (par_iter joins) between levels.
-                        unsafe { sweep_range_scalar(&shared.0, lo as usize..hi as usize) };
-                    });
-                }
-            }
+/// See [`sweep_range`], with `levels` as the range: consecutive, in sweep
+/// order, and no arc of `params` joining two vertices of one level.
+pub(crate) unsafe fn sweep_levels(
+    level: SimdLevel,
+    params: &SweepParams<'_>,
+    levels: &[Range<u32>],
+) -> u64 {
+    let threads = rayon::current_num_threads().max(1);
+    let mut blocks_executed: u64 = 0;
+    for range in levels {
+        let (start, end) = (range.start as usize, range.end as usize);
+        let block = block_len(end - start, params.k, threads);
+        let count = (end - start).div_ceil(block);
+        blocks_executed += count as u64;
+        if count == 1 {
+            // SAFETY: sequential call, exclusive access to everything.
+            unsafe { sweep_range(level, params, start..end) };
+            continue;
         }
-        let levels = plan.blocks_per_level.len() as u64;
-        let stats = self.stats_mut();
-        #[cfg(feature = "obs-counters")]
-        stats.counters.add_marks_cleared(cleared);
-        stats.counters.add_sweep_arcs(arcs_total);
-        stats.counters.add_levels_swept(levels);
-        stats.counters.add_blocks_executed(blocks_executed);
-        stats.sweep_time = timer.elapsed();
-        let (_, dist, _) = self.state_mut();
-        &*dist
-    }
-}
-
-impl MultiTreeEngine<'_> {
-    /// One batch with the intra-level **parallel** sweep — levels are split
-    /// into blocks across the rayon pool and each block runs the SIMD
-    /// kernel. This combines all three accelerations of Sections IV–V
-    /// (batching + SIMD + intra-level cores), the CPU analogue of GPHAST's
-    /// execution model.
-    pub fn run_par(&mut self, sources: &[Vertex]) {
-        self.upward_batch(sources);
-        let timer = PhaseTimer::start();
-        let (p, k, simd, dist, marked) = self.parts_mut();
-        // Counted up front; the kernels clear marks while sweeping.
-        #[cfg(feature = "obs-counters")]
-        let cleared = marked.iter().filter(|&&m| m != 0).count() as u64;
-        let shared = SyncSweep(SweepParams {
-            first: p.down().first(),
-            arcs: p.down().arcs(),
-            k,
-            dist: dist.as_mut_ptr(),
-            marked: marked.as_mut_ptr(),
+        (0..count).into_par_iter().for_each(|i| {
+            let lo = start + i * block;
+            // SAFETY: disjoint vertex blocks within one level, which no
+            // arc joins (Lemma 4.1 makes levels independent sets of `G↓`):
+            // each block writes only its own label rows and marks and
+            // reads only rows of earlier levels, which are complete
+            // because the level loop is sequential with a barrier (the
+            // parallel iterator joins) between levels.
+            unsafe { sweep_range(level, params, lo..(lo + block).min(end)) };
         });
-        let threads = rayon::current_num_threads().max(1);
-        let mut blocks_executed: u64 = 0;
-        for range in p.level_ranges() {
-            let (start, end) = (range.start as usize, range.end as usize);
-            let len = end - start;
-            if len * k < MIN_BLOCK || threads == 1 {
-                blocks_executed += 1;
-                // SAFETY: sequential call, exclusive access to everything.
-                unsafe { crate::simd::sweep_range(simd, &shared.0, start..end) };
-                continue;
-            }
-            let block = len.div_ceil(threads).max(MIN_BLOCK / (2 * k));
-            let blocks: Vec<(usize, usize)> = (start..end)
-                .step_by(block)
-                .map(|b| (b, (b + block).min(end)))
-                .collect();
-            blocks_executed += blocks.len() as u64;
-            blocks.par_iter().for_each(|&(lo, hi)| {
-                let shared = &shared;
-                // SAFETY: disjoint vertex blocks within one level; earlier
-                // levels complete (sequential level loop with a barrier).
-                unsafe { crate::simd::sweep_range(simd, &shared.0, lo..hi) };
-            });
-        }
-        // The batched sweep is oblivious: every downward arc is relaxed
-        // once per tree.
-        let arcs_total = p.down().arcs().len() as u64 * k as u64;
-        let levels = p.num_levels() as u64;
-        let stats = self.stats_mut();
-        #[cfg(feature = "obs-counters")]
-        stats.counters.add_marks_cleared(cleared);
-        stats.counters.add_sweep_arcs(arcs_total);
-        stats.counters.add_levels_swept(levels);
-        stats.counters.add_blocks_executed(blocks_executed);
-        stats.sweep_time = timer.elapsed();
     }
+    blocks_executed
 }
 
 /// Builds one tree per source across the rayon pool (one engine per worker)
@@ -259,7 +111,7 @@ where
 pub fn par_multi_trees_with<T, F>(
     p: &Phast,
     k: usize,
-    simd: Option<crate::simd::SimdLevel>,
+    simd: Option<SimdLevel>,
     sources: &[Vertex],
     f: F,
 ) -> Vec<T>
@@ -267,9 +119,8 @@ where
     T: Send,
     F: Fn(&[Vertex], &MultiTreeEngine<'_>) -> T + Sync,
 {
-    let chunks: Vec<&[Vertex]> = sources.chunks(k).collect();
-    chunks
-        .par_iter()
+    sources
+        .par_chunks(k)
         .map_init(
             || {
                 let mut e = p.multi_engine(k);
@@ -279,14 +130,9 @@ where
                 e
             },
             |engine, chunk| {
-                if chunk.len() == k {
-                    engine.run(chunk);
-                } else {
-                    let mut padded = chunk.to_vec();
-                    let last = *padded.last().expect("chunks are non-empty");
-                    padded.resize(k, last);
-                    engine.run(&padded);
-                }
+                let mut padded = chunk.to_vec();
+                padded.resize(k, *chunk.last().expect("chunks are non-empty"));
+                engine.run(&padded);
                 f(chunk, engine)
             },
         )
@@ -332,16 +178,41 @@ mod tests {
         }
     }
 
+    /// The one decomposition behind every parallel sweep: a level is
+    /// split only from `MIN_BLOCK` labels on and only for more than one
+    /// worker, evenly, and never into blocks below half of `MIN_BLOCK`
+    /// labels.
     #[test]
-    fn planned_sweep_matches_on_the_fly() {
+    fn block_decomposition_thresholds() {
+        for (len, k, threads, want) in [
+            (4095, 1, 4, 4095),
+            (4096, 1, 4, 2048),
+            (100_000, 1, 4, 25_000),
+            (100_000, 1, 1, 100_000),
+            (255, 16, 4, 255),
+            (300, 16, 4, 128),
+            (1000, 16, 4, 250),
+            (64, 64, 2, 32),
+        ] {
+            assert_eq!(block_len(len, k, threads), want, "{len} x {k} on {threads}");
+        }
+    }
+
+    #[test]
+    fn four_worker_sweep_matches_the_ambient_pool() {
         let net = RoadNetworkConfig::new(18, 18, 15, Metric::TravelTime).build();
         let p = Phast::preprocess(&net.graph);
-        let plan = SweepPlan::new(&p, 4);
-        assert!(plan.num_blocks() >= p.num_levels());
-        assert_eq!(plan.threads(), 4);
+        let four = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .expect("thread pool");
         let mut e = p.engine();
         for s in [0u32, 99, 200] {
-            let planned = e.distances_par_planned(s, &plan).to_vec();
+            let planned = four.install(|| e.distances_par_sweep(s).to_vec());
+            if phast_obs::COUNTERS_ENABLED {
+                let c = e.stats().counters;
+                assert!(c.blocks_executed >= p.num_levels() as u64);
+            }
             let adhoc = e.distances_par_sweep(s).to_vec();
             assert_eq!(planned, adhoc, "source {s}");
             assert_eq!(

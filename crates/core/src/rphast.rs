@@ -26,19 +26,22 @@
 //!   list, so building a selection costs `O(|closure| + |restricted
 //!   arcs|)` after the first build, not `O(n)`.
 //!
-//! Queries then run the ordinary upward CH search (over the full `n`
-//! vertices — the upward cone is tiny), inject the upward labels into the
-//! restricted rows, and sweep the restricted CSR: single-tree through
-//! [`RestrictedEngine`], `k` interleaved lanes through
-//! [`RestrictedMultiEngine`], whose [`RestrictedMultiEngine::matrix`]
-//! amortizes one selection across any number of sources.
+//! A selection is a *view* for [`MultiTreeEngine`]: queries run the
+//! ordinary upward CH search (over the full `n` vertices — the upward
+//! cone is tiny), copy the upward labels into the restricted rows, and
+//! sweep the restricted CSR — `k` interleaved lanes through
+//! [`MultiTreeEngine::run_selected`], any number of sources over one
+//! selection through [`MultiTreeEngine::matrix`], a single tree through
+//! the [`RestrictedEngine`] face.
 
-use crate::simd::{best_simd_for, sweep_range, SimdLevel, SweepParams, MAX_K};
-use crate::Phast;
+use crate::{MultiTreeEngine, Phast};
 use phast_graph::csr::ReverseArc;
-use phast_graph::{Vertex, Weight, INF};
-use phast_obs::{PhaseTimer, QueryStats};
-use phast_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
+use phast_graph::{Vertex, Weight};
+use phast_obs::QueryStats;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next [`TargetSelection::id`]; 0 is the engine's full view.
+static NEXT_SELECTION_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Sentinel in the builder's sweep-id → restricted-id scratch.
 const UNSELECTED: u32 = u32::MAX;
@@ -130,6 +133,8 @@ impl<'p> SelectionBuilder<'p> {
         }
         TargetSelection {
             p,
+            // Relaxed: the counter publishes nothing but its own value.
+            id: NEXT_SELECTION_ID.fetch_add(1, Ordering::Relaxed),
             targets: targets.to_vec(),
             order,
             first,
@@ -154,16 +159,19 @@ impl<'p> SelectionBuilder<'p> {
 ///   `targets` share one restricted vertex).
 pub struct TargetSelection<'p> {
     p: &'p Phast,
+    /// Unique per build in this process: how an engine tells the selection
+    /// that ran from any other at read-back, wherever either has moved.
+    pub(crate) id: u64,
     /// Original ids of the targets, in the caller's order.
     targets: Vec<Vertex>,
     /// Sweep id of each restricted vertex, indexed by restricted id.
-    order: Vec<Vertex>,
+    pub(crate) order: Vec<Vertex>,
     /// Restricted CSR offsets (`len() + 1` entries).
-    first: Vec<u32>,
+    pub(crate) first: Vec<u32>,
     /// Restricted arcs; `tail` is a restricted id.
-    arcs: Vec<ReverseArc>,
+    pub(crate) arcs: Vec<ReverseArc>,
     /// Restricted id of each target, in the caller's order.
-    target_pos: Vec<u32>,
+    pub(crate) target_pos: Vec<u32>,
 }
 
 impl<'p> TargetSelection<'p> {
@@ -205,262 +213,43 @@ impl<'p> TargetSelection<'p> {
     }
 }
 
-/// Per-query state for restricted sweeps of `k` interleaved lanes.
-///
-/// Independent of any one selection: the upward scratch is `n`-sized and
-/// reused, the restricted label matrix is re-sized to whatever selection
-/// each [`Self::run`] receives. Read results back with the *same*
-/// selection that ran.
-pub struct RestrictedMultiEngine<'p> {
-    p: &'p Phast,
-    k: usize,
-    simd: SimdLevel,
-    /// Upward labels in sweep ids (implicit init via `marked_up`).
-    dist_up: Vec<Weight>,
-    marked_up: Vec<u8>,
-    queue: IndexedBinaryHeap,
-    /// `len * k` restricted labels; row `j` holds restricted vertex `j`.
-    dist: Vec<Weight>,
-    /// One mark per restricted vertex; all-zero between runs (the sweep
-    /// kernels clear marks as they finalize rows).
-    marked: Vec<u8>,
-    stats: QueryStats,
-}
-
-impl<'p> RestrictedMultiEngine<'p> {
-    /// Creates an engine sweeping `k` restricted lanes (`1..=64`).
-    pub fn new(p: &'p Phast, k: usize) -> Self {
-        assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
-        let n = p.num_vertices();
-        Self {
-            p,
-            k,
-            simd: best_simd_for(k),
-            dist_up: vec![INF; n],
-            marked_up: vec![0; n],
-            queue: IndexedBinaryHeap::new(n),
-            dist: Vec::new(),
-            marked: Vec::new(),
-            stats: QueryStats::default(),
-        }
-    }
-
-    /// Batch width.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The kernel currently selected.
-    pub fn simd_level(&self) -> SimdLevel {
-        self.simd
-    }
-
-    /// Forces a kernel, clamped to the best one the CPU and `k` allow
-    /// (same policy as [`crate::MultiTreeEngine::force_simd`]).
-    pub fn force_simd(&mut self, level: SimdLevel) {
-        self.simd = level.min(best_simd_for(self.k));
-    }
-
-    /// Statistics of the most recent [`Self::run`] (or the sum over every
-    /// chunk of the most recent [`Self::matrix`]). The restricted sweep
-    /// scans the selection as one flat block, so `levels_swept` stays 0
-    /// and `blocks_executed` counts sweeps.
-    pub fn stats(&self) -> &QueryStats {
-        &self.stats
-    }
-
-    /// Phase 1 for lane `i`: ordinary upward CH search from `s` (sweep
-    /// id), recording the touched trail for the reset.
-    fn upward(&mut self, s: Vertex, touched: &mut Vec<Vertex>) {
-        self.queue.clear();
-        self.dist_up[s as usize] = 0;
-        self.marked_up[s as usize] = 1;
-        touched.push(s);
-        self.queue.insert(s, 0);
-        let mut settled: u64 = 0;
-        while let Some((v, dv)) = self.queue.pop_min() {
-            settled += 1;
-            let out = self.p.up().out(v);
-            self.stats.counters.add_upward_relaxed(out.len() as u64);
-            for a in out {
-                let w = a.head as usize;
-                // Saturate at INF: labels stay <= INF, so no u32 wrap.
-                let cand = (dv + a.weight).min(INF);
-                if self.marked_up[w] == 0 {
-                    self.dist_up[w] = cand;
-                    self.marked_up[w] = 1;
-                    touched.push(a.head);
-                    self.queue.insert(a.head, cand);
-                } else if cand < self.dist_up[w] {
-                    self.dist_up[w] = cand;
-                    self.queue.decrease_key(a.head, cand);
-                }
-            }
-        }
-        self.stats.counters.add_upward_settled(settled);
-    }
-
-    /// Runs one batch of exactly `k` sources (original ids) restricted to
-    /// `sel`. Results stay in the engine until the next run; read them
-    /// back with the same selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len() != k` or `sel` was built on a different
-    /// instance.
-    pub fn run(&mut self, sel: &TargetSelection<'p>, sources: &[Vertex]) {
-        assert_eq!(sources.len(), self.k, "batch must contain exactly k sources");
-        assert!(
-            std::ptr::eq(self.p, sel.phast()),
-            "selection was built on a different instance"
-        );
-        self.stats.reset();
-        self.run_accumulate(sel, sources);
-    }
-
-    /// [`Self::run`] without the stats reset, so matrix chunks sum.
-    fn run_accumulate(&mut self, sel: &TargetSelection<'p>, sources: &[Vertex]) {
-        let k = self.k;
-        let c = sel.len();
-        if self.dist.len() != c * k {
-            self.dist.clear();
-            self.dist.resize(c * k, INF);
-            self.marked.clear();
-            self.marked.resize(c, 0);
-        }
-        let timer = PhaseTimer::start();
-        let mut touched: Vec<Vertex> = Vec::new();
-        let mut cleared: u64 = 0;
-        for (i, &s) in sources.iter().enumerate() {
-            touched.clear();
-            self.upward(self.p.to_sweep(s), &mut touched);
-            // Inject upward labels into the restricted rows. Scanning the
-            // selection (not the trail) needs no n-sized map here; it is
-            // O(|selection|) per lane, dominated by the sweep below.
-            for (j, &v) in sel.order.iter().enumerate() {
-                if self.marked_up[v as usize] != 0 {
-                    if self.marked[j] == 0 {
-                        self.dist[j * k..(j + 1) * k].fill(INF);
-                        self.marked[j] = 1;
-                    }
-                    self.dist[j * k + i] = self.dist_up[v as usize];
-                }
-            }
-            cleared += touched.len() as u64;
-            for &v in &touched {
-                self.marked_up[v as usize] = 0;
-            }
-        }
-        self.stats.counters.add_marks_cleared(cleared);
-        self.stats.upward_time += timer.elapsed();
-        let timer = PhaseTimer::start();
-        let params = SweepParams {
-            first: &sel.first,
-            arcs: &sel.arcs,
-            k,
-            dist: self.dist.as_mut_ptr(),
-            marked: self.marked.as_mut_ptr(),
-        };
-        // SAFETY: single-threaded call over the whole restricted range;
-        // `dist`/`marked` are exactly `c*k` / `c` long and ascending
-        // restricted id is topological (postorder construction).
-        unsafe { sweep_range(self.simd, &params, 0..c) };
-        self.stats
-            .counters
-            .add_sweep_arcs(sel.arcs.len() as u64 * k as u64);
-        self.stats.counters.add_restricted_scans(c as u64);
-        self.stats.counters.add_blocks_executed(1);
-        self.stats.sweep_time += timer.elapsed();
-    }
-
-    /// Distance of lane `i` to `sel.targets()[t]` (after [`Self::run`]
-    /// with the same selection).
-    pub fn dist_of(&self, sel: &TargetSelection<'p>, i: usize, t: usize) -> Weight {
-        assert!(i < self.k);
-        self.dist[sel.target_pos[t] as usize * self.k + i]
-    }
-
-    /// All target distances of lane `i`, in target order.
-    pub fn lane_distances(&self, sel: &TargetSelection<'p>, i: usize) -> Vec<Weight> {
-        assert!(i < self.k);
-        assert_eq!(
-            self.dist.len(),
-            sel.len() * self.k,
-            "read back with the selection that ran"
-        );
-        sel.target_pos
-            .iter()
-            .map(|&pos| self.dist[pos as usize * self.k + i])
-            .collect()
-    }
-
-    /// The full many-to-many matrix: one row per source (in source
-    /// order), one column per target (in target order). Sources are
-    /// chunked into `k`-wide restricted sweeps — the selection is built
-    /// once and amortized over every chunk; short tails are padded with
-    /// the chunk's first source. [`Self::stats`] afterwards holds the sum
-    /// over all chunks.
-    pub fn matrix(
-        &mut self,
-        sel: &TargetSelection<'p>,
-        sources: &[Vertex],
-    ) -> Vec<Vec<Weight>> {
-        self.stats.reset();
-        let mut rows = Vec::with_capacity(sources.len());
-        let mut padded: Vec<Vertex> = Vec::with_capacity(self.k);
-        for chunk in sources.chunks(self.k) {
-            padded.clear();
-            padded.extend_from_slice(chunk);
-            padded.resize(self.k, chunk[0]);
-            self.run_accumulate(sel, &padded);
-            for i in 0..chunk.len() {
-                rows.push(self.lane_distances(sel, i));
-            }
-        }
-        rows
-    }
-
-    /// Number of `k`-wide sweeps [`Self::matrix`] runs for `m` sources.
-    pub fn chunks_for(&self, m: usize) -> usize {
-        m.div_ceil(self.k)
-    }
-}
-
 /// Single-tree restricted queries: one upward search plus one sweep over
-/// the selection. A thin `k = 1` wrapper over [`RestrictedMultiEngine`],
-/// so the scalar and the SIMD paths share one implementation.
+/// the selection. The `k = 1` face of [`MultiTreeEngine::run_selected`].
 pub struct RestrictedEngine<'p> {
-    inner: RestrictedMultiEngine<'p>,
+    inner: MultiTreeEngine<'p>,
 }
 
 impl<'p> RestrictedEngine<'p> {
     /// Creates a single-tree restricted engine over `p`.
     pub fn new(p: &'p Phast) -> Self {
         Self {
-            inner: RestrictedMultiEngine::new(p, 1),
+            inner: MultiTreeEngine::new(p, 1),
         }
     }
 
     /// Distances from `source` (original id) to every target of `sel`, in
     /// target order; `INF` for unreachable targets.
     pub fn distances(&mut self, sel: &TargetSelection<'p>, source: Vertex) -> Vec<Weight> {
-        self.inner.run(sel, &[source]);
+        self.inner.run_selected(sel, &[source]);
         self.inner.lane_distances(sel, 0)
     }
 
-    /// Statistics of the most recent query.
+    /// Statistics of the most recent query: `levels_swept` stays 0 and
+    /// `blocks_executed` is 1 — the restricted sweep scans the selection
+    /// as one flat block.
     pub fn stats(&self) -> &QueryStats {
-        &self.inner.stats
+        self.inner.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::SimdLevel;
     use phast_dijkstra::dijkstra::shortest_paths;
     use phast_graph::gen::random::strongly_connected_gnm;
     use phast_graph::gen::{Metric, RoadNetworkConfig};
-    use phast_graph::GraphBuilder;
+    use phast_graph::{GraphBuilder, INF};
     use proptest::prelude::*;
 
     #[test]
@@ -521,7 +310,7 @@ mod tests {
         assert!(sel.is_empty());
         let mut e = RestrictedEngine::new(&p);
         assert_eq!(e.distances(&sel, 0), Vec::<Weight>::new());
-        let mut m = RestrictedMultiEngine::new(&p, 4);
+        let mut m = MultiTreeEngine::new(&p, 4);
         let rows = m.matrix(&sel, &[0, 1, 2]);
         assert_eq!(rows, vec![Vec::<Weight>::new(); 3]);
     }
@@ -533,7 +322,7 @@ mod tests {
         let n = net.graph.num_vertices() as Vertex;
         let targets: Vec<Vertex> = vec![1, n / 3, n - 2];
         let sel = TargetSelection::new(&p, &targets);
-        let mut m = RestrictedMultiEngine::new(&p, 4);
+        let mut m = MultiTreeEngine::new(&p, 4);
         // 7 sources over k=4: one full chunk + one padded chunk.
         let sources: Vec<Vertex> = (0..7).map(|i| (i * 13 + 2) % n).collect();
         assert_eq!(m.chunks_for(sources.len()), 2);
@@ -556,7 +345,7 @@ mod tests {
         let sel = TargetSelection::new(&p, &targets);
         let sources: Vec<Vertex> = (0..8).map(|i| (i * 7 + 3) % n).collect();
         let run = |level: SimdLevel| {
-            let mut m = RestrictedMultiEngine::new(&p, 8);
+            let mut m = MultiTreeEngine::new(&p, 8);
             m.force_simd(level);
             m.matrix(&sel, &sources)
         };
@@ -582,7 +371,7 @@ mod tests {
         b.add_arc(0, 1, 5);
         let g = b.build();
         let p = Phast::preprocess(&g);
-        let mut e = RestrictedMultiEngine::new(&p, 4);
+        let mut e = MultiTreeEngine::new(&p, 4);
         let sel = TargetSelection::new(&p, &[1, 2]);
         let rows = e.matrix(&sel, &[0, 2]);
         assert_eq!(rows, vec![vec![5, INF], vec![INF, 0]]);
@@ -598,7 +387,7 @@ mod tests {
         let net = RoadNetworkConfig::new(8, 8, 46, Metric::TravelTime).build();
         let p = Phast::preprocess(&net.graph);
         let sel = TargetSelection::new(&p, &[3, 9]);
-        let mut m = RestrictedMultiEngine::new(&p, 2);
+        let mut m = MultiTreeEngine::new(&p, 2);
         let _ = m.matrix(&sel, &[0, 1, 2, 3]);
         // Two chunks ran: settled counts from all four upward searches.
         assert!(m.stats().counters.upward_settled >= 4);
@@ -608,8 +397,90 @@ mod tests {
         }
     }
 
+    // The single-source face over one selection.
+
+    #[test]
+    fn restricted_matches_full_sweep_on_road_network() {
+        let net = RoadNetworkConfig::new(20, 20, 91, Metric::TravelTime).build();
+        let p = Phast::preprocess(&net.graph);
+        let n = net.graph.num_vertices() as Vertex;
+        let targets: Vec<Vertex> = vec![3, 77, 200, n - 1];
+        let sel = TargetSelection::new(&p, &targets);
+        assert!(
+            sel.len() < p.num_vertices(),
+            "closure should not be the whole graph"
+        );
+        let mut engine = RestrictedEngine::new(&p);
+        for s in [0u32, 50, 333] {
+            let got = engine.distances(&sel, s);
+            let want = shortest_paths(net.graph.forward(), s).dist;
+            for (i, &t) in targets.iter().enumerate() {
+                assert_eq!(got[i], want[t as usize], "{s} -> {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn restricted_engine_is_reusable() {
+        let net = RoadNetworkConfig::new(10, 10, 92, Metric::TravelTime).build();
+        let p = Phast::preprocess(&net.graph);
+        let sel = TargetSelection::new(&p, &[5, 60]);
+        let mut e = RestrictedEngine::new(&p);
+        for s in 0..20u32 {
+            let got = e.distances(&sel, s);
+            let want = shortest_paths(net.graph.forward(), s).dist;
+            assert_eq!(got, vec![want[5], want[60]], "source {s}");
+        }
+    }
+
+    #[test]
+    fn single_target_closure_is_small() {
+        let net = RoadNetworkConfig::new(30, 30, 93, Metric::TravelTime).build();
+        let p = Phast::preprocess(&net.graph);
+        let sel = TargetSelection::new(&p, &[17]);
+        // One target's closure is its up-reachable cone — far below n.
+        assert!(
+            sel.len() * 2 < p.num_vertices(),
+            "closure {} of {}",
+            sel.len(),
+            p.num_vertices()
+        );
+    }
+
+    #[test]
+    fn duplicate_and_source_targets() {
+        let net = RoadNetworkConfig::new(8, 8, 94, Metric::TravelTime).build();
+        let p = Phast::preprocess(&net.graph);
+        let sel = TargetSelection::new(&p, &[9, 9, 0]);
+        let mut e = RestrictedEngine::new(&p);
+        let got = e.distances(&sel, 0);
+        let want = shortest_paths(net.graph.forward(), 0).dist;
+        assert_eq!(got, vec![want[9], want[9], 0]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn single_source_face_matches_dijkstra_on_random_graphs(
+            n in 2usize..30,
+            extra in 0usize..60,
+            seed in 0u64..300,
+            t_count in 1usize..6,
+        ) {
+            let g = strongly_connected_gnm(n, extra, 25, seed);
+            let p = Phast::preprocess(&g);
+            let targets: Vec<Vertex> =
+                (0..t_count as u64).map(|i| ((seed + i * 11) % n as u64) as Vertex).collect();
+            let sel = TargetSelection::new(&p, &targets);
+            let mut e = RestrictedEngine::new(&p);
+            let s = (seed % n as u64) as Vertex;
+            let got = e.distances(&sel, s);
+            let want = shortest_paths(g.forward(), s).dist;
+            for (i, &t) in targets.iter().enumerate() {
+                prop_assert_eq!(got[i], want[t as usize]);
+            }
+        }
+
         /// The selection engines agree with Dijkstra on arbitrary random
         /// strongly-connected instances and arbitrary target sets.
         #[test]
@@ -625,7 +496,7 @@ mod tests {
             let targets: Vec<Vertex> =
                 (0..t_count as u64).map(|i| ((seed + i * 7) % n as u64) as Vertex).collect();
             let sel = TargetSelection::new(&p, &targets);
-            let mut m = RestrictedMultiEngine::new(&p, k);
+            let mut m = MultiTreeEngine::new(&p, k);
             let sources: Vec<Vertex> =
                 (0..(k as u64 + 1)).map(|i| ((seed + i * 3) % n as u64) as Vertex).collect();
             let rows = m.matrix(&sel, &sources);

@@ -1,4 +1,5 @@
-//! Sweep kernels: the scalar reference and one packed kernel body,
+//! Sweep kernels: the scalar reference for any `k`, the scalar `k = 1`
+//! loop (with or without parent pointers), and one packed kernel body
 //! instantiated for SSE4.1 (4 lanes) and AVX2 (8 lanes).
 //!
 //! The paper's Section IV-B: distance labels are 32-bit, so a 128-bit SSE
@@ -11,13 +12,17 @@
 //! there is one instantiation per admitted `k` and level (the table in
 //! `x86::kernel`). With the count a run-time value the accumulators are a
 //! stack array, reloaded and stored again for every chunk of every arc —
-//! that cost 40 % of the sweep at `k = 16` (DESIGN §4).
+//! that cost 40 % of the sweep at `k = 16` (DESIGN §4). The same holds at
+//! `k = 1` without any packing: [`sweep_single`] keeps the one label (and
+//! its parent) in a register, which the any-`k` loop cannot.
 //!
-//! All kernels share one contract, [`SweepParams`]: process vertices of a
-//! range in increasing sweep-ID order; for each vertex either take its `k`
-//! marked labels or `∞`, relax every incoming downward arc for all `k`
-//! trees, clamp to `INF`, store, and clear the mark.
+//! All kernels share one contract, [`SweepParams`]: process the rows of a
+//! range in increasing order; for each row either take its `k` marked
+//! labels or `∞`, relax every incoming arc for all `k` trees, clamp to
+//! `INF`, store, and clear the mark. A row is a sweep vertex of the full
+//! `G↓` or a restricted vertex of a selection — the kernels cannot tell.
 
+use crate::upward::NO_PARENT;
 use phast_graph::csr::ReverseArc;
 use phast_graph::INF;
 use std::ops::Range;
@@ -62,21 +67,31 @@ pub fn best_simd_for(k: usize) -> SimdLevel {
 /// Borrowed inputs of one sweep-range invocation.
 ///
 /// `dist` points at `n * k` labels laid out row-major (the `k` labels of a
-/// vertex are consecutive); `marked` at `n` bytes.
+/// row are consecutive); `marked` at `n` bytes; `parent` is null, or (at
+/// `k = 1` only) points at `n` parent slots the sweep fills with the tail
+/// of the arc that set each label.
 pub(crate) struct SweepParams<'a> {
     pub first: &'a [u32],
     pub arcs: &'a [ReverseArc],
     pub k: usize,
     pub dist: *mut u32,
     pub marked: *mut u8,
+    pub parent: *mut u32,
 }
+
+// SAFETY: the pointers are dereferenced only inside `sweep_range`, whose
+// contract has every caller — so every thread sharing one `SweepParams` —
+// hold exclusive access to the rows and marks of its own range and read
+// only rows that are final; the slices are shared borrows.
+unsafe impl Sync for SweepParams<'_> {}
 
 /// Runs the selected kernel over `range`.
 ///
 /// # Safety
 ///
-/// * `dist` must be valid for `n * k` elements, `marked` for `n`, where
-///   `n = first.len() - 1`;
+/// * `dist` must be valid for `n * k` elements, `marked` for `n` and a
+///   non-null `parent` for `n`, where `n = first.len() - 1`; `parent` must
+///   be null unless `k == 1`;
 /// * every arc tail in the range's arc slices must be `< range.start` or
 ///   already finalized (the caller guarantees the topological property);
 /// * the caller must have exclusive access to the label rows and marks of
@@ -93,12 +108,62 @@ pub(crate) unsafe fn sweep_range(level: SimdLevel, p: &SweepParams<'_>, range: R
         return unsafe { kernel(p, range) };
     }
     let _ = level;
-    // SAFETY: the caller upholds this function's contract.
-    unsafe { sweep_range_scalar(p, range) }
+    // SAFETY: the caller upholds this function's contract, which is that
+    // of each scalar kernel; the parent array is there when it is read.
+    unsafe {
+        match (p.k, p.parent.is_null()) {
+            (1, true) => sweep_single::<false>(p, range),
+            (1, false) => sweep_single::<true>(p, range),
+            _ => sweep_range_scalar(p, range),
+        }
+    }
 }
 
-/// Portable kernel for any `k`, and the reference the packed kernel is
-/// tested against: same order, same clamp, bit-identical labels.
+/// The scalar sweep at `k = 1`: the label of the row being relaxed — and,
+/// with `PARENTS`, the tail of the arc that last improved it — stays in a
+/// register across the arc loop. Same order and clamp as
+/// [`sweep_range_scalar`], bit-identical labels; a row that ends at `INF`
+/// has no parent.
+///
+/// # Safety
+///
+/// See [`sweep_range`]; additionally `p.k` must be 1, and `p.parent`
+/// non-null if `PARENTS`.
+unsafe fn sweep_single<const PARENTS: bool>(p: &SweepParams<'_>, range: Range<usize>) {
+    debug_assert_eq!(p.k, 1);
+    for v in range {
+        let arcs = &p.arcs[p.first[v] as usize..p.first[v + 1] as usize];
+        // SAFETY: label, mark and parent `v` belong to this range and the
+        // caller has exclusive access to them; tails precede `v` in sweep
+        // order, so their labels are final and no thread is writing them.
+        unsafe {
+            let mark = p.marked.add(v);
+            let (mut dv, mut par) = (INF, NO_PARENT);
+            if *mark != 0 {
+                dv = *p.dist.add(v);
+                if PARENTS {
+                    par = *p.parent.add(v);
+                }
+            }
+            for a in arcs {
+                let cand = *p.dist.add(a.tail as usize) + a.weight;
+                if cand < dv {
+                    dv = cand;
+                    par = a.tail;
+                }
+            }
+            *p.dist.add(v) = dv.min(INF);
+            if PARENTS {
+                *p.parent.add(v) = if dv < INF { par } else { NO_PARENT };
+            }
+            *mark = 0;
+        }
+    }
+}
+
+/// Portable kernel for any `k` (it never fills `parent`), and the
+/// reference the other kernels are tested against: same order, same
+/// clamp, bit-identical labels.
 ///
 /// # Safety
 ///
@@ -407,40 +472,100 @@ mod tests {
         }
     }
 
-    /// Every width the packed kernel is instantiated for.
+    /// Every width with a kernel of its own: the single lane, and each
+    /// width the packed kernel is instantiated for.
     fn widths() -> impl Iterator<Item = usize> {
-        (4..=MAX_K).step_by(4)
+        std::iter::once(1).chain((4..=MAX_K).step_by(4))
     }
 
-    /// Every level this CPU can run at width `k`, the scalar one first.
-    fn levels(k: usize) -> impl Iterator<Item = SimdLevel> {
-        [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2]
+    /// What one test sweep runs.
+    #[derive(Clone, Copy, Debug)]
+    enum Kernel {
+        /// [`sweep_range_scalar`], the reference.
+        Reference,
+        /// [`sweep_range`] at a level, without a parent array.
+        Level(SimdLevel),
+        /// [`sweep_range`] with a parent array (`k = 1`).
+        Parents,
+    }
+
+    /// Every kernel `sweep_range` can reach on this CPU at width `k`, the
+    /// scalar one first.
+    fn kernels(k: usize) -> Vec<Kernel> {
+        let mut kernels: Vec<Kernel> = [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2]
             .into_iter()
-            .filter(move |&level| level <= best_simd_for(k))
+            .filter(|&level| level <= best_simd_for(k))
+            .map(Kernel::Level)
+            .collect();
+        if k == 1 {
+            kernels.push(Kernel::Parents);
+        }
+        kernels
     }
 
-    /// One `sweep_range` call on copies of `dist` and `marked`.
+    /// One kernel call on copies of `dist` and `marked`. With
+    /// [`Kernel::Parents`] every vertex starts with a parent of its own
+    /// (as if an upward search had set it), and the parents the sweep
+    /// leaves are checked here: inside `range`, the tail of the first arc
+    /// that reaches the final label, else what a marked vertex started
+    /// with, and none at `INF`; outside it, untouched.
     fn sweep(
-        level: SimdLevel,
+        kernel: Kernel,
         (first, arcs): (&[u32], &[ReverseArc]),
         k: usize,
         (dist, marked): (&[u32], &[u8]),
         range: Range<usize>,
     ) -> (Vec<u32>, Vec<u8>) {
+        let n = first.len() - 1;
+        let (before, was_marked) = (dist, marked);
         let (mut dist, mut marked) = (dist.to_vec(), marked.to_vec());
-        assert_eq!(dist.len(), (first.len() - 1) * k);
-        assert_eq!(marked.len(), first.len() - 1);
+        assert_eq!(dist.len(), n * k);
+        assert_eq!(marked.len(), n);
+        let seed: Vec<u32> = (0..n as u32).map(|v| v ^ 0x5555).collect();
+        let mut parent = seed.clone();
         let p = SweepParams {
             first,
             arcs,
             k,
             dist: dist.as_mut_ptr(),
             marked: marked.as_mut_ptr(),
+            parent: match kernel {
+                Kernel::Parents => parent.as_mut_ptr(),
+                _ => std::ptr::null_mut(),
+            },
         };
-        // SAFETY: single-threaded call over arrays of n*k labels and n
-        // marks; every test graph has its tails below their heads, and
-        // `levels` offers only what the CPU has.
-        unsafe { sweep_range(level, &p, range) };
+        // SAFETY: single-threaded call over arrays of n*k labels, n marks
+        // and n parents; every test graph has its tails below their
+        // heads, `kernels` offers only what the CPU has, and parents only
+        // at k = 1.
+        unsafe {
+            match kernel {
+                Kernel::Reference => sweep_range_scalar(&p, range.clone()),
+                Kernel::Level(level) => sweep_range(level, &p, range.clone()),
+                Kernel::Parents => sweep_range(SimdLevel::Scalar, &p, range.clone()),
+            }
+        }
+        if let Kernel::Parents = kernel {
+            for v in 0..n {
+                let mut want = seed[v];
+                if range.contains(&v) {
+                    let mut best = if was_marked[v] != 0 { before[v] } else { INF };
+                    if was_marked[v] == 0 {
+                        want = NO_PARENT;
+                    }
+                    for a in &arcs[first[v] as usize..first[v + 1] as usize] {
+                        let cand = dist[a.tail as usize] + a.weight;
+                        if cand < best {
+                            (best, want) = (cand, a.tail);
+                        }
+                    }
+                    if best >= INF {
+                        want = NO_PARENT;
+                    }
+                }
+                assert_eq!(parent[v], want, "parent of {v}, range {range:?}");
+            }
+        }
         (dist, marked)
     }
 
@@ -460,7 +585,7 @@ mod tests {
                 dist[i] = 10 + i as u32; // vertex 0
                 dist[k + i] = 100 + i as u32; // vertex 1
             }
-            for level in levels(k) {
+            for level in kernels(k) {
                 let (got, marked) = sweep(level, (&first, &arcs), k, (&dist, &[1, 1, 0]), 0..3);
                 assert_eq!(marked, [0, 0, 0], "{level:?} k={k}");
                 // Vertex 1 improves to 10+i+5 = 15+i via its arc from
@@ -537,14 +662,14 @@ mod tests {
             for (lo, hi) in [(0, N), (1, N), (5, 29), (29, N), (17, 17), (N - 1, N)] {
                 // Rows below the piece are final before it runs.
                 let (dist, marked) = sweep(
-                    SimdLevel::Scalar,
+                    Kernel::Reference,
                     (&first, &arcs),
                     k,
                     (&dist, &marked),
                     0..lo,
                 );
                 let want = sweep(
-                    SimdLevel::Scalar,
+                    Kernel::Reference,
                     (&first, &arcs),
                     k,
                     (&dist, &marked),
@@ -555,7 +680,7 @@ mod tests {
                 assert_eq!(want.0[..lo * k], dist[..lo * k]);
                 assert_eq!(want.0[hi * k..], dist[hi * k..]);
                 assert_eq!(want.1[hi..], marked[hi..]);
-                for level in levels(k) {
+                for level in kernels(k) {
                     let got = sweep(level, (&first, &arcs), k, (&dist, &marked), lo..hi);
                     assert_eq!(got, want, "{level:?} k={k} piece {lo}..{hi}");
                 }
@@ -581,7 +706,7 @@ mod tests {
             for (i, label) in dist[4 * k..5 * k].iter_mut().enumerate() {
                 *label = INF - 1 - i as u32;
             }
-            for level in levels(k) {
+            for level in kernels(k) {
                 let (got, marked) = sweep(
                     level,
                     (&first, &arcs),

@@ -1,182 +1,79 @@
 //! The single-tree PHAST engine: forward CH search + linear sweep.
 
-use crate::Phast;
-use phast_graph::{Vertex, Weight, INF};
-use phast_obs::{PhaseTimer, QueryStats};
-use phast_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
+use crate::{MultiTreeEngine, Phast};
+use phast_graph::{Vertex, Weight};
+use phast_obs::QueryStats;
 
-/// Per-query state for single-tree PHAST computations.
-///
-/// The engine owns the distance array and the per-vertex visited marks that
-/// implement the paper's *implicit initialization* (Section IV-C): instead
-/// of refilling `n` labels with `∞` before every query, a vertex whose mark
-/// is clear is treated as unreached (its stale label is ignored), and the
-/// sweep clears every mark as it scans, leaving the array ready for the
-/// next query.
+/// Per-query state for single-tree PHAST computations: the `k = 1` face
+/// of [`MultiTreeEngine`], which owns the distance array and the visited
+/// marks of the paper's *implicit initialization* (Section IV-C).
 pub struct PhastEngine<'p> {
-    p: &'p Phast,
-    /// Distance labels in sweep IDs. Stale outside a query.
-    dist: Vec<Weight>,
-    /// `1` if the vertex has a valid label from the current query's CH
-    /// search phase.
-    marked: Vec<u8>,
-    queue: IndexedBinaryHeap,
-    /// Statistics of the most recent query (reset by `upward`).
-    stats: QueryStats,
+    inner: MultiTreeEngine<'p>,
 }
 
 impl<'p> PhastEngine<'p> {
     /// Creates an engine (allocates the `n`-sized label arrays once).
     pub fn new(p: &'p Phast) -> Self {
-        let n = p.num_vertices();
         Self {
-            p,
-            dist: vec![INF; n],
-            marked: vec![0; n],
-            queue: IndexedBinaryHeap::new(n),
-            stats: QueryStats::default(),
+            inner: MultiTreeEngine::new(p, 1),
         }
     }
 
     /// The underlying instance.
     pub fn phast(&self) -> &'p Phast {
-        self.p
+        self.inner.phast()
     }
 
     /// Statistics of the most recent query: phase times, the always-on
     /// settled count, and — when built with the `obs-counters` feature —
     /// the arc/mark/level counters (see [`phast_obs`]).
     pub fn stats(&self) -> &QueryStats {
-        &self.stats
-    }
-
-    /// Mutable statistics access for the sibling sweep implementations.
-    pub(crate) fn stats_mut(&mut self) -> &mut QueryStats {
-        &mut self.stats
-    }
-
-    /// Phase 1: the forward CH search from `s` (sweep IDs), run until the
-    /// queue is empty. Labels of visited vertices become upper bounds; all
-    /// visited vertices are marked.
-    pub(crate) fn upward(&mut self, s: Vertex) {
-        debug_assert!(self.marked.iter().all(|&m| m == 0), "marks left dirty");
-        self.stats.reset();
-        let timer = PhaseTimer::start();
-        self.queue.clear();
-        self.dist[s as usize] = 0;
-        self.marked[s as usize] = 1;
-        self.queue.insert(s, 0);
-        let mut settled: u64 = 0;
-        while let Some((v, dv)) = self.queue.pop_min() {
-            settled += 1;
-            let out = self.p.up().out(v);
-            self.stats.counters.add_upward_relaxed(out.len() as u64);
-            for a in out {
-                let w = a.head as usize;
-                // Saturate at INF: labels stay <= INF, so with arc weights
-                // <= INF no `u32` addition here can ever wrap.
-                let cand = (dv + a.weight).min(INF);
-                if self.marked[w] == 0 {
-                    self.dist[w] = cand;
-                    self.marked[w] = 1;
-                    self.queue.insert(a.head, cand);
-                } else if cand < self.dist[w] {
-                    self.dist[w] = cand;
-                    self.queue.decrease_key(a.head, cand);
-                }
-            }
-        }
-        self.stats.counters.add_upward_settled(settled);
-        self.stats.upward_time = timer.elapsed();
+        self.inner.stats()
     }
 
     /// Phase 1 alone, returning the search space as `(sweep ID, label)`
-    /// pairs — the payload GPHAST ships to the device. Marks are cleared
-    /// before returning, so the engine is immediately reusable.
+    /// pairs — the payload GPHAST ships to the device. The engine is
+    /// immediately reusable.
     pub fn upward_search(&mut self, source: Vertex) -> Vec<(Vertex, Weight)> {
-        let s = self.p.to_sweep(source);
-        self.upward(s);
-        let mut space = Vec::new();
-        for v in 0..self.p.num_vertices() {
-            if self.marked[v] != 0 {
-                space.push((v as Vertex, self.dist[v]));
-                self.marked[v] = 0;
-            }
-        }
-        space
-    }
-
-    /// Phase 2: the linear sweep over `G↓` in increasing sweep-ID order.
-    pub(crate) fn sweep(&mut self) {
-        let timer = PhaseTimer::start();
-        let first = self.p.down().first();
-        let arcs = self.p.down().arcs();
-        let levels = self.p.num_levels();
-        let dist = &mut self.dist[..];
-        let marked = &mut self.marked[..];
-        #[cfg(feature = "obs-counters")]
-        let mut cleared: u64 = 0;
-        for v in 0..dist.len() {
-            let mut dv = if marked[v] != 0 {
-                #[cfg(feature = "obs-counters")]
-                {
-                    cleared += 1;
-                }
-                dist[v]
-            } else {
-                INF
-            };
-            // The arc slice of v; tails are strictly smaller sweep IDs, so
-            // dist[tail] is final.
-            for a in &arcs[first[v] as usize..first[v + 1] as usize] {
-                let cand = dist[a.tail as usize] + a.weight;
-                if cand < dv {
-                    dv = cand;
-                }
-            }
-            // Clamp so labels never exceed INF even on unreachable chains.
-            dist[v] = dv.min(INF);
-            marked[v] = 0;
-        }
-        #[cfg(feature = "obs-counters")]
-        self.stats.counters.add_marks_cleared(cleared);
-        // The sequential sweep is oblivious: every downward arc is relaxed
-        // exactly once, each level in one block.
-        self.stats.counters.add_sweep_arcs(arcs.len() as u64);
-        self.stats.counters.add_levels_swept(levels as u64);
-        self.stats.counters.add_blocks_executed(levels as u64);
-        self.stats.sweep_time = timer.elapsed();
+        self.inner.upward_search(source)
     }
 
     /// One full NSSP computation from original vertex `source`. Returns the
     /// labels in **sweep order**; use [`Phast::to_sweep`] to index them or
     /// [`Self::distances`] for original order.
     pub fn distances_sweep(&mut self, source: Vertex) -> &[Weight] {
-        let s = self.p.to_sweep(source);
-        self.upward(s);
-        self.sweep();
-        &self.dist
+        self.inner.run(&[source]);
+        self.inner.labels()
     }
 
     /// One full NSSP computation; labels in original vertex order.
     pub fn distances(&mut self, source: Vertex) -> Vec<Weight> {
-        self.distances_sweep(source);
-        self.p.labels_to_original(&self.dist)
+        self.inner.run(&[source]);
+        self.inner.tree_distances(0)
+    }
+
+    /// Parallel-sweep variant of [`Self::distances_sweep`]: each level is
+    /// split into blocks across the current rayon pool (Section V).
+    pub fn distances_par_sweep(&mut self, source: Vertex) -> &[Weight] {
+        self.inner.run_par(&[source]);
+        self.inner.labels()
+    }
+
+    /// One NSSP computation with the intra-level parallel sweep; labels in
+    /// original vertex order. Equivalent to [`Self::distances`].
+    pub fn distances_par(&mut self, source: Vertex) -> Vec<Weight> {
+        self.inner.run_par(&[source]);
+        self.inner.tree_distances(0)
     }
 
     /// Distance of one original vertex after the last query.
     pub fn dist_of(&self, original: Vertex) -> Weight {
-        self.dist[self.p.to_sweep(original) as usize]
+        self.inner.dist_of(0, original)
     }
 
     /// The raw sweep-order labels of the last query.
     pub fn labels(&self) -> &[Weight] {
-        &self.dist
-    }
-
-    /// Mutable access for the parallel sweep implementation.
-    pub(crate) fn state_mut(&mut self) -> (&Phast, &mut [Weight], &mut [u8]) {
-        (self.p, &mut self.dist, &mut self.marked)
+        self.inner.labels()
     }
 }
 
@@ -187,7 +84,7 @@ mod tests {
     use phast_dijkstra::dijkstra::shortest_paths;
     use phast_graph::gen::random::strongly_connected_gnm;
     use phast_graph::gen::{Metric, RoadNetworkConfig};
-    use phast_graph::{Graph, GraphBuilder};
+    use phast_graph::{Graph, GraphBuilder, INF};
     use proptest::prelude::*;
 
     fn check_sources(g: &Graph, sources: &[Vertex]) {

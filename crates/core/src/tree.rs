@@ -7,113 +7,46 @@
 //! parent. With strictly positive arc lengths the result is a valid
 //! shortest path tree of `G`.
 
-use crate::Phast;
+use crate::upward::NO_PARENT;
+use crate::{MultiTreeEngine, Phast};
 use phast_dijkstra::ShortestPathTree;
 use phast_graph::{Vertex, Weight, INF};
-use phast_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
 
-/// Sentinel for "no parent".
-const NO_PARENT: Vertex = Vertex::MAX;
-
-/// Per-query state for tree-building PHAST computations: like
-/// [`crate::PhastEngine`] but also records parent pointers.
+/// Per-query state for tree-building PHAST computations: the `k = 1` face
+/// of [`MultiTreeEngine`] that also records parent pointers.
 pub struct TreeEngine<'p> {
-    p: &'p Phast,
-    dist: Vec<Weight>,
-    /// Parent in `G+` (sweep IDs) chosen by the sweep.
-    parent_gplus: Vec<Vertex>,
-    marked: Vec<u8>,
-    queue: IndexedBinaryHeap,
+    inner: MultiTreeEngine<'p>,
 }
 
 impl<'p> TreeEngine<'p> {
     /// Creates a tree engine.
     pub fn new(p: &'p Phast) -> Self {
-        let n = p.num_vertices();
         Self {
-            p,
-            dist: vec![INF; n],
-            parent_gplus: vec![NO_PARENT; n],
-            marked: vec![0; n],
-            queue: IndexedBinaryHeap::new(n),
+            inner: MultiTreeEngine::build(p, 1, true),
         }
     }
 
     /// The instance.
     pub fn phast(&self) -> &'p Phast {
-        self.p
-    }
-
-    fn upward(&mut self, s: Vertex) {
-        self.queue.clear();
-        self.dist[s as usize] = 0;
-        self.parent_gplus[s as usize] = NO_PARENT;
-        self.marked[s as usize] = 1;
-        self.queue.insert(s, 0);
-        while let Some((v, dv)) = self.queue.pop_min() {
-            for a in self.p.up().out(v) {
-                let w = a.head as usize;
-                // Saturate at INF: labels stay <= INF, so with arc weights
-                // <= INF no `u32` addition here can ever wrap.
-                let cand = (dv + a.weight).min(INF);
-                if self.marked[w] == 0 {
-                    self.dist[w] = cand;
-                    self.parent_gplus[w] = v;
-                    self.marked[w] = 1;
-                    self.queue.insert(a.head, cand);
-                } else if cand < self.dist[w] {
-                    self.dist[w] = cand;
-                    self.parent_gplus[w] = v;
-                    self.queue.decrease_key(a.head, cand);
-                }
-            }
-        }
-    }
-
-    fn sweep_with_parents(&mut self) {
-        let first = self.p.down().first();
-        let arcs = self.p.down().arcs();
-        for v in 0..self.dist.len() {
-            let (mut dv, mut par) = if self.marked[v] != 0 {
-                (self.dist[v], self.parent_gplus[v])
-            } else {
-                (INF, NO_PARENT)
-            };
-            for a in &arcs[first[v] as usize..first[v + 1] as usize] {
-                let cand = self.dist[a.tail as usize] + a.weight;
-                if cand < dv {
-                    dv = cand;
-                    par = a.tail;
-                }
-            }
-            if dv > INF {
-                dv = INF;
-                par = NO_PARENT;
-            }
-            self.dist[v] = dv;
-            self.parent_gplus[v] = par;
-            self.marked[v] = 0;
-        }
+        self.inner.phast()
     }
 
     /// Computes the tree from `source` (original ID). Labels and `G+`
     /// parents stay in the engine (sweep IDs) until the next query.
     pub fn run(&mut self, source: Vertex) {
-        let s = self.p.to_sweep(source);
-        self.upward(s);
-        self.sweep_with_parents();
+        self.inner.run(&[source]);
     }
 
     /// Sweep-order labels of the last query.
     pub fn labels(&self) -> &[Weight] {
-        &self.dist
+        self.inner.labels()
     }
 
     /// `G+` parent (sweep IDs) of a sweep vertex; parents may be shortcut
     /// tails. "For many applications, paths in `G+` are sufficient and even
     /// desirable."
     pub fn parent_gplus(&self, sweep: Vertex) -> Option<Vertex> {
-        let p = self.parent_gplus[sweep as usize];
+        let p = self.inner.parents()[sweep as usize];
         (p != NO_PARENT).then_some(p)
     }
 
@@ -129,9 +62,9 @@ impl<'p> TreeEngine<'p> {
     /// solver it is the original-graph path target → source. Returns
     /// `None` if `target` is unreachable.
     pub fn path_to(&self, target: Vertex) -> Option<Vec<Vertex>> {
-        let p = self.p;
+        let (p, dist) = (self.phast(), self.labels());
         let t_sweep = p.to_sweep(target);
-        if self.dist[t_sweep as usize] >= INF {
+        if dist[t_sweep as usize] >= INF {
             return None;
         }
         // Parent chain in G+ from the target back to the source.
@@ -145,7 +78,7 @@ impl<'p> TreeEngine<'p> {
         chain.reverse(); // source ... target, in solver orientation
         let mut path_sweep = vec![chain[0]];
         for w in chain.windows(2) {
-            let weight = self.dist[w[1] as usize] - self.dist[w[0] as usize];
+            let weight = dist[w[1] as usize] - dist[w[0] as usize];
             p.unpack_arc_sweep(w[0], w[1], weight, &mut path_sweep);
         }
         let mut out: Vec<Vertex> = path_sweep.iter().map(|&v| p.to_original(v)).collect();
@@ -165,10 +98,11 @@ impl<'p> TreeEngine<'p> {
     /// `parent[v]` is the next hop on a shortest path from `v` to the
     /// source.
     pub fn original_tree(&self, source: Vertex) -> ShortestPathTree {
-        let n = self.p.num_vertices();
-        let s_sweep = self.p.to_sweep(source) as usize;
+        let (p, labels) = (self.phast(), self.labels());
+        let n = p.num_vertices();
+        let s_sweep = p.to_sweep(source) as usize;
         let mut parent_sweep = vec![NO_PARENT; n];
-        let orig = self.p.orig_incoming();
+        let orig = p.orig_incoming();
         let attached = |parent_sweep: &[Vertex], x: usize| -> bool {
             x == s_sweep || parent_sweep[x] != NO_PARENT
         };
@@ -176,12 +110,12 @@ impl<'p> TreeEngine<'p> {
         // (`d(u) < d(v)`), which is every tight arc when arc lengths are
         // strictly positive and can never form a cycle.
         for (v, slot) in parent_sweep.iter_mut().enumerate() {
-            if v == s_sweep || self.dist[v] >= INF {
+            if v == s_sweep || labels[v] >= INF {
                 continue;
             }
-            let dv = self.dist[v];
+            let dv = labels[v];
             for a in orig.incoming(v as Vertex) {
-                let du = self.dist[a.tail as usize];
+                let du = labels[a.tail as usize];
                 if du < dv && du + a.weight == dv {
                     *slot = a.tail;
                     break;
@@ -193,14 +127,14 @@ impl<'p> TreeEngine<'p> {
         // adopt an equal-label parent only once that parent is itself
         // attached, so parents always precede children and no cycle forms.
         let mut unresolved: Vec<usize> = (0..n)
-            .filter(|&v| v != s_sweep && self.dist[v] < INF && parent_sweep[v] == NO_PARENT)
+            .filter(|&v| v != s_sweep && labels[v] < INF && parent_sweep[v] == NO_PARENT)
             .collect();
         while !unresolved.is_empty() {
             let before = unresolved.len();
             unresolved.retain(|&v| {
-                let dv = self.dist[v];
+                let dv = labels[v];
                 for a in orig.incoming(v as Vertex) {
-                    let du = self.dist[a.tail as usize];
+                    let du = labels[a.tail as usize];
                     if du + a.weight == dv
                         && du < INF
                         && attached(&parent_sweep, a.tail as usize)
@@ -221,15 +155,14 @@ impl<'p> TreeEngine<'p> {
         let mut dist = vec![INF; n];
         let mut parent = vec![NO_PARENT; n];
         for (sweep, &ps) in parent_sweep.iter().enumerate() {
-            let old = self.p.to_original(sweep as Vertex) as usize;
-            dist[old] = self.dist[sweep];
+            let old = p.to_original(sweep as Vertex) as usize;
+            dist[old] = labels[sweep];
             if ps != NO_PARENT {
-                parent[old] = self.p.to_original(ps);
+                parent[old] = p.to_original(ps);
             }
         }
         ShortestPathTree::new(source, dist, parent)
     }
-
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //!
 //! * [`scheduler`] — the embeddable service. Incoming requests accumulate
 //!   in a bounded admission queue; workers drain them after a configurable
-//!   *batch window* into [`MultiTreeEngine`] sweeps of width 4/8/16
-//!   (padding short batches), degrading to a single scalar sweep — or a
-//!   bidirectional CH query for a lone point-to-point request — when the
-//!   window closes with one request. Many-to-many `matrix` requests run
+//!   *batch window* into one [`MultiTreeEngine`] per worker, run at 4, 8
+//!   or 16 lanes (padding short batches) and at one lane — or replaced by
+//!   a bidirectional CH query for a lone point-to-point request — when
+//!   the window closes with one request. Many-to-many `matrix` requests run
 //!   on their own rung: an RPHAST target selection (cached per worker
 //!   across repeated target lists) restricts the sweep to the targets'
 //!   downward closure, k sources per sweep (DESIGN.md §13).

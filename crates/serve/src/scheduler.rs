@@ -17,19 +17,21 @@
 //!   most [`ServeConfig::window`] for companions (leaving early when the
 //!   queue reaches the maximum width), then drains up to
 //!   [`ServeConfig::max_k`] requests as one batch.
-//! * **Degradation ladder.** A batch of `r` requests runs on the
-//!   narrowest configured engine width `>= r` (by default 4 / 8 / 16,
-//!   padded with duplicate lanes). A batch of one degrades further: a
+//! * **Degradation ladder.** A worker owns one sweep engine of `max_k`
+//!   lanes and sets the lane count per batch: a batch of `r` requests
+//!   runs at the narrowest configured width `>= r` (by default 4 / 8 /
+//!   16, padded with duplicate lanes). A batch of one degrades further: a
 //!   lone point-to-point request runs a bidirectional CH query, anything
-//!   else a scalar single-tree sweep. Every rung computes exact
+//!   else the same engine at one lane. Every rung computes exact
 //!   distances, so the ladder is invisible in the answers.
 //! * **Matrix rung.** A many-to-many `matrix` request is its own batch:
 //!   the worker takes it alone (no window wait — the request already
 //!   amortizes internally), builds one RPHAST target selection, and runs
-//!   every source through `k`-lane restricted sweeps. Each worker keeps a
-//!   bounded LRU ([`SELECTION_CACHE_CAPACITY`] entries) of recent
-//!   selections keyed by their exact target lists, so matrix requests
-//!   cycling over a few hot target fleets skip the build
+//!   every source through `max_k`-lane sweeps of that selection on the
+//!   same engine. Each worker keeps a bounded LRU
+//!   ([`SELECTION_CACHE_CAPACITY`] entries) of recent selections keyed
+//!   by their exact target lists, so matrix requests cycling over a few
+//!   hot target fleets skip the build
 //!   (`selection_cache_hits`); overflow evicts the least-recently-used
 //!   entry (`selection_cache_evictions`), and a quarantined panic clears
 //!   the cache with the rest of the engine state.
@@ -65,7 +67,7 @@ use crate::stats::ServiceStats;
 use phast_ch::{contract_graph, ChQuery, ContractionConfig, Hierarchy};
 use phast_core::simd::MAX_K;
 use phast_core::{
-    run_hetero_batch, HeteroAnswer, HeteroQuery, Phast, PhastBuilder, RestrictedMultiEngine,
+    run_hetero_batch, HeteroAnswer, HeteroQuery, MultiTreeEngine, Phast, PhastBuilder,
     SelectionBuilder, TargetSelection,
 };
 use phast_graph::{Graph, Vertex, Weight, INF};
@@ -702,7 +704,7 @@ impl Service {
     }
 
     /// A synchronous handle on the worker batch-execution path — the
-    /// benchable hook. The runner owns the same engine ladder a worker
+    /// benchable hook. The runner owns the same engine state a worker
     /// builds and [`BatchRunner::run`] drives the exact `execute_batch`
     /// code (ladder selection, padding, stats merge) without the queue,
     /// window, or reply channels, so a perf harness can measure the
@@ -745,15 +747,16 @@ impl Drop for Service {
 /// the immutable epoch; a metric swap retires it the same way (between
 /// batches, never mid-batch).
 struct WorkerEngines<'p> {
-    multi: Vec<phast_core::MultiTreeEngine<'p>>,
-    scalar: phast_core::PhastEngine<'p>,
+    /// The one sweep engine, `max_k` lanes of capacity: every rung — a
+    /// lone tree at one lane, a batch at its ladder width, a matrix at
+    /// `max_k` restricted lanes — sets the lane count it runs at.
+    engine: MultiTreeEngine<'p>,
     ch_query: Option<ChQuery<'p>>,
-    /// RPHAST state for the matrix rung: a reusable selection builder, a
-    /// `max_k`-wide restricted engine, and a bounded LRU of recent
-    /// selections keyed by their exact target lists (most recent first;
-    /// at most [`SELECTION_CACHE_CAPACITY`] entries).
+    /// RPHAST state for the matrix rung: a reusable selection builder and
+    /// a bounded LRU of recent selections keyed by their exact target
+    /// lists (most recent first; at most [`SELECTION_CACHE_CAPACITY`]
+    /// entries).
     sel_builder: SelectionBuilder<'p>,
-    restricted: RestrictedMultiEngine<'p>,
     selections: VecDeque<(Vec<Vertex>, TargetSelection<'p>)>,
 }
 
@@ -761,21 +764,15 @@ impl<'p> WorkerEngines<'p> {
     fn build(epoch: &'p MetricEpoch, cfg: &ServeConfig) -> Self {
         let phast: &Phast = &epoch.phast;
         WorkerEngines {
-            multi: cfg
-                .width_ladder()
-                .into_iter()
-                .map(|w| phast.multi_engine(w))
-                .collect(),
-            scalar: phast.engine(),
+            engine: phast.multi_engine(cfg.max_k),
             ch_query: epoch.hierarchy.as_deref().map(ChQuery::new),
             sel_builder: SelectionBuilder::new(phast),
-            restricted: RestrictedMultiEngine::new(phast, cfg.max_k),
             selections: VecDeque::new(),
         }
     }
 }
 
-/// A borrowed engine ladder executing batches synchronously through the
+/// Borrowed worker engines executing batches synchronously through the
 /// scheduler's own batch path (see [`Service::batch_runner`]). Queries
 /// must already be in range — the runner sits *below* admission
 /// validation, exactly like a worker.
@@ -811,8 +808,8 @@ impl BatchRunner<'_> {
     }
 }
 
-/// One worker: engines for every ladder width plus the fallbacks, looping
-/// over window-formed batches until shutdown empties the queue.
+/// One worker: its [`WorkerEngines`], looping over window-formed batches
+/// until shutdown empties the queue.
 ///
 /// The loop is its own supervisor: batch execution runs under
 /// `catch_unwind`, with the reply senders held *outside* the unwind
@@ -1049,16 +1046,15 @@ fn execute_matrix(
         }
     }
     let WorkerEngines {
-        restricted,
-        selections,
-        ..
+        engine, selections, ..
     } = engines;
     let (_, sel) = selections.front().expect("selection installed above");
-    let rows = restricted.matrix(sel, sources);
-    stats.merge_query(restricted.stats());
+    engine.set_k(engine.capacity());
+    let rows = engine.matrix(sel, sources);
+    stats.merge_query(engine.stats());
     stats.add_matrix_requests(1);
     stats.add_matrix_rows(sources.len() as u64);
-    stats.add_matrix_chunks(restricted.chunks_for(sources.len()) as u64);
+    stats.add_matrix_chunks(engine.chunks_for(sources.len()) as u64);
     HeteroAnswer::Matrix(rows)
 }
 
@@ -1086,8 +1082,11 @@ fn execute_batch(
                 }
                 _ => {
                     stats.add_scalar_fallbacks(1);
-                    let dist = engines.scalar.distances(query.source());
-                    stats.merge_query(engines.scalar.stats());
+                    let engine = &mut engines.engine;
+                    engine.set_k(1);
+                    engine.run(&[query.source()]);
+                    stats.merge_query(engine.stats());
+                    let dist = engine.tree_distances(0);
                     match query {
                         HeteroQuery::Tree { .. } => HeteroAnswer::Tree(dist),
                         HeteroQuery::Many { targets, .. } => HeteroAnswer::Many(
@@ -1103,17 +1102,16 @@ fn execute_batch(
         }
         _ => {
             let r = queries.len();
-            let engine = engines
-                .multi
-                .iter_mut()
-                .find(|e| e.k() >= r)
-                .expect("ladder always ends at max_k");
+            let ladder = shared.cfg.width_ladder();
+            let width = *ladder.iter().find(|&&w| w >= r).expect("ends at max_k");
+            let engine = &mut engines.engine;
+            engine.set_k(width);
             let answers = run_hetero_batch(engine, queries);
             stats.merge_query(engine.stats());
             stats.add_batches(1);
             stats.add_batched_requests(r as u64);
             stats.add_multi_batches(1);
-            stats.add_padded_lanes((engine.k() - r) as u64);
+            stats.add_padded_lanes((width - r) as u64);
             answers
         }
     }

@@ -9,7 +9,7 @@
 //! cargo run --release --example distance_matrix
 //! ```
 
-use phast::core::{Phast, TargetRestriction};
+use phast::core::{Phast, RestrictedEngine, TargetSelection};
 use phast::graph::gen::{Metric, RoadNetworkConfig};
 use phast::graph::INF;
 use std::time::Instant;
@@ -28,18 +28,21 @@ fn main() {
     let sources: Vec<u32> = (0..64).map(|i| i * 1013 % n).collect();
     let targets: Vec<u32> = (0..32).map(|i| (i * 2027 + 500) % n).collect();
 
-    // Restricted: one closure for all queries.
+    // Restricted: one selection for all queries.
     let t = Instant::now();
-    let restriction = TargetRestriction::new(&solver, &targets);
+    let selection = TargetSelection::new(&solver, &targets);
     println!(
-        "target restriction: closure of {} vertices ({:.1}% of the graph) in {:.2?}",
-        restriction.closure_size(),
-        100.0 * restriction.closure_size() as f64 / g.num_vertices() as f64,
+        "target selection: closure of {} vertices ({:.1}% of the graph) in {:.2?}",
+        selection.len(),
+        100.0 * selection.len() as f64 / g.num_vertices() as f64,
         t.elapsed()
     );
-    let mut engine = restriction.engine();
+    let mut engine = RestrictedEngine::new(&solver);
     let t = Instant::now();
-    let matrix: Vec<Vec<u32>> = sources.iter().map(|&s| engine.distances(s)).collect();
+    let matrix: Vec<Vec<u32>> = sources
+        .iter()
+        .map(|&s| engine.distances(&selection, s))
+        .collect();
     let restricted_time = t.elapsed();
     println!(
         "matrix via restricted sweeps: {:.2?} total, {:.2?} per source",

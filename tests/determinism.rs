@@ -1,7 +1,7 @@
 //! Determinism: equal seeds must reproduce every stage bit-for-bit, so
 //! experiments are repeatable.
 
-use phast::core::{Phast, SweepPlan};
+use phast::core::Phast;
 use phast::gpu::{DeviceProfile, Gphast};
 use phast::graph::gen::{Metric, RoadNetworkConfig};
 
@@ -40,18 +40,21 @@ fn parallel_sweep_is_bit_identical_across_thread_counts() {
     // The intra-level parallel sweep partitions each level into blocks,
     // but every vertex label still depends only on higher levels, so the
     // result must be bit-for-bit the sequential sweep's — for any thread
-    // count, including the degenerate single-thread plan.
+    // count, including the degenerate single-thread pool.
     let (_, p) = build();
     let mut e = p.engine();
     let n = p.num_vertices() as u32;
     for s in [0u32, 31, n - 1] {
         let seq = e.distances_sweep(s).to_vec();
         for threads in [1usize, 2, 4] {
-            let plan = SweepPlan::new(&p, threads);
-            let par = e.distances_par_planned(s, &plan).to_vec();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool");
+            let par = pool.install(|| e.distances_par_sweep(s).to_vec());
             assert_eq!(par, seq, "threads {threads}, source {s}");
         }
-        // The auto-planned entry point must agree too (it returns
+        // On the ambient pool it must agree too (this entry point returns
         // original vertex order, so compare against `distances`).
         assert_eq!(e.distances_par(s), e.distances(s), "auto plan, source {s}");
     }

@@ -4,11 +4,18 @@
 //! 8-lane chunk plus the 4-lane half-chunk, several chunks, the widest row
 //! (two column blocks on SSE4.1) — and every kernel level the CPU has,
 //! `MultiTreeEngine::run`, `run_par` (which hands the kernel sub-ranges of
-//! a level) and `RestrictedMultiEngine::matrix` must produce labels
+//! a level) and `MultiTreeEngine::matrix` must produce labels
 //! bit-identical to the forced-scalar engine and to Dijkstra.
+//!
+//! And for the one engine behind them (DESIGN.md §3): a full sweep is
+//! RPHAST with selection = V, a single tree is the sweep at `k = 1`
+//! whichever face asks for it, and one engine may change its lane count
+//! and its view between any two runs.
 
 use phast::core::simd::SimdLevel;
-use phast::core::{Phast, RestrictedMultiEngine, SelectionBuilder};
+use phast::core::{
+    Direction, Phast, PhastBuilder, RestrictedEngine, SelectionBuilder, SweepOrder,
+};
 use phast::dijkstra::dijkstra::shortest_paths;
 use phast::graph::gen::random::strongly_connected_gnm;
 use phast::graph::gen::{Metric, RoadNetworkConfig};
@@ -95,7 +102,7 @@ fn check_instance(g: &Graph, pool: &rayon::ThreadPool) {
             });
             assert_eq!(engine.labels(), scalar_labels, "run_par, {tag}");
 
-            let mut restricted = RestrictedMultiEngine::new(&p, k);
+            let mut restricted = p.multi_engine(k);
             restricted.force_simd(level);
             let matrix = restricted.matrix(&selection, &rows);
             for (row, &s) in matrix.iter().zip(&rows) {
@@ -137,5 +144,143 @@ fn every_level_and_width_on_random_graphs() {
             &adversarial(&strongly_connected_gnm(n, extra, 60, seed)),
             &pool,
         );
+    }
+}
+
+/// The road network the structural tests below run on, `side` x `side`.
+fn adversarial_road(side: u32) -> Graph {
+    let net = RoadNetworkConfig::new(side, side, 1406, Metric::TravelTime).build();
+    adversarial(&net.graph)
+}
+
+/// Full sweep = RPHAST with selection = V: a selection of every vertex
+/// gives, through the restricted view, labels bit-identical to the full
+/// view's and to Dijkstra — at every width and every level the CPU has.
+#[test]
+fn a_selection_of_every_vertex_is_the_full_sweep() {
+    let g = adversarial_road(70);
+    let p = Phast::preprocess(&g);
+    let n = g.num_vertices();
+    let everything: Vec<Vertex> = (0..n as Vertex).collect();
+    let selection = SelectionBuilder::new(&p).build(&everything);
+    assert_eq!(selection.len(), n);
+    for k in WIDTHS.into_iter().chain([1, 5]) {
+        let sources = sources(&g, k);
+        let dijkstra: Vec<Vec<Weight>> = sources
+            .iter()
+            .map(|&s| shortest_paths(g.forward(), s).dist)
+            .collect();
+        for level in LEVELS {
+            let mut engine = p.multi_engine(k);
+            engine.force_simd(level);
+            let tag = format!("k={k} {level:?} (runs {:?})", engine.simd_level());
+            engine.run(&sources);
+            let full: Vec<Vec<Weight>> = (0..k).map(|i| engine.tree_distances(i)).collect();
+            engine.run_selected(&selection, &sources);
+            for (i, want) in dijkstra.iter().enumerate() {
+                // Targets are 0..n in order, so a lane's target distances
+                // are its labels in original vertex order.
+                let selected = engine.lane_distances(&selection, i);
+                assert_eq!(&selected, want, "selected vs Dijkstra, {tag}, lane {i}");
+                assert_eq!(selected, full[i], "selected vs full, {tag}, lane {i}");
+            }
+        }
+    }
+}
+
+/// A single tree is the k-lane sweep at k = 1: `engine()`,
+/// `multi_engine(1)`, `tree_engine()`, `RestrictedEngine` over every
+/// vertex and `distances_par` agree bit for bit, in either direction and
+/// in the rank order too. The network is big enough that `distances_par`
+/// splits the lowest level (more than 4096 vertices) into blocks.
+#[test]
+fn every_single_tree_face_agrees() {
+    let g = adversarial_road(124);
+    let n = g.num_vertices();
+    let everything: Vec<Vertex> = (0..n as Vertex).collect();
+    let pool = pool();
+    for (direction, order) in [
+        (Direction::Forward, SweepOrder::ByLevel),
+        (Direction::Reverse, SweepOrder::ByLevel),
+        (Direction::Forward, SweepOrder::ByRank),
+        (Direction::Reverse, SweepOrder::ByRank),
+    ] {
+        let p = PhastBuilder::new().direction(direction).order(order).build(&g);
+        if order == SweepOrder::ByLevel {
+            assert!(p.level_histogram()[0] > 4096, "lowest level not split");
+        }
+        let reference = match direction {
+            Direction::Forward => g.clone(),
+            Direction::Reverse => g.transposed(),
+        };
+        let selection = SelectionBuilder::new(&p).build(&everything);
+        let mut single = p.engine();
+        let mut multi = p.multi_engine(1);
+        let mut tree = p.tree_engine();
+        let mut restricted = RestrictedEngine::new(&p);
+        for s in sources(&g, 5) {
+            let tag = format!("{direction:?} {order:?} source {s}");
+            let want = shortest_paths(reference.forward(), s).dist;
+            assert_eq!(single.distances(s), want, "engine(), {tag}");
+            let labels = single.labels().to_vec();
+            multi.run(&[s]);
+            assert_eq!(multi.labels(), labels, "multi_engine(1), {tag}");
+            tree.run(s);
+            assert_eq!(tree.labels(), labels, "tree_engine(), {tag}");
+            assert_eq!(restricted.distances(&selection, s), want, "RestrictedEngine, {tag}");
+            assert_eq!(
+                pool.install(|| single.distances_par(s)),
+                want,
+                "distances_par, {tag}"
+            );
+            assert_eq!(single.labels(), labels, "distances_par labels, {tag}");
+        }
+    }
+}
+
+/// One engine, the row stride and the view changing between runs: 16
+/// lanes, 4, 1, 12 lanes over a selection, 8 over the full graph, 1 —
+/// every run sweeps over the labels the one before left at another
+/// stride, and the marks alone must keep them out of its answers.
+#[test]
+fn one_engine_reshapes_between_runs() {
+    let g = adversarial_road(70);
+    let p = Phast::preprocess(&g);
+    let n = g.num_vertices() as Vertex;
+    let targets: Vec<Vertex> = (0..n).step_by(7).chain([n - 1]).collect();
+    let selection = SelectionBuilder::new(&p).build(&targets);
+    let mut engine = p.multi_engine(16);
+    assert_eq!(engine.capacity(), 16);
+    let mut round = 0;
+    for (k, selected) in [
+        (16, false),
+        (4, false),
+        (1, false),
+        (12, true),
+        (8, false),
+        (1, false),
+    ] {
+        round += 1;
+        let sources: Vec<Vertex> = (0..k as Vertex)
+            .map(|i| (i * 769 + round * 31 + n - 2) % n)
+            .collect();
+        engine.set_k(k);
+        assert_eq!(engine.k(), k);
+        if selected {
+            engine.run_selected(&selection, &sources);
+        } else {
+            engine.run(&sources);
+        }
+        for (lane, &s) in sources.iter().enumerate() {
+            let want = shortest_paths(g.forward(), s).dist;
+            if selected {
+                let want: Vec<Weight> = targets.iter().map(|&t| want[t as usize]).collect();
+                let got = engine.lane_distances(&selection, lane);
+                assert_eq!(got, want, "round {round}: selected, k={k}, lane {lane}");
+            } else {
+                let got = engine.tree_distances(lane);
+                assert_eq!(got, want, "round {round}: full, k={k}, lane {lane}");
+            }
+        }
     }
 }

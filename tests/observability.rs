@@ -8,7 +8,7 @@
 //!
 //! [`QueryStats`]: phast::obs::QueryStats
 
-use phast::core::{Phast, TargetRestriction};
+use phast::core::{Phast, RestrictedEngine, TargetSelection};
 use phast::graph::gen::{Metric, RoadNetworkConfig};
 use phast::graph::Graph;
 use phast::obs;
@@ -120,9 +120,9 @@ fn multi_tree_stats_aggregate_over_the_batch() {
 #[test]
 fn one_to_many_stats_cover_the_restricted_sweep() {
     let (_, p, _) = instance();
-    let r = TargetRestriction::new(p, &[3, 10, 77]);
-    let mut e = r.engine();
-    e.distances(0);
+    let sel = TargetSelection::new(p, &[3, 10, 77]);
+    let mut e = RestrictedEngine::new(p);
+    e.distances(&sel, 0);
     let c = e.stats().counters;
     assert!(c.upward_settled > 0);
     if obs::COUNTERS_ENABLED {

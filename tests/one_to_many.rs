@@ -1,7 +1,7 @@
 //! Cross-crate integration: restricted sweeps and multi-GPU batches agree
 //! with every other engine.
 
-use phast::core::{Phast, TargetRestriction};
+use phast::core::{Phast, RestrictedEngine, TargetSelection};
 use phast::dijkstra::dijkstra::shortest_paths;
 use phast::gpu::{DeviceProfile, MultiGpu};
 use phast::graph::gen::{Metric, RoadNetworkConfig};
@@ -15,11 +15,11 @@ fn restricted_sweeps_against_all_other_engines() {
     let n = g.num_vertices() as Vertex;
     let p = Phast::preprocess(g);
     let targets: Vec<Vertex> = vec![1, n / 2, n - 1];
-    let r = TargetRestriction::new(&p, &targets);
-    let mut restricted = r.engine();
+    let sel = TargetSelection::new(&p, &targets);
+    let mut restricted = RestrictedEngine::new(&p);
     let mut full = p.engine();
     for s in (0..n).step_by(23) {
-        let a = restricted.distances(s);
+        let a = restricted.distances(&sel, s);
         let labels = full.distances(s);
         let d = shortest_paths(g.forward(), s).dist;
         for (i, &t) in targets.iter().enumerate() {
@@ -56,11 +56,11 @@ fn unreachable_targets_stay_at_inf() {
     b.add_arc(0, 1, 5);
     let g = b.build();
     let p = Phast::preprocess(&g);
-    let r = TargetRestriction::new(&p, &[1, 2, 3]);
-    let mut e = r.engine();
-    assert_eq!(e.distances(0), vec![5, INF, INF]);
-    assert_eq!(e.distances(2), vec![INF, 0, INF]);
-    assert_eq!(e.distances(3), vec![INF, INF, 0]);
+    let sel = TargetSelection::new(&p, &[1, 2, 3]);
+    let mut e = RestrictedEngine::new(&p);
+    assert_eq!(e.distances(&sel, 0), vec![5, INF, INF]);
+    assert_eq!(e.distances(&sel, 2), vec![INF, 0, INF]);
+    assert_eq!(e.distances(&sel, 3), vec![INF, INF, 0]);
 }
 
 proptest! {
@@ -84,10 +84,10 @@ proptest! {
         let g = b.build();
         let p = Phast::preprocess(&g);
         let targets: Vec<Vertex> = raw_targets.iter().map(|&t| t % n).collect();
-        let r = TargetRestriction::new(&p, &targets);
-        let mut e = r.engine();
+        let sel = TargetSelection::new(&p, &targets);
+        let mut e = RestrictedEngine::new(&p);
         let s = raw_source % n;
-        let got = e.distances(s).to_vec();
+        let got = e.distances(&sel, s).to_vec();
         let want = shortest_paths(g.forward(), s).dist;
         prop_assert_eq!(got.len(), targets.len());
         for (i, &t) in targets.iter().enumerate() {
@@ -107,9 +107,9 @@ proptest! {
 fn restriction_closure_grows_with_target_count() {
     let net = RoadNetworkConfig::new(24, 24, 779, Metric::TravelTime).build();
     let p = Phast::preprocess(&net.graph);
-    let few = TargetRestriction::new(&p, &[0]);
+    let few = TargetSelection::new(&p, &[0]);
     let many: Vec<Vertex> = (0..40).map(|i| i * 13 % net.graph.num_vertices() as u32).collect();
-    let many = TargetRestriction::new(&p, &many);
-    assert!(few.closure_size() <= many.closure_size());
-    assert!(many.closure_size() <= p.num_vertices());
+    let many = TargetSelection::new(&p, &many);
+    assert!(few.len() <= many.len());
+    assert!(many.len() <= p.num_vertices());
 }

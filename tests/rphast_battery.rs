@@ -4,8 +4,9 @@
 //! target-set edge case: empty, singleton, duplicates, all vertices,
 //! unreachable targets, and a source that is itself a target.
 
-use phast::core::{Phast, RestrictedEngine, RestrictedMultiEngine, SelectionBuilder};
+use phast::core::{Phast, RestrictedEngine, SelectionBuilder};
 use phast::dijkstra::dijkstra::shortest_paths;
+use phast::graph::gen::random::strongly_connected_gnm;
 use phast::graph::gen::{Metric, RoadNetworkConfig};
 use phast::graph::{GraphBuilder, Vertex, INF};
 use proptest::prelude::*;
@@ -21,7 +22,7 @@ fn assert_all_engines_agree(
     let mut builder = SelectionBuilder::new(p);
     let sel = builder.build(targets);
     let mut scalar = RestrictedEngine::new(p);
-    let mut multi = RestrictedMultiEngine::new(p, 4);
+    let mut multi = p.multi_engine(4);
     let mut full = p.engine();
     let rows = multi.matrix(&sel, sources);
     assert_eq!(rows.len(), sources.len());
@@ -70,7 +71,7 @@ fn empty_target_set_yields_empty_rows_everywhere() {
     assert!(sel.is_empty());
     let mut scalar = RestrictedEngine::new(&p);
     assert!(scalar.distances(&sel, 0).is_empty());
-    let mut multi = RestrictedMultiEngine::new(&p, 4);
+    let mut multi = p.multi_engine(4);
     let rows = multi.matrix(&sel, &[0, 1, 2]);
     assert_eq!(rows, vec![vec![], vec![], vec![]]);
 }
@@ -90,6 +91,41 @@ fn unreachable_targets_come_back_as_exactly_inf() {
     let mut e = RestrictedEngine::new(&p);
     assert_eq!(e.distances(&sel, 0), vec![8, INF]);
     assert_eq!(e.distances(&sel, 2), vec![INF, 2]);
+}
+
+/// Two instances over the same vertex set, so that a selection built on
+/// one indexes the other without leaving its arrays.
+fn two_instances() -> (Phast, Phast) {
+    let a = strongly_connected_gnm(80, 160, 50, 4243);
+    let b = strongly_connected_gnm(80, 160, 50, 4244);
+    (Phast::preprocess(&a), Phast::preprocess(&b))
+}
+
+/// Regression: the same-instance check lived in `run` only, so `matrix`
+/// swept a selection built on another instance (another metric epoch,
+/// say) and returned that instance's closure under this one's labels.
+#[test]
+#[should_panic(expected = "selection was built on a different instance")]
+fn matrix_rejects_a_selection_from_another_instance() {
+    let (p, other) = two_instances();
+    let sel = SelectionBuilder::new(&other).build(&[3, 40]);
+    p.multi_engine(4).matrix(&sel, &[0, 1, 2]);
+}
+
+/// Regression: reading one lane's distance to one target did not check
+/// that the selection handed in was the one that ran, and returned
+/// another selection's labels.
+#[test]
+#[should_panic(expected = "read back through the view that ran")]
+fn reading_through_a_selection_that_did_not_run_is_rejected() {
+    let (p, _) = two_instances();
+    let mut builder = SelectionBuilder::new(&p);
+    let ran = builder.build(&[3, 40, 77]);
+    let other = builder.build(&[5]);
+    let mut engine = p.multi_engine(4);
+    engine.run_selected(&ran, &[0, 1, 2, 3]);
+    assert_eq!(engine.target_dist(&ran, 0, 0), engine.lane_distances(&ran, 0)[0]);
+    engine.target_dist(&other, 0, 0);
 }
 
 proptest! {
@@ -117,7 +153,7 @@ proptest! {
         let mut builder = SelectionBuilder::new(&p);
         let sel = builder.build(&targets);
         let mut scalar = RestrictedEngine::new(&p);
-        let mut multi = RestrictedMultiEngine::new(&p, 4);
+        let mut multi = p.multi_engine(4);
         let mut full = p.engine();
         let rows = multi.matrix(&sel, &sources);
         for (r, &s) in sources.iter().enumerate() {

@@ -26,6 +26,22 @@ export CARGO_NET_OFFLINE=true
 
 step() { printf '\n== %s ==\n' "$*"; }
 
+# `cargo test` with a test-name filter, which alone passes silently when
+# the filter matches nothing (a renamed module, a moved test): fails unless
+# at least one test ran and passed.
+filtered_tests() {
+    local out
+    if ! out="$(cargo test "$@" 2>&1)"; then
+        printf '%s\n' "$out" >&2
+        exit 1
+    fi
+    printf '%s\n' "$out"
+    if ! grep -Eq '^test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+        echo "error: no test matched: cargo test $*" >&2
+        exit 1
+    fi
+}
+
 # The perf-regression smoke: a reduced-size suite run of `phast_cli
 # bench` must emit a valid BENCH artifact, a live re-run compared against
 # it must pass (generous threshold — the gate tests the plumbing, not
@@ -63,7 +79,7 @@ bench_smoke() {
 matrix_smoke() {
     step "RPHAST matrix gate (serve differential + restricted proptests, release)"
     cargo test -q --release --test serve_matrix --test rphast_battery
-    cargo test -q --release -p phast-core rphast
+    filtered_tests -q --release -p phast-core --lib rphast::
     echo "matrix smoke ok"
 }
 
@@ -252,7 +268,7 @@ contract_smoke() {
 wire_smoke() {
     step "reply codec gate (differential battery + corrupt-tail failover, release)"
     cargo test -q --release --test wire_codec
-    cargo test -q --release -p phast-router --test failover corrupt_tail
+    filtered_tests -q --release -p phast-router --test failover corrupt_tail
     step "benchmark package: tests + smoke suite"
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
@@ -260,21 +276,26 @@ wire_smoke() {
     echo "wire smoke ok"
 }
 
-# The sweep-kernel gate (DESIGN.md §4): the packed kernel against the
-# scalar reference at every width and level the CPU has — the raw-kernel
-# tests in `phast-core` (clamp, stale rows, sub-ranges), the forced-level
-# engine tests beside them, and the public-API battery — in release,
-# because the optimised instantiations are what ships and debug builds
-# keep the accumulators on the stack; once more with the obs counters
-# compiled in, which changes the code around every `sweep_range` call.
+# The sweep-kernel gate (DESIGN.md §4): the kernels against the scalar
+# reference at every width and level the CPU has — the raw-kernel tests in
+# `phast-core` (clamp, stale rows, sub-ranges, parents at k = 1), the
+# tests of the one engine and of its faces beside them (`multi_tree`,
+# `rphast`, `parallel` for the level-block loop, `sweep` and `tree` for the
+# k = 1 faces), and the public-API battery — in release, because the
+# optimised instantiations are what ships and debug builds keep the
+# accumulators on the stack; once more with the obs counters compiled in,
+# which changes the code around the `sweep_range` call. One module per
+# run, so that each filter must match.
 kernel_smoke() {
-    step "sweep kernel gate (raw kernels + engines + battery, release, both feature states)"
-    local features
+    step "sweep kernel gate (raw kernels + engine + battery, release, both feature states)"
+    local features module
     for features in "" "--features obs-counters"; do
         # shellcheck disable=SC2086
         cargo test -q --release $features --test kernel_battery
-        # shellcheck disable=SC2086
-        cargo test -q --release $features -p phast-core --lib -- simd:: multi_tree:: rphast::
+        for module in simd multi_tree rphast parallel sweep tree; do
+            # shellcheck disable=SC2086
+            filtered_tests -q --release $features -p phast-core --lib "$module::"
+        done
     done
     echo "kernel smoke ok"
 }
