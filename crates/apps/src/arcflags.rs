@@ -159,15 +159,16 @@ impl ArcFlags {
         let mut engine = phast_rev.multi_engine(k);
         let mut dist = vec![0u32; g.num_vertices()];
         for chunk in jobs.chunks(k) {
-            let mut sources: Vec<Vertex> = chunk.iter().map(|&(_, b)| b).collect();
-            let pad = *sources.last().expect("chunks are non-empty");
-            sources.resize(k, pad);
+            let sources: Vec<Vertex> = chunk.iter().map(|&(_, b)| b).collect();
+            // A short last chunk runs that narrow: its labels' stride.
+            let lanes = chunk.len();
+            engine.set_k(lanes);
             engine.run(&sources);
             for (i, &(cell, _)) in chunk.iter().enumerate() {
                 // Pull tree i's labels into original order once.
                 for sweep in 0..g.num_vertices() {
                     dist[phast_rev.to_original(sweep as Vertex) as usize] =
-                        engine.labels()[sweep * k + i];
+                        engine.labels()[sweep * lanes + i];
                 }
                 flags.apply_boundary_tree(g, cell, &dist);
             }

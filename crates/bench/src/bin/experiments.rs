@@ -13,9 +13,10 @@
 //! `EXPERIMENTS.md` records the measured-vs-paper comparison.
 
 use phast_bench::report::{fmt_days, fmt_duration, Table};
-use phast_bench::{energy, hostinfo, lower_bound, time_per, InstanceConfig};
+use phast_bench::{energy, hostinfo, lower_bound, time_per, InstanceConfig, Samples};
 use phast_core::simd::SimdLevel;
-use phast_core::{par_multi_trees, Phast, PhastBuilder, SweepOrder};
+use phast_ch::{contract_graph, ContractionConfig, Hierarchy};
+use phast_core::{par_multi_trees, Direction, Phast, PhastBuilder, SweepOrder};
 use phast_dijkstra::bfs::bfs;
 use phast_dijkstra::dijkstra::Dijkstra;
 use phast_gpu::{DeviceProfile, Gphast};
@@ -115,6 +116,9 @@ fn obs_report(ctx: &Context) {
 /// PHAST preprocessing (used by most experiments).
 struct Context {
     graph: Graph,
+    /// The hierarchy `phast` was assembled from (the order ablation
+    /// assembles it again in other orders).
+    hierarchy: Hierarchy,
     phast: Phast,
     n: usize,
     name: String,
@@ -135,7 +139,11 @@ impl Context {
         );
         // All headline numbers use the DFS layout (Section II-A).
         let graph = relabel_graph(&inst.network.graph, &dfs_layout(&inst.network.graph, 0));
-        let (phast, prep) = phast_bench::time_once(|| Phast::preprocess(&graph));
+        let ((hierarchy, phast), prep) = phast_bench::time_once(|| {
+            let h = contract_graph(&graph, &ContractionConfig::default());
+            let p = PhastBuilder::new().build_with_hierarchy(&graph, &h);
+            (h, p)
+        });
         eprintln!(
             "[setup] CH preprocessing: {} ({} levels, {} shortcuts)",
             fmt_duration(prep),
@@ -145,6 +153,7 @@ impl Context {
         let n = graph.num_vertices();
         Self {
             graph,
+            hierarchy,
             phast,
             n,
             name: inst.name,
@@ -222,6 +231,7 @@ fn tab1(ctx: &Context, opts: &Opts) {
         vec!["BFS".into(), "-".into()],
         vec!["PHAST".into(), "original ordering".into()],
         vec!["PHAST".into(), "reordered by level".into()],
+        vec!["PHAST".into(), "reordered + degree tiles".into()],
         vec!["PHAST".into(), "reordered + all cores".into()],
     ];
     for (_, perm) in &layouts {
@@ -271,26 +281,29 @@ fn tab1(ctx: &Context, opts: &Opts) {
 
         // PHAST variants: preprocessing per layout (the within-level order
         // inherits the layout, which is the effect Table I measures).
-        let p_rank = PhastBuilder::new().order(SweepOrder::ByRank).build(&g);
-        let mut e = p_rank.engine();
-        rows[5].push(format!(
-            "{:.2}",
-            time_per(srcs.len(), |i| {
-                e.distances_sweep(srcs[i]);
-            })
-            .ms()
-        ));
-        let p_level = PhastBuilder::new().order(SweepOrder::ByLevel).build(&g);
-        let mut e = p_level.engine();
-        rows[6].push(format!(
-            "{:.2}",
-            time_per(srcs.len(), |i| {
-                e.distances_sweep(srcs[i]);
-            })
-            .ms()
-        ));
-        let mut e = p_level.engine();
-        rows[7].push(format!(
+        let h = contract_graph(&g, &ContractionConfig::default());
+        let build = |order| {
+            PhastBuilder::new()
+                .order(order)
+                .build_with_hierarchy(&g, &h)
+        };
+        let p_tiled = build(SweepOrder::ByLevelDegreeTiled);
+        for (row, p) in [
+            (5, &build(SweepOrder::ByRank)),
+            (6, &build(SweepOrder::ByLevel)),
+            (7, &p_tiled),
+        ] {
+            let mut e = p.engine();
+            rows[row].push(format!(
+                "{:.2}",
+                time_per(srcs.len(), |i| {
+                    e.distances_sweep(srcs[i]);
+                })
+                .ms()
+            ));
+        }
+        let mut e = p_tiled.engine();
+        rows[8].push(format!(
             "{:.2}",
             time_per(srcs.len(), |i| {
                 e.distances_par_sweep(srcs[i]);
@@ -864,6 +877,98 @@ fn lb(ctx: &Context) {
     );
 }
 
+/// The order ablation: the level order at tile ∈ {1 (the paper's), 64,
+/// 256, 1024, 4096, whole level (§VI's rejected order)} × CPU sweep time
+/// at k = 1 and k = 16 × the simulated GPU's lane efficiency, DRAM
+/// transactions and time, beside how often the trip count of the arc loop
+/// changes from one row to the next. CPU cells are medians over rounds of
+/// per-round medians, the tiles taking turns within a round, so that a
+/// slow stretch of the host falls on every row alike.
+fn order_ablation(ctx: &Context, opts: &Opts, sources: &[Vertex]) {
+    const K: usize = 16;
+    let tiles = [1, 64, 256, 1024, 4096, usize::MAX];
+    let instances: Vec<Phast> = tiles
+        .iter()
+        .map(|&t| Phast::with_degree_tile(&ctx.graph, &ctx.hierarchy, Direction::Forward, t))
+        .collect();
+    let (rounds, sweeps, batches) = if opts.quick { (3, 10, 3) } else { (9, 40, 8) };
+    let batch: Vec<Vertex> = ctx.sources(K);
+    let mut singles: Vec<_> = instances.iter().map(Phast::engine).collect();
+    let mut multis: Vec<_> = instances.iter().map(|p| p.multi_engine(K)).collect();
+    let mut ns_1 = vec![Vec::new(); tiles.len()];
+    let mut ns_16 = vec![Vec::new(); tiles.len()];
+    for _ in 0..rounds {
+        for i in 0..tiles.len() {
+            let e = &mut singles[i];
+            let one = Samples::collect(2, sweeps, |j| {
+                e.distances_sweep(sources[j % sources.len()]);
+            });
+            ns_1[i].push(one.stats().median_ns);
+            let m = &mut multis[i];
+            let many = Samples::collect(1, batches, |_| m.run(&batch));
+            ns_16[i].push(many.stats().median_ns);
+        }
+    }
+    let median_ms = |ns: &mut Vec<u64>| {
+        ns.sort_unstable();
+        ns[ns.len() / 2] as f64 / 1e6
+    };
+    let mut t = Table::new(
+        format!("Ablation: degree tiles within levels ({rounds} alternating rounds)"),
+        &[
+            "tile",
+            "trip-count changes / 1024 rows",
+            "k=1 [ms]",
+            "k=16 [ms/tree]",
+            "GPHAST lane efficiency",
+            "GPHAST DRAM txns",
+            "GPHAST k=1 [ms]",
+        ],
+    );
+    for (i, &tile) in tiles.iter().enumerate() {
+        let name = match tile {
+            1 => "1 (by level, paper)".to_string(),
+            usize::MAX => "level (§VI, rejected)".to_string(),
+            _ if instances[i].permutation() == ctx.phast.permutation() => {
+                format!("{tile} (default)")
+            }
+            _ => tile.to_string(),
+        };
+        let [lanes, dram, gpu_ms] = Gphast::new(&instances[i], DeviceProfile::gtx_580(), 1)
+            .map(|mut gp| gp.run(&[sources[0]]))
+            .map_or(["-".to_string(), "-".into(), "-".into()], |s| {
+                [
+                    format!("{:.3}", s.lane_efficiency),
+                    s.dram_transactions.to_string(),
+                    format!("{:.3}", s.time_per_tree.as_secs_f64() * 1e3),
+                ]
+            });
+        // How often the arc loop's trip count differs from the row
+        // before: what the CPU's branch predictor sees of the order.
+        let first = instances[i].down().first();
+        let changes = first
+            .windows(3)
+            .filter(|w| w[1] - w[0] != w[2] - w[1])
+            .count();
+        t.row(&[
+            name,
+            format!("{:.1}", changes as f64 * 1024.0 / ctx.n as f64),
+            format!("{:.3}", median_ms(&mut ns_1[i])),
+            format!("{:.3}", median_ms(&mut ns_16[i]) / K as f64),
+            lanes,
+            dram,
+            gpu_ms,
+        ]);
+    }
+    t.print();
+    println!(
+        "paper shape (§VI): sorting whole levels by degree fixes lane divergence\n\
+         but costs label locality (more DRAM transactions) — kept out of GPHAST.\n\
+         Ours: inside tiles the CPU's arc loop runs one trip count for long\n\
+         stretches (k=1 column) and a row stays within one tile of its place.\n"
+    );
+}
+
 /// Ablations called out in DESIGN.md: sweep order, SIMD level, witness hop
 /// limits.
 fn ablations(ctx: &Context, opts: &Opts) {
@@ -883,7 +988,11 @@ fn ablations(ctx: &Context, opts: &Opts) {
     let b = time_per(sources.len(), |i| {
         e.distances_sweep(sources[i]);
     });
-    t.row(&["by level (reordered)".into(), format!("{:.2}", b.ms())]);
+    // The paper's level order is the first row of the tile table, (d).
+    t.row(&[
+        "by level, degree-tiled (default)".into(),
+        format!("{:.2}", b.ms()),
+    ]);
     t.print();
 
     // (b) SIMD level at k = 16.
@@ -925,30 +1034,11 @@ fn ablations(ctx: &Context, opts: &Opts) {
         t.print();
     }
 
-    // (d) GPHAST vertex ordering: the §VI negative result. Degree sorting
-    // within levels removes warp divergence but hurts the locality of the
-    // tail-label reads.
-    {
-        let mut t = Table::new(
-            "Ablation: GPHAST vertex order within levels (k=1)",
-            &["order", "lane efficiency", "DRAM txns", "time/tree [ms]"],
-        );
-        let p_degree = PhastBuilder::new()
-            .order(SweepOrder::ByLevelThenDegree)
-            .build(&ctx.graph);
-        for (name, p) in [("by level (paper)", &ctx.phast), ("degree-sorted", &p_degree)] {
-            if let Ok(mut gp) = Gphast::new(p, DeviceProfile::gtx_580(), 1) {
-                let stats = gp.run(&[sources[0]]);
-                t.row(&[
-                    name.into(),
-                    format!("{:.3}", stats.lane_efficiency),
-                    stats.dram_transactions.to_string(),
-                    format!("{:.3}", stats.time_per_tree.as_secs_f64() * 1e3),
-                ]);
-            }
-        }
-        t.print();
-    }
+    // (d) Degree tiles within levels: §VI's negative result (whole-level
+    // degree sorting removes warp divergence but hurts the locality of
+    // the tail-label reads) and the tiled order that keeps the locality,
+    // in one table — the table `DEGREE_TILE` was chosen from.
+    order_ablation(ctx, opts, &sources);
 
     // (c) Witness hop limits: preprocessing cost vs hierarchy quality.
     // Run on a capped instance: over-restricted witness searches densify

@@ -16,7 +16,7 @@
 //! | name | path |
 //! |------|------|
 //! | `dijkstra_scalar` | scalar Dijkstra baseline (`phast-dijkstra`) |
-//! | `phast_single_tree` | single-tree level-ordered sweep |
+//! | `phast_single_tree` | single-tree level-ordered sweep; `obs` carries its per-arc cost: `down_arcs`, `ns_per_arc` |
 //! | `phast_k{k}_scalar` / `_sse41` / `_avx2` | k-tree batched sweep per kernel (SIMD rows only where the CPU has the feature); `obs` carries each one's roofline: `sweep_bytes`, `stream_gbps`, `roofline_share` |
 //! | `phast_par_k{k}` | `run_par` intra-level parallel batched sweep |
 //! | `gphast_k{k}` | GPHAST simulator batch (GTX 580 profile) |
@@ -314,7 +314,16 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
             e.distances_sweep(src(i));
         });
-        record("phast_single_tree", s, Some(&e.stats().report("single")));
+        // The sweep relaxes every downward arc once, whatever the source:
+        // the median over that count is the per-arc cost the sweep order
+        // moves (the upward search is ~1 % of the time).
+        let mut report = e.stats().report("single");
+        let down_arcs = phast.down().num_arcs();
+        report.push_count("down_arcs", down_arcs as u64).push_ratio(
+            "ns_per_arc",
+            s.stats().median_ns as f64 / down_arcs.max(1) as f64,
+        );
+        record("phast_single_tree", s, Some(&report));
     }
 
     // 3. k-tree batched sweep, one benchmark per kernel the CPU has, each
@@ -903,11 +912,21 @@ mod tests {
             assert!(b.stats.min_ns <= b.stats.median_ns, "{name}");
             assert!(b.stats.median_ns <= b.stats.max_ns, "{name}");
         }
+        // The single-tree entry carries its per-arc cost.
+        let metrics = &a.obs["metrics"];
+        let arcs = metrics["phast_single_tree.down_arcs"]
+            .as_i64()
+            .expect("down_arcs");
+        assert!(arcs > 500 && arcs < 20 * 600, "down_arcs {arcs}");
+        let per_arc = metrics["phast_single_tree.ns_per_arc"].as_f64();
+        assert!(
+            per_arc.is_some_and(|x| x > 0.0 && x.is_finite()),
+            "{per_arc:?}"
+        );
         // Each k-tree kernel entry carries its roofline: bytes computed
         // from the array sizes (`first` + 8-byte arcs + the 4-wide rows
         // read and written), a bandwidth measured in this run, and the
         // share of it the measured median reaches.
-        let metrics = &a.obs["metrics"];
         let n = metrics["phast_k4_scalar.sweep_bytes"].as_i64().expect("bytes");
         assert!(n > 2 * 4 * 4 * 500 && n < 64 * 600, "sweep_bytes {n}");
         for level in ["scalar", "sse41", "avx2"] {

@@ -10,9 +10,12 @@
 //!
 //! Because the sweep order is independent of `s`, this crate renumbers
 //! vertices once — higher levels first, input order kept within a level
-//! (Section IV-A) — so the sweep reads `first`, `arclist` and the distance
-//! array almost purely sequentially. On top of the reordered sweep it
-//! implements every acceleration of Sections IV–V:
+//! (Section IV-A) up to a stable sort by in-degree inside tiles of 1024
+//! consecutive vertices ([`SweepOrder::ByLevelDegreeTiled`]) — so the sweep
+//! reads `first`, `arclist` and the distance array almost purely
+//! sequentially and its arc loop runs the same trip count row after row.
+//! On top of the reordered sweep it implements every acceleration of
+//! Sections IV–V:
 //!
 //! * implicit initialization with per-vertex visited marks (IV-C);
 //! * `k` trees per sweep with interleaved distance labels (IV-B);
@@ -60,19 +63,53 @@ pub enum Direction {
 }
 
 /// How the second phase orders its scan — the Table I ablation.
+///
+/// The three `ByLevel*` orders are one order (`level_order`) at three
+/// tile sizes: descending level, then tiles of that many consecutive
+/// input-order vertices of the level, each tile stably sorted by the
+/// in-degree of the graph the sweep relaxes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepOrder {
     /// Scan in descending rank order through the original IDs (the basic
     /// algorithm of Section III; "original ordering" in Table I).
     ByRank,
-    /// Renumber vertices by descending level and sweep linearly
-    /// (Section IV-A; "reordered by level" in Table I).
+    /// Renumber vertices by descending level, input order within a level
+    /// (tile 1), and sweep linearly (Section IV-A; "reordered by level" in
+    /// Table I, and the baseline of the order ablation).
     ByLevel,
-    /// Like [`Self::ByLevel`] but sorted by in-degree within each level —
-    /// the ordering Section VI *tested and rejected* for GPHAST ("this has
-    /// a strong negative effect on the locality of the distance labels");
-    /// provided for the ablation that reproduces the negative result.
+    /// [`Self::ByLevel`] with every tile of `DEGREE_TILE` (1024) rows of a
+    /// level sorted by in-degree — the default. Rows of 1 to ~8 arcs in no
+    /// pattern make the exit of the sweep's arc loop a branch the CPU
+    /// mispredicts about once per row; in a sorted tile the trip count
+    /// changes a handful of times per 1024 rows, and a row still sits less
+    /// than one tile from its [`Self::ByLevel`] position, so the labels it
+    /// reads are as local as before (DESIGN §4 has the tile table).
+    ByLevelDegreeTiled,
+    /// Sorted by in-degree within each whole level — the ordering Section
+    /// VI *tested and rejected* for GPHAST ("this has a strong negative
+    /// effect on the locality of the distance labels"); provided for the
+    /// ablation that reproduces the negative result, on the simulated GPU
+    /// and, once the labels leave the cache (`k = 16`), on the CPU.
     ByLevelThenDegree,
+}
+
+/// Tile of the default order, [`SweepOrder::ByLevelDegreeTiled`]: from the
+/// tile table in DESIGN §4 — of {64, 256, 1024, 4096} the one that is at or
+/// next to the best time both at `k = 1` (where larger is better) and at
+/// `k = 16` (where the labels leave L2 and smaller is better).
+const DEGREE_TILE: usize = 1024;
+
+impl SweepOrder {
+    /// Tile size of a level order; `None` for the rank order, which has
+    /// no levels to tile.
+    fn tile(self) -> Option<usize> {
+        match self {
+            SweepOrder::ByRank => None,
+            SweepOrder::ByLevel => Some(1),
+            SweepOrder::ByLevelDegreeTiled => Some(DEGREE_TILE),
+            SweepOrder::ByLevelThenDegree => Some(usize::MAX),
+        }
+    }
 }
 
 /// Configures PHAST preprocessing.
@@ -88,13 +125,13 @@ impl Default for PhastBuilder {
         Self {
             ch: ContractionConfig::default(),
             direction: Direction::Forward,
-            order: SweepOrder::ByLevel,
+            order: SweepOrder::ByLevelDegreeTiled,
         }
     }
 }
 
 impl PhastBuilder {
-    /// Starts from defaults (forward direction, by-level reordering).
+    /// Starts from defaults (forward direction, degree-tiled level order).
     pub fn new() -> Self {
         Self::default()
     }
@@ -112,7 +149,8 @@ impl PhastBuilder {
     }
 
     /// Selects the sweep order (ablation; [`SweepOrder::ByLevel`] is the
-    /// paper's fast configuration).
+    /// paper's fast configuration, [`SweepOrder::ByLevelDegreeTiled`] the
+    /// default).
     pub fn order(mut self, o: SweepOrder) -> Self {
         self.order = o;
         self
@@ -127,7 +165,7 @@ impl PhastBuilder {
     /// Assembles the solver from an existing hierarchy (lets one hierarchy
     /// serve a forward and a reverse solver).
     pub fn build_with_hierarchy(self, g: &Graph, h: &Hierarchy) -> Phast {
-        Phast::assemble(g, h, self.direction, self.order)
+        Phast::assemble(g, h, self.direction, self.order.tile())
     }
 }
 
@@ -161,7 +199,8 @@ pub struct Phast {
 }
 
 impl Phast {
-    /// Full preprocessing with defaults: CH, then by-level reordering.
+    /// Full preprocessing with defaults: CH, then the degree-tiled level
+    /// order.
     ///
     /// ```
     /// use phast_core::Phast;
@@ -180,45 +219,25 @@ impl Phast {
         PhastBuilder::default().build(g)
     }
 
-    /// Assembles a solver from graph + hierarchy.
-    fn assemble(g: &Graph, h: &Hierarchy, direction: Direction, order: SweepOrder) -> Phast {
+    /// The instance [`PhastBuilder::build_with_hierarchy`] would give with
+    /// [`SweepOrder::ByLevelDegreeTiled`] had its tile been `tile` — for the
+    /// order ablation that records the table the tile was chosen from
+    /// (`experiments`), and for nothing else.
+    #[doc(hidden)]
+    pub fn with_degree_tile(g: &Graph, h: &Hierarchy, direction: Direction, tile: usize) -> Phast {
+        assert!(tile >= 1, "a tile holds at least one vertex");
+        Phast::assemble(g, h, direction, Some(tile))
+    }
+
+    /// Assembles a solver from graph + hierarchy, in the level order of
+    /// the given tile size or (`None`) in rank order.
+    fn assemble(g: &Graph, h: &Hierarchy, direction: Direction, tile: Option<usize>) -> Phast {
         let n = g.num_vertices();
         assert_eq!(h.num_vertices(), n, "hierarchy built for a different graph");
 
-        // Sweep order: descending level; ties broken by input ID to keep
-        // the input (typically DFS) locality within a level. The ByRank
-        // ablation orders by descending rank instead, which is the basic
-        // algorithm's reverse topological order.
-        let mut order_vec: Vec<Vertex> = (0..n as Vertex).collect();
-        match order {
-            SweepOrder::ByLevel => {
-                order_vec.sort_by_key(|&v| (std::cmp::Reverse(h.level[v as usize]), v));
-            }
-            SweepOrder::ByLevelThenDegree => {
-                // In-degree in the downward graph = arcs the sweep relaxes.
-                order_vec.sort_by_key(|&v| {
-                    (
-                        std::cmp::Reverse(h.level[v as usize]),
-                        h.backward_up.degree(v),
-                        v,
-                    )
-                });
-            }
-            SweepOrder::ByRank => {
-                order_vec.sort_by_key(|&v| std::cmp::Reverse(h.rank[v as usize]));
-            }
-        }
-        let perm = Permutation::from_order(&order_vec);
-
-        let level_of_sweep: Vec<u32> = order_vec
-            .iter()
-            .map(|&old| h.level[old as usize])
-            .collect();
-        let level_ranges = level_ranges_of(&level_of_sweep);
-
-        // Select the search graphs by direction, then relabel. For the
-        // reverse solver the roles swap and every arc flips. Shortcut
-        // middle vertices ride along so paths can be expanded (§VII-A).
+        // Select the search graphs by direction. For the reverse solver
+        // the roles swap and every arc flips. Shortcut middle vertices
+        // ride along so paths can be expanded (§VII-A).
         let (up_src, up_mid_src, down_src, down_mid_src) = match direction {
             Direction::Forward => (
                 &h.forward_up,
@@ -233,6 +252,24 @@ impl Phast {
                 &h.forward_middle,
             ),
         };
+
+        let order_vec = match tile {
+            Some(tile) => level_order(h, down_src, tile),
+            // The basic algorithm's reverse topological order.
+            None => {
+                let mut by_rank: Vec<Vertex> = (0..n as Vertex).collect();
+                by_rank.sort_by_key(|&v| std::cmp::Reverse(h.rank[v as usize]));
+                by_rank
+            }
+        };
+        let perm = Permutation::from_order(&order_vec);
+
+        let level_of_sweep: Vec<u32> = order_vec
+            .iter()
+            .map(|&old| h.level[old as usize])
+            .collect();
+        let level_ranges = level_ranges_of(&level_of_sweep);
+
         let map_mid = |m: Vertex| if m == NO_MIDDLE { NO_MIDDLE } else { perm.map(m) };
         let up_list: Vec<(Vertex, phast_graph::Arc, Vertex)> = up_src
             .iter_arcs()
@@ -609,6 +646,25 @@ pub struct PhastParts {
     pub num_shortcuts: usize,
 }
 
+/// The level orders: descending level, ties broken by input ID to keep the
+/// input (typically DFS) locality within a level (Section IV-A); then every
+/// tile of `tile` consecutive vertices of a level is stably sorted by
+/// `down_src.degree` — the number of arcs the sweep relaxes at the vertex —
+/// so equal degrees keep input order and no vertex leaves its tile.
+fn level_order(h: &Hierarchy, down_src: &Csr, tile: usize) -> Vec<Vertex> {
+    let mut order: Vec<Vertex> = (0..h.num_vertices() as Vertex).collect();
+    // Stable, so input order breaks ties.
+    order.sort_by_key(|&v| std::cmp::Reverse(h.level[v as usize]));
+    if tile > 1 {
+        for level in order.chunk_by_mut(|&a, &b| h.level[a as usize] == h.level[b as usize]) {
+            for rows in level.chunks_mut(tile) {
+                rows.sort_by_key(|&v| down_src.degree(v));
+            }
+        }
+    }
+    order
+}
+
 /// Contiguous ranges of equal level (works for both orders; ByRank
 /// produces singleton "levels" degenerating to a sequential sweep, so only
 /// ByLevel exposes real ranges).
@@ -686,5 +742,137 @@ mod tests {
         let net = RoadNetworkConfig::new(10, 10, 5, Metric::TravelTime).build();
         let p = PhastBuilder::new().order(SweepOrder::ByRank).build(&net.graph);
         p.validate().unwrap();
+    }
+
+    /// The tiles of a level order: the rows of every level in runs of
+    /// `tile`, the last run of a level shorter.
+    fn tiles(p: &Phast, tile: usize) -> Vec<Vec<Vertex>> {
+        let mut out = Vec::new();
+        for level in p.level_ranges() {
+            let rows: Vec<Vertex> = level.clone().collect();
+            out.extend(rows.chunks(tile).map(<[Vertex]>::to_vec));
+        }
+        out
+    }
+
+    /// Rows of `p` relaxing their arcs in non-decreasing number inside
+    /// every tile.
+    fn assert_tiles_sorted(p: &Phast, tile: usize, tag: &str) {
+        for t in tiles(p, tile) {
+            let degrees: Vec<usize> = t.iter().map(|&v| p.down().degree(v)).collect();
+            assert!(degrees.is_sorted(), "{tag}: rows {t:?} relax {degrees:?}");
+        }
+    }
+
+    /// A network whose lowest level spans several default tiles, with its
+    /// hierarchy.
+    fn tiled_network() -> (Graph, Hierarchy) {
+        let g = RoadNetworkConfig::new(90, 90, 6, Metric::TravelTime)
+            .build()
+            .graph;
+        let h = contract_graph(&g, &ContractionConfig::default());
+        assert!(h.level.iter().filter(|&&l| l == 0).count() > 2 * DEGREE_TILE);
+        (g, h)
+    }
+
+    /// Each direction is sorted by the in-degree of the graph *it* sweeps
+    /// (the whole-level order used to key on the forward instance's).
+    #[test]
+    fn tiles_are_sorted_by_the_degree_of_the_swept_graph() {
+        let (g, h) = tiled_network();
+        for direction in [Direction::Forward, Direction::Reverse] {
+            for (order, tile) in [
+                (SweepOrder::ByLevelDegreeTiled, DEGREE_TILE),
+                (SweepOrder::ByLevelThenDegree, usize::MAX),
+            ] {
+                let p = PhastBuilder::new()
+                    .direction(direction)
+                    .order(order)
+                    .build_with_hierarchy(&g, &h);
+                p.validate().unwrap();
+                assert_tiles_sorted(&p, tile, &format!("{direction:?} {order:?}"));
+            }
+        }
+    }
+
+    /// The locality bound, asserted: a tile of the tiled order holds the
+    /// vertices of the same rows of the `ByLevel` order, so no vertex moves
+    /// `tile` rows or more; equal degrees keep input order; a level shorter
+    /// than a tile is sorted whole; levels and their ranges are those of
+    /// `ByLevel`.
+    #[test]
+    fn a_tile_permutes_the_same_rows_of_the_level_order() {
+        let (g, h) = tiled_network();
+        let by_level = PhastBuilder::new()
+            .order(SweepOrder::ByLevel)
+            .build_with_hierarchy(&g, &h);
+        for tile in [1, 8, 100, DEGREE_TILE, usize::MAX] {
+            let p = Phast::with_degree_tile(&g, &h, Direction::Forward, tile);
+            p.validate().unwrap();
+            assert_eq!(p.levels(), by_level.levels(), "tile {tile}");
+            assert!(p.levels().windows(2).all(|w| w[0] >= w[1]));
+            assert_eq!(p.level_ranges(), by_level.level_ranges(), "tile {tile}");
+            assert_eq!(
+                p.level_ranges().iter().map(|r| r.len()).sum::<usize>(),
+                p.num_vertices()
+            );
+            assert_tiles_sorted(&p, tile, &format!("tile {tile}"));
+            let mut short_levels = 0;
+            for t in tiles(&p, tile) {
+                short_levels += usize::from(t.len() < tile && t.len() > 1);
+                let mut moved: Vec<Vertex> = t.iter().map(|&v| p.to_original(v)).collect();
+                moved.sort_unstable();
+                let stayed: Vec<Vertex> = t.iter().map(|&v| by_level.to_original(v)).collect();
+                assert_eq!(moved, stayed, "tile {tile}: rows {t:?}");
+                for w in t.windows(2) {
+                    if p.down().degree(w[0]) == p.down().degree(w[1]) {
+                        assert!(
+                            p.to_original(w[0]) < p.to_original(w[1]),
+                            "tile {tile}: {w:?}"
+                        );
+                    }
+                }
+            }
+            if tile == DEGREE_TILE {
+                assert!(short_levels > 0, "no level shorter than a tile");
+            }
+        }
+        // Tile 1 is the `ByLevel` order itself; the default is the tiled.
+        let one = Phast::with_degree_tile(&g, &h, Direction::Forward, 1);
+        assert_eq!(one.permutation(), by_level.permutation());
+        let default = PhastBuilder::new().build_with_hierarchy(&g, &h);
+        let tiled = Phast::with_degree_tile(&g, &h, Direction::Forward, DEGREE_TILE);
+        assert_eq!(default.permutation(), tiled.permutation());
+        assert_ne!(default.permutation(), by_level.permutation());
+    }
+
+    /// Two builds give the same tiled instance, and `from_parts` — the
+    /// store's way in — takes its arrays back.
+    #[test]
+    fn tiled_order_is_deterministic_and_reassembles() {
+        let (g, h) = tiled_network();
+        let p = PhastBuilder::new().build_with_hierarchy(&g, &h);
+        let again = PhastBuilder::new().build(&g);
+        assert_eq!(p.permutation(), again.permutation());
+        assert_eq!(p.down().arcs(), again.down().arcs());
+
+        let rebuilt = Phast::from_parts(PhastParts {
+            new_of_old: p.permutation().as_slice().to_vec().into(),
+            level_of_sweep: p.levels().to_vec(),
+            up_first: p.up().first().to_vec().into(),
+            up_arcs: p.up().arcs().to_vec().into(),
+            up_middle: p.up_middles().to_vec(),
+            down_first: p.down().first().to_vec().into(),
+            down_arcs: p.down().arcs().to_vec().into(),
+            down_middle: p.down_middles().to_vec(),
+            orig_first: p.orig_incoming().first().to_vec().into(),
+            orig_arcs: p.orig_incoming().arcs().to_vec().into(),
+            direction: p.direction(),
+            num_shortcuts: p.num_shortcuts(),
+        })
+        .expect("a tiled instance reassembles");
+        assert_eq!(rebuilt.permutation(), p.permutation());
+        assert_eq!(rebuilt.level_ranges(), p.level_ranges());
+        assert_eq!(rebuilt.engine().distances(17), p.engine().distances(17));
     }
 }

@@ -95,9 +95,10 @@ where
 
 /// Like [`par_trees`] but each worker sweeps `k` sources at once
 /// (Table II's "16 trees per core per sweep" configuration). `sources` is
-/// processed in chunks of `k`; a final short chunk is padded by repeating
-/// its last source. `f` sees the engine after each batch together with the
-/// *unpadded* sources of the batch.
+/// processed in chunks of `k`; a final short chunk runs as narrow as it is
+/// ([`MultiTreeEngine::set_k`]). `f` sees the engine after each batch
+/// together with the sources of the batch, one per lane: `engine.k()` is
+/// their number and the stride of `engine.labels()`.
 pub fn par_multi_trees<T, F>(p: &Phast, k: usize, sources: &[Vertex], f: F) -> Vec<T>
 where
     T: Send,
@@ -130,9 +131,8 @@ where
                 e
             },
             |engine, chunk| {
-                let mut padded = chunk.to_vec();
-                padded.resize(k, *chunk.last().expect("chunks are non-empty"));
-                engine.run(&padded);
+                engine.set_k(chunk.len());
+                engine.run(chunk);
                 f(chunk, engine)
             },
         )
@@ -246,6 +246,8 @@ mod tests {
         let p = Phast::preprocess(&net.graph);
         let sources: Vec<Vertex> = (0..10).collect(); // 10 = 4 + 4 + 2
         let batches = par_multi_trees(&p, 4, &sources, |chunk, e| {
+            assert_eq!(e.k(), chunk.len(), "one lane per source");
+            assert_eq!(e.labels().len(), p.num_vertices() * chunk.len());
             chunk
                 .iter()
                 .enumerate()

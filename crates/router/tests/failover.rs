@@ -304,11 +304,15 @@ fn spawn_backend_on(net: &phast_graph::gen::RoadNetwork, addr: SocketAddr) -> Se
 
 #[test]
 fn no_healthy_backend_yields_a_typed_overloaded_reply() {
-    // A port with nothing behind it: bind, learn the port, drop.
-    let dead = {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap()
-    };
+    // A backend that answers nothing: it accepts and hangs up, so every
+    // probe fails. The port stays bound for the whole test — a port that
+    // was bound and released may be handed to the router's own
+    // `127.0.0.1:0` bind below or to a backend of a test running in
+    // parallel, and then the "dead" replica answers. (The accept thread is
+    // detached like `spawn_scripted_backend`'s.)
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let dead = listener.local_addr().unwrap();
+    std::thread::spawn(move || listener.incoming().for_each(drop));
     let router = Router::spawn(
         RouterConfig {
             backends: vec![dead],

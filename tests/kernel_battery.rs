@@ -11,8 +11,14 @@
 //! RPHAST with selection = V, a single tree is the sweep at `k = 1`
 //! whichever face asks for it, and one engine may change its lane count
 //! and its view between any two runs.
+//!
+//! And for the order the rows come in (DESIGN.md §4): the kernels cannot
+//! tell the three level orders apart — paper's, degree-tiled (the
+//! default), §VI's whole-level — in either direction, and the store hands
+//! back whichever order it was given.
 
 use phast::core::simd::SimdLevel;
+use phast::ch::{contract_graph, ContractionConfig};
 use phast::core::{
     Direction, Phast, PhastBuilder, RestrictedEngine, SelectionBuilder, SweepOrder,
 };
@@ -190,23 +196,30 @@ fn a_selection_of_every_vertex_is_the_full_sweep() {
 
 /// A single tree is the k-lane sweep at k = 1: `engine()`,
 /// `multi_engine(1)`, `tree_engine()`, `RestrictedEngine` over every
-/// vertex and `distances_par` agree bit for bit, in either direction and
-/// in the rank order too. The network is big enough that `distances_par`
-/// splits the lowest level (more than 4096 vertices) into blocks.
+/// vertex and `distances_par` agree bit for bit, in either direction, in
+/// the default (degree-tiled) order, the paper's level order and the rank
+/// order. The network is big enough that `distances_par` splits the lowest
+/// level (more than 4096 vertices, four default tiles) into blocks.
 #[test]
 fn every_single_tree_face_agrees() {
     let g = adversarial_road(124);
     let n = g.num_vertices();
     let everything: Vec<Vertex> = (0..n as Vertex).collect();
     let pool = pool();
+    let h = contract_graph(&g, &ContractionConfig::default());
     for (direction, order) in [
+        (Direction::Forward, SweepOrder::ByLevelDegreeTiled),
+        (Direction::Reverse, SweepOrder::ByLevelDegreeTiled),
         (Direction::Forward, SweepOrder::ByLevel),
         (Direction::Reverse, SweepOrder::ByLevel),
         (Direction::Forward, SweepOrder::ByRank),
         (Direction::Reverse, SweepOrder::ByRank),
     ] {
-        let p = PhastBuilder::new().direction(direction).order(order).build(&g);
-        if order == SweepOrder::ByLevel {
+        let p = PhastBuilder::new()
+            .direction(direction)
+            .order(order)
+            .build_with_hierarchy(&g, &h);
+        if order != SweepOrder::ByRank {
             assert!(p.level_histogram()[0] > 4096, "lowest level not split");
         }
         let reference = match direction {
@@ -283,4 +296,101 @@ fn one_engine_reshapes_between_runs() {
             }
         }
     }
+}
+
+/// The three level orders are one sweep to the kernels: on the adversarial
+/// graph (zero weights, parallel arcs, an unreachable island), in either
+/// direction, at k = 1 and k = 16 and every level the CPU has, each order's
+/// trees are Dijkstra's.
+#[test]
+fn every_level_order_matches_dijkstra() {
+    let g = adversarial_road(84);
+    let h = contract_graph(&g, &ContractionConfig::default());
+    for direction in [Direction::Forward, Direction::Reverse] {
+        let reference = match direction {
+            Direction::Forward => g.clone(),
+            Direction::Reverse => g.transposed(),
+        };
+        let sources = sources(&g, 16);
+        let dijkstra: Vec<Vec<Weight>> = sources
+            .iter()
+            .map(|&s| shortest_paths(reference.forward(), s).dist)
+            .collect();
+        assert!(
+            dijkstra.iter().any(|d| d.contains(&INF)),
+            "island unreached"
+        );
+        for order in [
+            SweepOrder::ByLevel,
+            SweepOrder::ByLevelDegreeTiled,
+            SweepOrder::ByLevelThenDegree,
+        ] {
+            let p = PhastBuilder::new()
+                .direction(direction)
+                .order(order)
+                .build_with_hierarchy(&g, &h);
+            assert!(p.level_histogram()[0] > 1024, "lowest level is one tile");
+            for k in [1, 16] {
+                for level in LEVELS {
+                    let mut engine = p.multi_engine(k);
+                    engine.force_simd(level);
+                    engine.run(&sources[..k]);
+                    for (i, want) in dijkstra[..k].iter().enumerate() {
+                        assert_eq!(
+                            &engine.tree_distances(i),
+                            want,
+                            "{direction:?} {order:?} k={k} {level:?} lane {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The store does not know the order: a tiled instance comes back array
+/// for array (and writes the same bytes again), and an instance in the
+/// paper's order — what every artifact written before the default changed
+/// holds — loads through both decoders and serves the same trees.
+#[test]
+fn the_store_hands_back_the_order_it_was_given() {
+    let g = adversarial_road(84);
+    let h = contract_graph(&g, &ContractionConfig::default());
+    let dir = std::env::temp_dir().join(format!("phast-kernel-battery-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let probes = sources(&g, 6);
+    let tiled = PhastBuilder::new().build_with_hierarchy(&g, &h);
+    let by_level = PhastBuilder::new()
+        .order(SweepOrder::ByLevel)
+        .build_with_hierarchy(&g, &h);
+    assert_ne!(tiled.permutation(), by_level.permutation());
+    for (name, p) in [("tiled", &tiled), ("by-level", &by_level)] {
+        let path = dir.join(format!("{name}.phast"));
+        phast::store::write_instance(&path, p, Some(&h)).expect("write");
+        let (heap, _) = phast::store::read_instance(&path).expect("heap decode");
+        let mapped = phast::store::load_instance_mmap(&path)
+            .expect("mmap load")
+            .phast;
+        for q in [&heap, &mapped] {
+            assert_eq!(q.permutation(), p.permutation(), "{name}");
+            assert_eq!(q.levels(), p.levels(), "{name}");
+            assert_eq!(q.down().first(), p.down().first(), "{name}");
+            assert_eq!(q.down().arcs(), p.down().arcs(), "{name}");
+            assert_eq!(q.up().arcs(), p.up().arcs(), "{name}");
+            let (mut e, mut f) = (p.engine(), q.engine());
+            for &s in &probes {
+                let want = shortest_paths(g.forward(), s).dist;
+                assert_eq!(f.distances(s), want, "{name}, source {s}");
+                assert_eq!(f.labels(), e.distances_sweep(s), "{name}, source {s}");
+            }
+        }
+        let again = dir.join(format!("{name}-again.phast"));
+        phast::store::write_instance(&again, &heap, Some(&h)).expect("rewrite");
+        assert_eq!(
+            std::fs::read(&path).expect("read"),
+            std::fs::read(&again).expect("read"),
+            "{name}: second write differs"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -281,11 +281,13 @@ wire_smoke() {
 # `phast-core` (clamp, stale rows, sub-ranges, parents at k = 1), the
 # tests of the one engine and of its faces beside them (`multi_tree`,
 # `rphast`, `parallel` for the level-block loop, `sweep` and `tree` for the
-# k = 1 faces), and the public-API battery — in release, because the
-# optimised instantiations are what ships and debug builds keep the
-# accumulators on the stack; once more with the obs counters compiled in,
-# which changes the code around the `sweep_range` call. One module per
-# run, so that each filter must match.
+# k = 1 faces), the tests of the order the rows come in (`lib.rs`'s own
+# `tests` module: the filter `tests::` matches every module's tests, the
+# skip leaves the ones whose path starts with it), and the public-API
+# battery — in release, because the optimised instantiations are what
+# ships and debug builds keep the accumulators on the stack; once more
+# with the obs counters compiled in, which changes the code around the
+# `sweep_range` call. One module per run, so that each filter must match.
 kernel_smoke() {
     step "sweep kernel gate (raw kernels + engine + battery, release, both feature states)"
     local features module
@@ -296,6 +298,8 @@ kernel_smoke() {
             # shellcheck disable=SC2086
             filtered_tests -q --release $features -p phast-core --lib "$module::"
         done
+        # shellcheck disable=SC2086
+        filtered_tests -q --release $features -p phast-core --lib tests:: -- --skip ::tests::
     done
     echo "kernel smoke ok"
 }
