@@ -723,19 +723,6 @@ impl RefSets {
     }
 }
 
-/// The base graph with a perturbed metric's weights written over its arcs
-/// — what the scalar-Dijkstra oracle for that metric runs on.
-fn reweight(g: &Graph, m: &phast_metrics::MetricWeights) -> Graph {
-    let arcs = g
-        .forward()
-        .arcs()
-        .iter()
-        .zip(&m.weights)
-        .map(|(a, &w)| phast_graph::Arc::new(a.head, w))
-        .collect();
-    Graph::from_csr(phast_graph::Csr::from_raw(g.forward().first().to_vec(), arcs))
-}
-
 /// What one well-behaved client saw during the storm.
 struct WbOutcome {
     ok: u64,
@@ -829,7 +816,7 @@ fn run_chaos(
             let (p, ch) = customizer
                 .build(&m)
                 .map_err(|e| format!("customizing swap variant {k}: {e}"))?;
-            refs.sets.push(ref_set(&reweight(graph, &m)));
+            refs.sets.push(ref_set(&m.reweighted(graph)));
             variants.push((Arc::new(p), Arc::new(ch)));
         }
     }
@@ -1092,8 +1079,8 @@ fn run_chaos_poison_metric(
     let refs = Arc::new(RefSets {
         sets: vec![
             ref_set(graph),
-            ref_set(&reweight(graph, &honest1)),
-            ref_set(&reweight(graph, &honest2)),
+            ref_set(&honest1.reweighted(graph)),
+            ref_set(&honest2.reweighted(graph)),
         ],
     });
 
@@ -1504,18 +1491,8 @@ fn run_chaos_killbackend_inner(
     router.shutdown();
 
     let mut r = Report::new("loadgen chaos kill-backend");
-    r.push_count("wb_ok", ok)
-        .push_count("wb_failed", failed)
-        .push_count("router_forwarded", stats.forwarded())
-        .push_count("router_answered", stats.answered())
-        .push_count("router_failovers", stats.failovers())
-        .push_count("router_ejections", stats.ejections())
-        .push_count("router_recoveries", stats.recoveries())
-        .push_count("router_drained_conns", stats.drained_conns())
-        .push_count("router_retries_exhausted", stats.retries_exhausted())
-        .push_count("router_no_backend", stats.no_backend())
-        .push_count("router_probes", stats.probes())
-        .push_count("router_probe_failures", stats.probe_failures());
+    r.push_count("wb_ok", ok).push_count("wb_failed", failed);
+    stats.fill_report(&mut r);
     if json {
         println!("{}", serde_json::to_string(&r).map_err(|e| e.to_string())?);
     } else {

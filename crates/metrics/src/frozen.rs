@@ -396,15 +396,7 @@ impl FrozenTopology {
         }
         let n = self.rank.len();
 
-        let arcs = base
-            .forward()
-            .arcs()
-            .iter()
-            .zip(&metric.weights)
-            .map(|(arc, &w)| Arc::new(arc.head, w))
-            .collect();
-        let reweighted =
-            Graph::from_csr(Csr::from_raw(base.forward().first().to_vec(), arcs));
+        let reweighted = metric.reweighted(base);
 
         // Each closure arc lives at its lower endpoint: tail side in the
         // forward (upward) search graph, head side in the backward one —

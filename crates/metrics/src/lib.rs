@@ -208,7 +208,7 @@ mod tests {
         let m = MetricWeights::perturbed(cust.graph(), "rush-hour", 1, 0xfeed);
         let (p, _) = cust.build(&m).expect("customize");
         // Dijkstra runs on the *reweighted* graph — rebuild it here.
-        let g2 = reweight(cust.graph(), &m);
+        let g2 = m.reweighted(cust.graph());
         for s in [0u32, 9, 20] {
             assert_eq!(
                 p.engine().distances(s),
@@ -216,17 +216,6 @@ mod tests {
                 "tree from {s} differs"
             );
         }
-    }
-
-    fn reweight(g: &Graph, m: &MetricWeights) -> Graph {
-        let arcs = g
-            .forward()
-            .arcs()
-            .iter()
-            .zip(&m.weights)
-            .map(|(a, &w)| phast_graph::Arc::new(a.head, w))
-            .collect();
-        Graph::from_csr(phast_graph::Csr::from_raw(g.forward().first().to_vec(), arcs))
     }
 
     #[test]
@@ -244,7 +233,7 @@ mod tests {
         // silent — but its answers diverge from the declared weights.
         let (p, h2) = cust.build(&target).expect("corrupted build still succeeds");
         h2.validate().expect("corrupted hierarchy still validates");
-        let honest = shortest_paths(reweight(cust.graph(), &target).forward(), 0).dist;
+        let honest = shortest_paths(target.reweighted(cust.graph()).forward(), 0).dist;
         assert_ne!(
             p.engine().distances(0),
             honest,
@@ -254,11 +243,11 @@ mod tests {
         // A different name, and a different *version* of the armed name,
         // are untouched.
         let (p, _) = cust.build(&bystander).expect("customize");
-        let want = shortest_paths(reweight(cust.graph(), &bystander).forward(), 0).dist;
+        let want = shortest_paths(bystander.reweighted(cust.graph()).forward(), 0).dist;
         assert_eq!(p.engine().distances(0), want);
         let v2 = MetricWeights::perturbed(cust.graph(), "seam-target", 2, 0xabcd);
         let (p, _) = cust.build(&v2).expect("customize");
-        let want = shortest_paths(reweight(cust.graph(), &v2).forward(), 0).dist;
+        let want = shortest_paths(v2.reweighted(cust.graph()).forward(), 0).dist;
         assert_eq!(p.engine().distances(0), want);
         std::env::remove_var(CANARY_FAULT_ENV);
     }

@@ -1,6 +1,6 @@
 //! Versioned metric artifacts: one `u32` weight per base arc.
 
-use phast_graph::{Graph, Weight, MAX_WEIGHT};
+use phast_graph::{Arc, Csr, Graph, Weight, MAX_WEIGHT};
 
 /// A named, versioned weight assignment for a base graph.
 ///
@@ -69,6 +69,27 @@ impl MetricWeights {
         Ok(())
     }
 
+    /// `base` with this metric's weights written over its arcs in
+    /// canonical order — the graph customization serves and the one a
+    /// reference Dijkstra for this metric runs on.
+    ///
+    /// # Panics
+    /// If the metric does not [`validate`](Self::validate) against `base`
+    /// (wrong arity, or a weight the wrap-free kernels cannot take).
+    pub fn reweighted(&self, base: &Graph) -> Graph {
+        if let Err(e) = self.validate(base.num_arcs()) {
+            panic!("cannot reweight the graph: {e}");
+        }
+        let forward = base.forward();
+        let arcs = forward
+            .arcs()
+            .iter()
+            .zip(&self.weights)
+            .map(|(arc, &w)| Arc::new(arc.head, w))
+            .collect();
+        Graph::from_csr(Csr::from_raw(forward.first().to_vec(), arcs))
+    }
+
     /// A deterministic random perturbation of `graph`'s own weights: each
     /// arc is scaled by a seed-derived factor in `[0.5, 2.0]`, clamped to
     /// [`MAX_WEIGHT`]. The same `(graph, seed)` always produces the same
@@ -124,6 +145,26 @@ mod tests {
         let m = MetricWeights::new("m", 1, vec![1, 2, 3]).unwrap();
         assert!(m.validate(3).is_ok());
         assert!(m.validate(4).is_err());
+    }
+
+    #[test]
+    fn reweighted_keeps_the_topology_and_takes_the_weights() {
+        let net = RoadNetworkConfig::new(5, 5, 7, Metric::TravelTime).build();
+        let m = MetricWeights::perturbed(&net.graph, "p", 1, 42);
+        let g2 = m.reweighted(&net.graph);
+        assert_eq!(g2.forward().first(), net.graph.forward().first());
+        let arcs = |g: &Graph| g.forward().arcs().to_vec();
+        let (old, new) = (arcs(&net.graph), arcs(&g2));
+        assert!(old.iter().map(|a| a.head).eq(new.iter().map(|a| a.head)));
+        assert!(new.iter().map(|a| a.weight).eq(m.weights.iter().copied()));
+    }
+
+    #[test]
+    #[should_panic(expected = "has 3 weights but the graph has")]
+    fn reweighted_rejects_a_metric_of_another_graph() {
+        let net = RoadNetworkConfig::new(5, 5, 7, Metric::TravelTime).build();
+        let short = MetricWeights::new("short", 1, vec![1, 2, 3]).unwrap();
+        short.reweighted(&net.graph);
     }
 
     #[test]

@@ -165,6 +165,56 @@ impl QueryStats {
     }
 }
 
+/// Declares a struct of monotone, always-on service counters from one
+/// table. A row — a doc comment, then `field: bumper => "report key",` —
+/// generates the `AtomicU64` field, the getter `field()` (carrying the
+/// row's doc), `bumper(n)` and the row's line of
+/// `fill_report(&self, &mut Report)`, which reports every row in table
+/// order: a counter cannot exist without being reported, and adding one
+/// is adding one row. Fields that are not counters follow the rows after
+/// a `..`; the struct derives `Debug` and `Default`. All accesses are
+/// `Relaxed` — the counters are statistics and publish no other data.
+/// Unlike [`Counters`] they are shared across threads and count per
+/// request, not per arc. `phast-serve`'s `ServiceStats` and
+/// `phast-router`'s `RouterStats` are the two tables.
+#[macro_export]
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$doc:meta])* $field:ident: $bump:ident => $key:literal,)*
+            $(.. $($(#[$plain_doc:meta])* $plain:ident: $plain_ty:ty),* $(,)?)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $($(#[$doc])* $field: ::std::sync::atomic::AtomicU64,)*
+            $($($(#[$plain_doc])* $plain: $plain_ty,)*)?
+        }
+
+        impl $name {
+            $(
+                $(#[$doc])*
+                pub fn $field(&self) -> u64 {
+                    self.$field.load(::std::sync::atomic::Ordering::Relaxed)
+                }
+
+                #[doc = concat!("Adds `n` to [`Self::", stringify!($field), "`].")]
+                pub fn $bump(&self, n: u64) {
+                    self.$field.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+                }
+            )*
+
+            /// Appends every counter to `report` under its key, in table
+            /// order.
+            pub fn fill_report(&self, report: &mut $crate::Report) {
+                $(report.push_count($key, self.$field());)*
+            }
+        }
+    };
+}
+
 /// A monotonic phase timer ([`Instant`]-based).
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseTimer {
@@ -318,6 +368,47 @@ mod tests {
         }
         prep::reset();
         assert_eq!(prep::counters(), Counters::default());
+    }
+
+    counter_table! {
+        /// A three-row table with one field that is not a counter.
+        struct Toy {
+            /// First.
+            alpha: add_alpha => "toy_alpha",
+            /// Second; its key is not its field name.
+            beta: add_beta => "renamed_beta",
+            /// Third.
+            gamma: add_gamma => "toy_gamma",
+            ..
+            /// Not a counter: never reported.
+            label: String,
+        }
+    }
+
+    #[test]
+    fn counter_table_generates_getters_bumpers_and_an_ordered_report() {
+        let t = Toy::default();
+        assert_eq!((t.alpha(), t.beta(), t.gamma()), (0, 0, 0));
+        assert!(t.label.is_empty());
+        t.add_alpha(2);
+        t.add_alpha(3);
+        t.add_beta(1);
+        t.add_gamma(7);
+        assert_eq!((t.alpha(), t.beta(), t.gamma()), (5, 1, 7));
+        let mut r = Report::new("toy");
+        r.push_count("before", 1);
+        t.fill_report(&mut r);
+        let got: Vec<_> = r.entries().iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        assert_eq!(
+            got,
+            vec![
+                ("before", MetricValue::Count(1)),
+                ("toy_alpha", MetricValue::Count(5)),
+                ("renamed_beta", MetricValue::Count(1)),
+                ("toy_gamma", MetricValue::Count(7)),
+            ],
+            "every row, under its key, in table order, after what was there"
+        );
     }
 
     #[test]

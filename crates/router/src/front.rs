@@ -1,35 +1,27 @@
-//! The TCP front: accept loop, prober thread, and the failover
-//! dispatch path.
+//! The router's front: a [`LineFront`] whose lines are relayed to the
+//! backends by the failover dispatch path, and the prober thread beside
+//! it.
 //!
 //! The router speaks the backends' own line-delimited JSON protocol on
 //! both sides, so a request line is relayed verbatim: whatever `id` the
 //! client chose is echoed by whichever replica finally answers, and a
 //! failed-over request is answered exactly once — the first well-formed
-//! reply wins and nothing else is sent for that line.
+//! reply wins and nothing else is sent for that line. The client-facing
+//! edge (connection cap, timeouts, bounded lines, forced close) is the
+//! same hardened front `phast-serve` listens through, and every backend
+//! socket — pooled or the prober's — is a [`LineConn`].
 
 use crate::backend::BackendPool;
 use crate::stats::RouterStats;
-use crate::RouterConfig;
-use phast_serve::conn::{BoundedLineReader, ConnRegistry, LineOutcome};
+use crate::{HealthState, RouterConfig};
+use phast_serve::conn::{EdgeEvent, FrontLimits, LineConn, LineFront, LineService};
 use phast_serve::protocol::{self, ErrorKind, ReplyClass, ServeError};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Accept-failure backoff start; doubles per consecutive failure.
-const ACCEPT_BACKOFF_START: Duration = Duration::from_millis(5);
-
-/// Accept-failure backoff cap — EMFILE-style pressure clears when
-/// connections close, so the loop keeps probing.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
-
-/// How long [`Router::shutdown`] waits for connection threads to notice
-/// their closed sockets.
-const SHUTDOWN_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Sleep slice of the prober loop, so shutdown is never blocked behind a
 /// full probe interval.
@@ -39,15 +31,19 @@ const PROBER_TICK: Duration = Duration::from_millis(10);
 /// for an eject/half-open/recover round trip at default tuning.
 const NO_BACKEND_RETRY_MS: u64 = 200;
 
-/// A running failover router: one listening port, N backend replicas.
-pub struct Router {
-    addr: SocketAddr,
-    cfg: Arc<RouterConfig>,
+/// What the connection threads and the prober share.
+struct Shared {
+    cfg: RouterConfig,
     pool: Arc<BackendPool>,
     stats: Arc<RouterStats>,
-    stop: Arc<AtomicBool>,
-    registry: Arc<ConnRegistry>,
-    accept_handle: Option<thread::JoinHandle<()>>,
+    /// Stops the prober.
+    stop: AtomicBool,
+}
+
+/// A running failover router: one listening port, N backend replicas.
+pub struct Router {
+    front: LineFront,
+    shared: Arc<Shared>,
     prober_handle: Option<thread::JoinHandle<()>>,
 }
 
@@ -56,84 +52,70 @@ impl Router {
     /// once the port is listening. Backends all start healthy; dead ones
     /// are ejected by the prober within a few probe intervals.
     pub fn spawn(cfg: RouterConfig, addr: impl ToSocketAddrs) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let cfg = Arc::new(cfg);
-        let pool = Arc::new(BackendPool::new(&cfg.backends));
-        let stats = Arc::new(RouterStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let registry = ConnRegistry::new(cfg.max_conns);
-        let prober_handle = {
-            let (cfg, pool, stats, stop) = (
-                Arc::clone(&cfg),
-                Arc::clone(&pool),
-                Arc::clone(&stats),
-                Arc::clone(&stop),
-            );
-            thread::Builder::new()
-                .name("router-prober".into())
-                .spawn(move || prober_loop(&cfg, &pool, &stats, &stop))?
+        let limits = FrontLimits {
+            max_conns: cfg.max_conns,
+            io_timeout: cfg.io_timeout,
+            max_line_bytes: cfg.max_line_bytes,
         };
-        let accept_handle = {
-            let (cfg, pool, stats, stop, registry) = (
-                Arc::clone(&cfg),
-                Arc::clone(&pool),
-                Arc::clone(&stats),
-                Arc::clone(&stop),
-                Arc::clone(&registry),
-            );
-            thread::Builder::new()
-                .name("router-accept".into())
-                .spawn(move || accept_loop(&listener, &cfg, &pool, &stats, &stop, &registry))?
-        };
-        Ok(Router {
-            addr,
+        let shared = Arc::new(Shared {
+            pool: Arc::new(BackendPool::new(&cfg.backends)),
+            stats: Arc::new(RouterStats::default()),
+            stop: AtomicBool::new(false),
             cfg,
-            pool,
-            stats,
-            stop,
-            registry,
-            accept_handle: Some(accept_handle),
+        });
+        let front = LineFront::spawn(Arc::clone(&shared), addr, limits, "router")?;
+        let prober = Arc::clone(&shared);
+        let prober_handle = thread::Builder::new()
+            .name("router-prober".into())
+            .spawn(move || prober_loop(&prober))?;
+        Ok(Router {
+            front,
+            shared,
             prober_handle: Some(prober_handle),
         })
     }
 
     /// The bound listening address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// The configuration this router runs with.
     pub fn config(&self) -> &RouterConfig {
-        &self.cfg
+        &self.shared.cfg
     }
 
     /// The router's counters.
     pub fn stats(&self) -> &Arc<RouterStats> {
-        &self.stats
+        &self.shared.stats
     }
 
     /// The backend pool (health states, inflight, generations).
     pub fn pool(&self) -> &Arc<BackendPool> {
-        &self.pool
+        &self.shared.pool
     }
 
     /// Live client connections right now.
     pub fn live_connections(&self) -> usize {
-        self.registry.live()
+        self.front.live_connections()
     }
 
-    /// Stops accepting, force-closes live client connections, and joins
-    /// the prober. Clients mid-request observe a closed connection.
+    /// Stops accepting, force-closes live client connections and waits
+    /// for their threads, and joins the prober. Clients mid-request
+    /// observe a closed connection.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        self.registry.close_all();
-        self.registry.wait_drained(SHUTDOWN_DRAIN_TIMEOUT);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.front.shutdown();
+    }
+}
+
+impl Drop for Router {
+    /// A dropped router takes its port and its threads with it: the front
+    /// closes first (so the port is free even while a probe is still
+    /// waiting out a dead backend), then the prober is joined.
+    fn drop(&mut self) {
+        self.front.close();
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.prober_handle.take() {
             let _ = h.join();
         }
@@ -144,54 +126,45 @@ impl Router {
 /// generation at open time; an ejection bumps the backend's counter, so
 /// a mismatch means "opened before the replica was declared dead" and
 /// the connection is drained (closed) instead of reused.
-struct BackendConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+struct Pooled {
+    conn: LineConn,
     generation: u64,
-    /// The most recent reply line; reused across exchanges, and swapped
-    /// with the client connection's buffer when the line is relayed.
+}
+
+/// State of one client connection.
+#[derive(Default)]
+struct ClientConn {
+    /// Pooled backend connections of THIS client connection, by backend
+    /// index. Per-connection pooling keeps request/reply pairing trivial
+    /// (one line in flight per backend socket) at the cost of more
+    /// sockets; replicas already bound their own connection counts.
+    backends: HashMap<usize, Pooled>,
+    /// The one reply line this connection is about to send; a relayed
+    /// line arrives here by buffer swap, not by copy.
     reply: Vec<u8>,
 }
 
-fn open_conn(addr: SocketAddr, generation: u64, cfg: &RouterConfig) -> std::io::Result<BackendConn> {
-    let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)?;
-    stream.set_nodelay(true).ok();
-    let io_timeout = (!cfg.io_timeout.is_zero()).then_some(cfg.io_timeout);
-    stream.set_read_timeout(io_timeout)?;
-    stream.set_write_timeout(io_timeout)?;
-    Ok(BackendConn {
-        reader: BufReader::new(stream.try_clone()?),
-        writer: stream,
-        generation,
-        reply: Vec::new(),
-    })
+impl LineService for Shared {
+    type Conn = ClientConn;
+
+    fn answer<'c>(&self, conn: &'c mut ClientConn, line: &str) -> &'c [u8] {
+        self.dispatch(line, conn);
+        conn.reply.push(b'\n');
+        &conn.reply
+    }
+
+    fn count(&self, event: EdgeEvent) {
+        match event {
+            EdgeEvent::RefusedBusy => self.stats.add_refused_busy(1),
+            EdgeEvent::TimedOut => self.stats.add_timed_out_connections(1),
+            EdgeEvent::OversizedLine => self.stats.add_oversized_lines(1),
+            EdgeEvent::AcceptError => self.stats.add_accept_errors(1),
+        }
+    }
 }
 
-/// Writes one request line and reads one reply line into `conn.reply`
-/// (line end cut). Any error — including a clean EOF, which mid-exchange
-/// means the replica died — leaves the connection unusable (possible
-/// stream desync), so the caller must drop it.
-fn exchange(conn: &mut BackendConn, line: &str, read_budget: Duration) -> std::io::Result<()> {
-    // A shrinking deadline budget caps the read: waiting the full
-    // io_timeout on a doomed attempt would eat the failover attempts.
-    conn.writer
-        .set_read_timeout(Some(read_budget.max(Duration::from_millis(1))))?;
-    conn.writer.write_all(line.as_bytes())?;
-    conn.writer.write_all(b"\n")?;
-    conn.reply.clear();
-    if conn.reader.read_until(b'\n', &mut conn.reply)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "backend closed mid-request",
-        ));
-    }
-    while let Some(b'\n' | b'\r') = conn.reply.last() {
-        conn.reply.pop();
-    }
-    Ok(())
-}
-
-fn prober_loop(cfg: &RouterConfig, pool: &BackendPool, stats: &RouterStats, stop: &AtomicBool) {
+fn prober_loop(shared: &Shared) {
+    let (cfg, pool, stats, stop) = (&shared.cfg, &shared.pool, &shared.stats, &shared.stop);
     let mut last_round = Instant::now() - cfg.probe_interval;
     while !stop.load(Ordering::SeqCst) {
         if last_round.elapsed() < cfg.probe_interval {
@@ -204,10 +177,10 @@ fn prober_loop(cfg: &RouterConfig, pool: &BackendPool, stats: &RouterStats, stop
                 return;
             }
             let due = match backend.state() {
-                crate::HealthState::Healthy => true,
+                HealthState::Healthy => true,
                 // Ejected backends are probed only once the half-open
                 // door opens; a resting replica is left alone.
-                crate::HealthState::Ejected | crate::HealthState::HalfOpen => {
+                HealthState::Ejected | HealthState::HalfOpen => {
                     backend.tick_halfopen(cfg.halfopen_after)
                 }
             };
@@ -228,257 +201,184 @@ fn prober_loop(cfg: &RouterConfig, pool: &BackendPool, stats: &RouterStats, stop
 /// One health probe: a `stats` request must come back as a well-formed
 /// `ok` reply within the io timeout.
 fn probe(addr: SocketAddr, cfg: &RouterConfig) -> bool {
-    let mut conn = match open_conn(addr, 0, cfg) {
-        Ok(c) => c,
-        Err(_) => return false,
-    };
-    exchange(&mut conn, "{\"op\":\"stats\"}", cfg.io_timeout).is_ok()
-        && protocol::classify_reply(&conn.reply) == Ok(ReplyClass::Ok)
+    LineConn::connect(addr, cfg.connect_timeout, cfg.io_timeout).is_ok_and(|mut conn| {
+        conn.exchange("{\"op\":\"stats\"}", None).is_ok()
+            && protocol::classify_reply(conn.reply()) == Ok(ReplyClass::Ok)
+    })
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    cfg: &Arc<RouterConfig>,
-    pool: &Arc<BackendPool>,
-    stats: &Arc<RouterStats>,
-    stop: &Arc<AtomicBool>,
-    registry: &Arc<ConnRegistry>,
-) {
-    let mut backoff = ACCEPT_BACKOFF_START;
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return;
+impl Shared {
+    /// Routes one request line and leaves in `client.reply` the one reply line
+    /// the client gets (no newline). Failover policy:
+    ///
+    /// * A transport failure (connect/write/read error, EOF, garbage reply)
+    ///   counts against the backend's health, drops the pooled connection,
+    ///   and re-dispatches to a different healthy replica.
+    /// * A *retryable* typed reply (`overloaded`, `queue_full`, `busy`,
+    ///   `transport`) re-dispatches too, but with no health penalty — a
+    ///   shedding replica is alive — and over a kept connection.
+    /// * Any other reply is relayed verbatim, so the client's `id` (echoed
+    ///   by the replica) survives the failover untouched.
+    ///
+    /// The budget is the request's own `deadline_ms` when present, else
+    /// [`RouterConfig::default_budget`]; attempts are further capped at
+    /// `1 + max_failovers`. An unparseable line gets exactly one attempt —
+    /// the backend's `malformed` verdict is relayed, never retried.
+    fn dispatch(&self, line: &str, client: &mut ClientConn) {
+        let (cfg, pool, stats) = (&self.cfg, &self.pool, &self.stats);
+        let parsed = protocol::parse_request(line).ok();
+        let id = parsed.as_ref().and_then(|r| r.id);
+        let budget = parsed
+            .as_ref()
+            .and_then(|r| r.deadline_ms)
+            .map(Duration::from_millis)
+            .unwrap_or(cfg.default_budget);
+        let give_up_at = Instant::now() + budget;
+        let max_attempts = if parsed.is_some() {
+            cfg.max_failovers.saturating_add(1)
+        } else {
+            1
+        };
+        let mut tried: Vec<usize> = Vec::new();
+        let mut last_err: Option<ServeError> = None;
+        let mut attempts = 0u32;
+        while attempts < max_attempts {
+            let now = Instant::now();
+            if attempts > 0 && now >= give_up_at {
+                break;
+            }
+            let Some(idx) = pool.pick(&tried) else { break };
+            if attempts > 0 {
+                stats.add_failovers(1);
+            }
+            attempts += 1;
+            match self.attempt(idx, line, give_up_at, max_attempts > 1, client) {
+                Ok(None) => {
+                    stats.add_answered(1);
+                    return;
+                }
+                // The replica is alive and talking — it keeps its health,
+                // the work just goes elsewhere.
+                Ok(Some(retryable)) => last_err = Some(retryable),
+                Err(fault) => {
+                    pool.backends()[idx].note_failure(cfg.eject_after, stats);
+                    last_err = Some(ServeError::new(ErrorKind::Transport, fault));
+                }
+            }
+            tried.push(idx);
         }
-        let stream = match stream {
-            Ok(s) => {
-                backoff = ACCEPT_BACKOFF_START;
-                s
+        let err = match last_err {
+            Some(err) => {
+                stats.add_retries_exhausted(1);
+                err
             }
-            Err(_) => {
-                thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                continue;
+            None => {
+                stats.add_no_backend(1);
+                ServeError::overloaded(NO_BACKEND_RETRY_MS, "no healthy backend in rotation")
             }
         };
-        let Some(guard) = registry.try_register(&stream) else {
-            refuse_busy(&stream, cfg);
-            continue;
-        };
-        let (cfg, pool, stats) = (Arc::clone(cfg), Arc::clone(pool), Arc::clone(stats));
-        // On spawn failure (thread exhaustion) the closure is dropped,
-        // which closes the socket — the client sees a clean refusal.
-        let _ = thread::Builder::new()
-            .name("router-conn".into())
-            .spawn(move || {
-                let _guard = guard;
-                let _ = client_loop(&stream, &cfg, &pool, &stats);
-            });
+        client.reply.clear();
+        client
+            .reply
+            .extend_from_slice(protocol::encode_error(id, &err).as_bytes());
     }
-}
 
-fn refuse_busy(stream: &TcpStream, cfg: &RouterConfig) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let err = ServeError::new(
-        ErrorKind::Busy,
-        format!(
-            "router connection limit {} reached; retry shortly",
-            cfg.max_conns
-        ),
-    );
-    let mut line = protocol::encode_error(None, &err);
-    line.push('\n');
-    let _ = (&mut &*stream).write_all(line.as_bytes());
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-fn client_loop(
-    stream: &TcpStream,
-    cfg: &RouterConfig,
-    pool: &BackendPool,
-    stats: &RouterStats,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let io_timeout = (!cfg.io_timeout.is_zero()).then_some(cfg.io_timeout);
-    stream.set_read_timeout(io_timeout)?;
-    stream.set_write_timeout(io_timeout)?;
-    let mut reader = BoundedLineReader::new(stream.try_clone()?, cfg.max_line_bytes);
-    let mut writer = stream.try_clone()?;
-    // Pooled backend connections of THIS client connection, by backend
-    // index. Per-connection pooling keeps request/reply pairing trivial
-    // (one line in flight per backend socket) at the cost of more
-    // sockets; replicas already bound their own connection counts.
-    let mut conns: HashMap<usize, BackendConn> = HashMap::new();
-    // The one reply line this connection is about to send, newline
-    // included so it leaves in a single write.
-    let mut reply: Vec<u8> = Vec::new();
-    loop {
-        let line = match reader.read_line() {
-            Ok(LineOutcome::Eof) => return Ok(()),
-            Ok(LineOutcome::Line(line)) => line,
-            Ok(LineOutcome::TooLong) => {
-                let err = ServeError::new(
-                    ErrorKind::Malformed,
-                    format!("request line exceeds {} bytes", cfg.max_line_bytes),
-                );
-                let mut refusal = protocol::encode_error(None, &err);
-                refusal.push('\n');
-                writer.write_all(refusal.as_bytes())?;
-                return Ok(());
-            }
-            // An idle keep-alive connection timing out is a normal
-            // close, not an error.
-            Err(ref e) if is_timeout(e) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        dispatch(&line, cfg, pool, stats, &mut conns, &mut reply);
-        reply.push(b'\n');
-        writer.write_all(&reply)?;
-    }
-}
-
-/// Routes one request line and leaves in `reply` the one reply line the
-/// client gets (no newline). Failover policy:
-///
-/// * A transport failure (connect/write/read error, EOF, garbage reply)
-///   counts against the backend's health, drops the pooled connection,
-///   and re-dispatches to a different healthy replica.
-/// * A *retryable* typed reply (`overloaded`, `queue_full`, `busy`,
-///   `transport`) re-dispatches too, but with no health penalty — a
-///   shedding replica is alive — and over a kept connection.
-/// * Any other reply is relayed verbatim, so the client's `id` (echoed
-///   by the replica) survives the failover untouched.
-///
-/// The budget is the request's own `deadline_ms` when present, else
-/// [`RouterConfig::default_budget`]; attempts are further capped at
-/// `1 + max_failovers`. An unparseable line gets exactly one attempt —
-/// the backend's `malformed` verdict is relayed, never retried.
-fn dispatch(
-    line: &str,
-    cfg: &RouterConfig,
-    pool: &BackendPool,
-    stats: &RouterStats,
-    conns: &mut HashMap<usize, BackendConn>,
-    reply: &mut Vec<u8>,
-) {
-    let parsed = protocol::parse_request(line).ok();
-    let id = parsed.as_ref().and_then(|r| r.id);
-    let budget = parsed
-        .as_ref()
-        .and_then(|r| r.deadline_ms)
-        .map(Duration::from_millis)
-        .unwrap_or(cfg.default_budget);
-    let give_up_at = Instant::now() + budget;
-    let max_attempts = if parsed.is_some() {
-        cfg.max_failovers.saturating_add(1)
-    } else {
-        1
-    };
-    let mut tried: Vec<usize> = Vec::new();
-    let mut last_err: Option<ServeError> = None;
-    let mut attempts = 0u32;
-    while attempts < max_attempts {
-        let now = Instant::now();
-        if attempts > 0 && now >= give_up_at {
-            break;
-        }
-        let Some(idx) = pool.pick(&tried) else { break };
-        if attempts > 0 {
-            stats.add_failovers(1);
-        }
-        attempts += 1;
-        let backend = &pool.backends()[idx];
-        let pooled = match conns.remove(&idx) {
-            Some(c) if c.generation == backend.generation() => Some(c),
-            Some(_stale) => {
-                // Opened before this backend's last ejection: drain it
-                // (dropping closes the socket) rather than trust it.
-                stats.add_drained_conns(1);
-                None
-            }
-            None => None,
-        };
-        let mut conn = match pooled
-            .map(Ok)
-            .unwrap_or_else(|| open_conn(backend.addr(), backend.generation(), cfg))
-        {
-            Ok(c) => c,
-            Err(e) => {
-                backend.note_failure(cfg.eject_after, stats);
-                tried.push(idx);
-                last_err = Some(ServeError::new(
-                    ErrorKind::Transport,
-                    format!("backend {}: connect failed: {e}", backend.addr()),
-                ));
-                continue;
+    /// One attempt of `line` on backend `idx`, over its pooled connection
+    /// or a fresh one. `Ok(None)`: the reply line is in `client.reply`, to be
+    /// relayed. `Ok(Some(e))`: the replica answered with the retryable
+    /// error `e` and `may_retry` — its connection is kept. `Err(why)`: a
+    /// transport fault; whatever connection was involved is dropped
+    /// (closed), since a poisoned or lying stream cannot be trusted again.
+    fn attempt(
+        &self,
+        idx: usize,
+        line: &str,
+        give_up_at: Instant,
+        may_retry: bool,
+        client: &mut ClientConn,
+    ) -> Result<Option<ServeError>, String> {
+        let (cfg, stats, backend) = (&self.cfg, &self.stats, &self.pool.backends()[idx]);
+        let addr = backend.addr();
+        let generation = backend.generation();
+        let mut pooled = match client.backends.remove(&idx) {
+            Some(pooled) if pooled.generation == generation => pooled,
+            stale => {
+                if stale.is_some() {
+                    // Opened before this backend's last ejection: drain it
+                    // (dropping closes the socket) rather than trust it.
+                    stats.add_drained_conns(1);
+                }
+                let conn = LineConn::connect(addr, cfg.connect_timeout, cfg.io_timeout)
+                    .map_err(|e| format!("backend {addr}: connect failed: {e}"))?;
+                Pooled { conn, generation }
             }
         };
+        // A shrinking deadline budget caps the read: waiting the full
+        // io_timeout on a doomed attempt would eat the failover attempts.
         let read_budget = give_up_at
             .saturating_duration_since(Instant::now())
             .min(cfg.io_timeout);
         backend.start();
         stats.add_forwarded(1);
-        let outcome = exchange(&mut conn, line, read_budget);
+        let outcome = pooled.conn.exchange(line, Some(read_budget));
         backend.finish();
-        if let Err(e) = outcome {
-            backend.note_failure(cfg.eject_after, stats);
-            tried.push(idx);
-            last_err = Some(ServeError::new(
-                ErrorKind::Transport,
-                format!("backend {} failed mid-request: {e}", backend.addr()),
-            ));
-            continue;
-        }
+        outcome.map_err(|e| format!("backend {addr} failed mid-request: {e}"))?;
         // One validating pass over the whole line and nothing kept of it:
         // the hop needs "relay, retry elsewhere, or fault", not the tree.
-        match protocol::classify_reply(&conn.reply) {
-            Ok(ReplyClass::Error(e)) if e.kind.is_retryable() && max_attempts > 1 => {
-                // The replica is alive and talking — keep its connection
-                // and its health, just take the work elsewhere.
-                backend.note_success(stats);
-                conns.insert(idx, conn);
-                tried.push(idx);
-                last_err = Some(e);
+        // Garbage on a trusted stream is a possible desync: a fault too.
+        let class = protocol::classify_reply(pooled.conn.reply())
+            .map_err(|e| format!("backend {addr} sent an undecodable reply: {e}"))?;
+        backend.note_success(stats);
+        let retryable = match class {
+            ReplyClass::Error(e) if e.kind.is_retryable() && may_retry => Some(e),
+            _ => {
+                pooled.conn.swap_reply(&mut client.reply);
+                None
             }
-            Ok(_) => {
-                backend.note_success(stats);
-                // Hand the line over by swapping buffers: both keep their
-                // capacity for the next reply.
-                std::mem::swap(reply, &mut conn.reply);
-                conns.insert(idx, conn);
-                stats.add_answered(1);
-                return;
-            }
-            Err(e) => {
-                // Garbage on a trusted stream: possible desync, treat
-                // like a transport fault.
-                backend.note_failure(cfg.eject_after, stats);
-                tried.push(idx);
-                last_err = Some(ServeError::new(
-                    ErrorKind::Transport,
-                    format!("backend {} sent an undecodable reply: {e}", backend.addr()),
-                ));
-            }
-        }
+        };
+        client.backends.insert(idx, pooled);
+        Ok(retryable)
     }
-    let err = match last_err {
-        Some(err) => {
-            stats.add_retries_exhausted(1);
-            err
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{TcpListener, TcpStream};
+
+    /// A router dropped without `shutdown()` used to keep its port bound
+    /// and its accept and prober threads running for the life of the
+    /// process.
+    #[test]
+    fn a_dropped_router_frees_its_port() {
+        // A backend that accepts and hangs up: every probe runs and fails.
+        let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = RouterConfig {
+            backends: vec![backend.local_addr().unwrap()],
+            probe_interval: Duration::from_millis(5),
+            ..RouterConfig::default()
+        };
+        std::thread::spawn(move || backend.incoming().for_each(drop));
+        let router = Router::spawn(cfg, "127.0.0.1:0").unwrap();
+        let addr = router.local_addr();
+        let stats = Arc::clone(router.stats());
+        while stats.probes() == 0 {
+            thread::sleep(Duration::from_millis(1));
         }
-        None => {
-            stats.add_no_backend(1);
-            ServeError::overloaded(NO_BACKEND_RETRY_MS, "no healthy backend in rotation")
-        }
-    };
-    reply.clear();
-    reply.extend_from_slice(protocol::encode_error(id, &err).as_bytes());
+        drop(TcpStream::connect(addr).expect("the router is listening"));
+
+        drop(router);
+        let t = Instant::now();
+        let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(300));
+        assert!(refused.is_err(), "a dropped router still accepts on {addr}");
+        assert!(
+            t.elapsed() < Duration::from_millis(300),
+            "refusal took {:?}",
+            t.elapsed()
+        );
+        // The prober went with it: no probe is sent any more.
+        let probes = stats.probes();
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(stats.probes(), probes, "router-prober outlived its router");
+    }
 }

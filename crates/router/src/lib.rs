@@ -29,10 +29,16 @@
 //!   last typed error (never a silent close), and
 //!   `router_retries_exhausted` counts it.
 //!
+//! * **The backends' own edge**: the client-facing port is a
+//!   `phast_serve::conn::LineFront` — the same connection cap, I/O
+//!   timeouts, line cap and typed `busy` / `malformed` refusals as a
+//!   backend's — and every backend socket is a
+//!   `phast_serve::conn::LineConn`.
+//!
 //! Everything is observable through [`RouterStats`] — the `router_*`
 //! counters (failovers, ejections, drained connections, exhausted
-//! retries, …) exported in the same `phast-obs` report schema as the
-//! backends' own stats.
+//! retries, the edge's refusals and reaped connections, …) exported in
+//! the same `phast-obs` report schema as the backends' own stats.
 
 pub mod backend;
 pub mod front;

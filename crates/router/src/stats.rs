@@ -2,118 +2,58 @@
 //! the router's numbers line up with the backends' own `--stats` output.
 
 use phast_obs::Report;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters of one [`Router`](crate::Router) instance.
-#[derive(Debug, Default)]
-pub struct RouterStats {
-    /// Request lines written to a backend (retries count again — this is
-    /// dispatch work, not client demand).
-    forwarded: AtomicU64,
-    /// Reply lines relayed to clients (answers, stats, and non-retryable
-    /// typed errors alike).
-    answered: AtomicU64,
-    /// Requests re-dispatched to another replica after a transport
-    /// failure or a retryable typed reply.
-    failovers: AtomicU64,
-    /// Backends ejected from rotation by consecutive failures.
-    ejections: AtomicU64,
-    /// Ejected backends returned to rotation through the half-open door.
-    recoveries: AtomicU64,
-    /// Pooled backend connections closed instead of reused because their
-    /// backend was ejected after they were opened (generation mismatch).
-    drained_conns: AtomicU64,
-    /// Requests whose every attempt failed; the client got the last
-    /// typed error.
-    retries_exhausted: AtomicU64,
-    /// Requests that found no healthy backend at dispatch time and were
-    /// answered with a typed `overloaded` error.
-    no_backend: AtomicU64,
-    /// Health probes sent.
-    probes: AtomicU64,
-    /// Health probes that failed (timeout, refused connection, garbage
-    /// reply).
-    probe_failures: AtomicU64,
-}
-
-macro_rules! bumpers {
-    ($($(#[$doc:meta])* $name:ident => $field:ident),* $(,)?) => {$(
-        $(#[$doc])*
-        pub fn $name(&self, n: u64) {
-            self.$field.fetch_add(n, Ordering::Relaxed);
-        }
-    )*};
-}
-
-macro_rules! getters {
-    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {$(
-        $(#[$doc])*
-        pub fn $name(&self) -> u64 {
-            self.$name.load(Ordering::Relaxed)
-        }
-    )*};
+phast_obs::counter_table! {
+    /// Counters of one [`Router`](crate::Router) instance.
+    pub struct RouterStats {
+        /// Request lines written to a backend (retries count again — this is
+        /// dispatch work, not client demand).
+        forwarded: add_forwarded => "router_forwarded",
+        /// Reply lines relayed to clients (answers, stats, and non-retryable
+        /// typed errors alike).
+        answered: add_answered => "router_answered",
+        /// Requests re-dispatched to another replica after a transport
+        /// failure or a retryable typed reply.
+        failovers: add_failovers => "router_failovers",
+        /// Backends ejected from rotation by consecutive failures.
+        ejections: add_ejections => "router_ejections",
+        /// Ejected backends returned to rotation through the half-open door.
+        recoveries: add_recoveries => "router_recoveries",
+        /// Pooled backend connections closed instead of reused because their
+        /// backend was ejected after they were opened (generation mismatch).
+        drained_conns: add_drained_conns => "router_drained_conns",
+        /// Requests whose every attempt failed; the client got the last
+        /// typed error.
+        retries_exhausted: add_retries_exhausted => "router_retries_exhausted",
+        /// Requests that found no healthy backend at dispatch time and were
+        /// answered with a typed `overloaded` error.
+        no_backend: add_no_backend => "router_no_backend",
+        /// Health probes sent.
+        probes: add_probes => "router_probes",
+        /// Health probes that failed (timeout, refused connection, garbage
+        /// reply).
+        probe_failures: add_probe_failures => "router_probe_failures",
+        /// Client connections refused with a typed `busy` line because the
+        /// concurrent-connection cap was reached.
+        refused_busy: add_refused_busy => "router_refused_busy",
+        /// Client connections reaped because a socket read or write
+        /// exceeded the I/O timeout (slowloris writers, dead or idle
+        /// clients).
+        timed_out_connections: add_timed_out_connections => "router_timed_out_connections",
+        /// Request lines over the byte cap, answered with a typed
+        /// `malformed` line and a close.
+        oversized_lines: add_oversized_lines => "router_oversized_lines",
+        /// `accept()` failures in the listener loop (e.g. EMFILE); each
+        /// backs the accept loop off instead of tight-spinning.
+        accept_errors: add_accept_errors => "router_accept_errors",
+    }
 }
 
 impl RouterStats {
-    bumpers! {
-        /// Counts request lines written to backends.
-        add_forwarded => forwarded,
-        /// Counts reply lines relayed to clients.
-        add_answered => answered,
-        /// Counts re-dispatches to another replica.
-        add_failovers => failovers,
-        /// Counts backend ejections.
-        add_ejections => ejections,
-        /// Counts backends recovered through the half-open door.
-        add_recoveries => recoveries,
-        /// Counts pooled connections drained on ejection.
-        add_drained_conns => drained_conns,
-        /// Counts requests that exhausted every attempt.
-        add_retries_exhausted => retries_exhausted,
-        /// Counts requests that found no healthy backend.
-        add_no_backend => no_backend,
-        /// Counts health probes sent.
-        add_probes => probes,
-        /// Counts failed health probes.
-        add_probe_failures => probe_failures,
-    }
-
-    getters! {
-        /// Request lines written to backends so far.
-        forwarded,
-        /// Reply lines relayed to clients so far.
-        answered,
-        /// Re-dispatches to another replica so far.
-        failovers,
-        /// Backend ejections so far.
-        ejections,
-        /// Half-open recoveries so far.
-        recoveries,
-        /// Pooled connections drained on ejection so far.
-        drained_conns,
-        /// Requests that exhausted every attempt so far.
-        retries_exhausted,
-        /// Requests that found no healthy backend so far.
-        no_backend,
-        /// Health probes sent so far.
-        probes,
-        /// Failed health probes so far.
-        probe_failures,
-    }
-
     /// Exports every counter as a `router_*`-prefixed report.
     pub fn report(&self, title: impl Into<String>) -> Report {
         let mut r = Report::new(title);
-        r.push_count("router_forwarded", self.forwarded())
-            .push_count("router_answered", self.answered())
-            .push_count("router_failovers", self.failovers())
-            .push_count("router_ejections", self.ejections())
-            .push_count("router_recoveries", self.recoveries())
-            .push_count("router_drained_conns", self.drained_conns())
-            .push_count("router_retries_exhausted", self.retries_exhausted())
-            .push_count("router_no_backend", self.no_backend())
-            .push_count("router_probes", self.probes())
-            .push_count("router_probe_failures", self.probe_failures());
+        self.fill_report(&mut r);
         r
     }
 }
@@ -121,6 +61,7 @@ impl RouterStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phast_obs::MetricValue;
 
     #[test]
     fn report_carries_every_counter() {
@@ -129,22 +70,38 @@ mod tests {
         s.add_ejections(1);
         s.add_drained_conns(3);
         s.add_retries_exhausted(4);
+        s.add_oversized_lines(5);
         let r = s.report("router");
+        let count = |key| r.get(key).cloned();
+        assert_eq!(count("router_failovers"), Some(MetricValue::Count(2)));
+        assert_eq!(count("router_ejections"), Some(MetricValue::Count(1)));
+        assert_eq!(count("router_drained_conns"), Some(MetricValue::Count(3)));
         assert_eq!(
-            r.get("router_failovers"),
-            Some(&phast_obs::MetricValue::Count(2))
+            count("router_retries_exhausted"),
+            Some(MetricValue::Count(4))
         );
+        assert_eq!(count("router_oversized_lines"), Some(MetricValue::Count(5)));
+        // The report is read by position too (`--stats` tables, CI greps):
+        // new counters go after the ones that were there.
+        let keys: Vec<_> = r.entries().iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            r.get("router_ejections"),
-            Some(&phast_obs::MetricValue::Count(1))
-        );
-        assert_eq!(
-            r.get("router_drained_conns"),
-            Some(&phast_obs::MetricValue::Count(3))
-        );
-        assert_eq!(
-            r.get("router_retries_exhausted"),
-            Some(&phast_obs::MetricValue::Count(4))
+            keys,
+            [
+                "router_forwarded",
+                "router_answered",
+                "router_failovers",
+                "router_ejections",
+                "router_recoveries",
+                "router_drained_conns",
+                "router_retries_exhausted",
+                "router_no_backend",
+                "router_probes",
+                "router_probe_failures",
+                "router_refused_busy",
+                "router_timed_out_connections",
+                "router_oversized_lines",
+                "router_accept_errors",
+            ]
         );
     }
 }

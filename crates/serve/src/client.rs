@@ -25,12 +25,12 @@
 //! Load generators and production callers opt into retries via
 //! [`Client::connect_with`].
 
+use crate::conn::LineConn;
 use crate::protocol::{decode_reply_with_epoch, ErrorKind, Reply, ServeError};
 use phast_core::HeteroAnswer;
 use phast_graph::{Vertex, Weight};
 use serde::Value;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// Transport and retry policy of one [`Client`].
@@ -73,28 +73,21 @@ impl ClientConfig {
     }
 }
 
-/// The socket pair of one live connection.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
 /// One blocking connection to a `phast-serve` front end. Requests are
 /// answered in order, so a call is a write + a read. Transparently
 /// reconnects between requests when retries are enabled.
 pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
-    conn: Option<Conn>,
+    /// The live connection; replaced before the next request once a
+    /// failed exchange has poisoned it.
+    conn: LineConn,
     next_id: i64,
     /// xorshift state for backoff jitter.
     jitter: u64,
     /// Metric-epoch stamp of the most recent successful reply, when the
     /// server sent one (see [`crate::protocol::decode_epoch`]).
     last_epoch: Option<u64>,
-    /// The most recent reply line; kept so that a `tree` reply is read
-    /// into memory this connection already owns.
-    reply: String,
 }
 
 fn transport(e: &std::io::Error) -> ServeError {
@@ -117,73 +110,34 @@ impl Client {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0x9e37_79b9_7f4a_7c15);
-        let mut client = Client {
+        Ok(Client {
+            conn: LineConn::connect(addr, cfg.connect_timeout, cfg.io_timeout)?,
             addr,
             cfg,
-            conn: None,
             next_id: 0,
             jitter: seed | 1,
             last_epoch: None,
-            reply: String::new(),
-        };
-        client.reconnect()?;
-        Ok(client)
-    }
-
-    /// (Re)establishes the connection, honoring the timeouts.
-    fn reconnect(&mut self) -> std::io::Result<()> {
-        self.conn = None;
-        let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
-        stream.set_nodelay(true).ok();
-        let io_timeout = (!self.cfg.io_timeout.is_zero()).then_some(self.cfg.io_timeout);
-        stream.set_read_timeout(io_timeout)?;
-        stream.set_write_timeout(io_timeout)?;
-        self.conn = Some(Conn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-        });
-        Ok(())
+        })
     }
 
     /// Sends one raw line and returns the raw reply line. Exposed so the
     /// robustness tests can send deliberately malformed requests. No
     /// retries at this layer.
     pub fn roundtrip_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.exchange(line)?;
-        Ok(std::mem::take(&mut self.reply))
+        self.exchange(line).map(str::to_owned)
     }
 
-    /// Sends one raw line and reads the reply line into `self.reply`,
-    /// trailing whitespace cut.
-    fn exchange(&mut self, line: &str) -> std::io::Result<()> {
-        let conn = match self.conn.as_mut() {
-            Some(c) => c,
-            None => {
-                self.reconnect()?;
-                self.conn.as_mut().expect("just connected")
-            }
-        };
-        let reply = &mut self.reply;
-        reply.clear();
-        let result = (|| {
-            conn.writer.write_all(line.as_bytes())?;
-            conn.writer.write_all(b"\n")?;
-            conn.writer.flush()?;
-            if conn.reader.read_line(reply)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            reply.truncate(reply.trim_end().len());
-            Ok(())
-        })();
-        if result.is_err() {
-            // The connection is in an unknown half-spoken state; the next
-            // request must start fresh.
-            self.conn = None;
+    /// Sends one raw line and returns the reply line, trailing whitespace
+    /// cut — over a fresh connection when the last exchange failed and
+    /// left the old one in an unknown half-spoken state.
+    fn exchange(&mut self, line: &str) -> std::io::Result<&str> {
+        if self.conn.is_poisoned() {
+            self.conn =
+                LineConn::connect(self.addr, self.cfg.connect_timeout, self.cfg.io_timeout)?;
         }
-        result
+        self.conn.exchange(line, None)?;
+        std::str::from_utf8(self.conn.reply())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Full-jitter backoff for retry `attempt` (0-based).
@@ -241,17 +195,14 @@ impl Client {
     /// One attempt: reconnect if needed, send, receive, decode. Socket
     /// failures come back as typed [`ErrorKind::Transport`] errors.
     fn request_once(&mut self, body: &str, deadline_ms: Option<u64>) -> Result<Reply, ServeError> {
-        if self.conn.is_none() {
-            self.reconnect().map_err(|e| transport(&e))?;
-        }
         let id = self.next_id;
         self.next_id += 1;
         let deadline = deadline_ms
             .map(|ms| format!(",\"deadline_ms\":{ms}"))
             .unwrap_or_default();
         let line = format!("{{\"id\":{id},{body}{deadline}}}");
-        self.exchange(&line).map_err(|e| transport(&e))?;
-        let (reply, epoch) = decode_reply_with_epoch(&self.reply)?;
+        let reply = self.exchange(&line).map_err(|e| transport(&e))?;
+        let (reply, epoch) = decode_reply_with_epoch(reply)?;
         self.last_epoch = epoch;
         Ok(reply)
     }
@@ -388,7 +339,7 @@ fn unexpected(expected: &str, answer: &HeteroAnswer) -> ServeError {
 mod tests {
     use super::*;
     use crate::protocol::{encode_answer, encode_error};
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
 
     /// Regression: a backoff (or server retry hint) longer than the

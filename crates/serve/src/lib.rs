@@ -19,25 +19,28 @@
 //!   replies (`malformed`, `bad_request`, `queue_full`,
 //!   `deadline_exceeded`, `shutdown`, `internal`); a malformed line never
 //!   tears down a connection.
-//! * [`server`] — a std-only TCP front end (`std::net::TcpListener`, one
-//!   thread per connection) exposed as `phast_cli serve`, hardened
-//!   against hostile clients: bounded concurrent connections (typed
-//!   `busy` refusal), per-connection I/O timeouts (slowloris reaping), a
-//!   hard request-line byte cap, and forced connection close on
-//!   shutdown.
+//! * [`server`] — the TCP front end of a service, exposed as `phast_cli
+//!   serve`: a [`conn::LineFront`] whose lines the scheduler answers.
 //! * [`overload`] — pre-admission load shedding: queue-depth and
 //!   queue-latency signals shed bursts with typed
 //!   `overloaded{retry_after_ms}` replies before deadlines blow.
-//! * [`conn`] — the connection registry and the bounded line reader
-//!   behind the server hardening.
+//! * [`conn`] — the one TCP edge of the tier, std-only
+//!   (`std::net::TcpListener`, one thread per connection). Inbound, the
+//!   line front that this crate's server and `phast-router` both listen
+//!   through, hardened against hostile clients: bounded concurrent
+//!   connections (typed `busy` refusal), per-connection I/O timeouts
+//!   (slowloris reaping), a hard request-line byte cap, forced
+//!   connection close on shutdown and on drop. Outbound, the line
+//!   connection that the client, the router's backend pool and its
+//!   prober dial through.
 //! * [`client`] — a small blocking client used by the `loadgen` bench
-//!   binary and the integration tests; supports connect/read/write
-//!   timeouts, typed `transport` errors, and bounded retry with
-//!   exponential backoff + jitter that honors `retry_after_ms`.
+//!   binary and the integration tests: a [`conn::LineConn`] plus typed
+//!   `transport` errors and bounded retry with exponential backoff +
+//!   jitter that honors `retry_after_ms`.
 //! * [`stats`] — service-level counters (requests, batches, mean batch
-//!   occupancy, rejects, sheds, refusals, timeouts, deadline misses)
-//!   plus the aggregated per-batch [`QueryStats`], exported through the
-//!   `phast-obs` [`Report`] schema.
+//!   occupancy, rejects, sheds, refusals, timeouts, deadline misses),
+//!   one `phast_obs::counter_table!`, plus the aggregated per-batch
+//!   [`QueryStats`], exported through the `phast-obs` [`Report`] schema.
 //! * [`watch`] — a background metric customizer with a guarded rollout
 //!   pipeline: polls a weights file, runs the `phast-metrics`
 //!   customization pass off the serving path, canaries the candidate

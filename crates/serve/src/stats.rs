@@ -1,190 +1,115 @@
 //! Service-level counters, aggregated on top of the per-batch
 //! [`QueryStats`] the engines already produce.
 //!
-//! All counters are lock-free atomics except the engine aggregate (a
-//! mutex-guarded [`QueryStats`] sum, touched once per *batch*, not per
-//! request). [`ServiceStats::report`] exports everything through the
-//! `phast-obs` [`Report`] JSON schema, so service metrics line up with the
-//! engine metrics the rest of the workspace emits.
+//! The counters are one [`counter_table!`](phast_obs::counter_table) —
+//! lock-free atomics, each with its getter, its `add_*` and its line of
+//! the report — plus the engine aggregate (a mutex-guarded [`QueryStats`]
+//! sum, touched once per *batch*, not per request).
+//! [`ServiceStats::report`] exports everything through the `phast-obs`
+//! [`Report`] JSON schema, so service metrics line up with the engine
+//! metrics the rest of the workspace emits.
 
 use phast_obs::{QueryStats, Report};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Counters of one [`Service`](crate::Service) instance.
-#[derive(Debug, Default)]
-pub struct ServiceStats {
-    /// Requests admitted into the queue.
-    admitted: AtomicU64,
-    /// Requests answered successfully.
-    served: AtomicU64,
-    /// Requests answered with a typed error (any kind).
-    failed: AtomicU64,
-    /// Requests rejected because the admission queue was full.
-    rejected_queue_full: AtomicU64,
-    /// Requests shed before admission because the queue depth (or queue
-    /// latency) crossed the overload threshold; each got a typed
-    /// `overloaded` reply with a `retry_after_ms` hint.
-    shed_overload: AtomicU64,
-    /// Connections refused with a typed `busy` reply because the
-    /// concurrent-connection cap was reached.
-    refused_busy: AtomicU64,
-    /// Connections reaped because a socket read or write exceeded the
-    /// per-connection I/O timeout (slowloris writers, dead clients).
-    timed_out_connections: AtomicU64,
-    /// `accept()` failures in the listener loop (e.g. EMFILE); each backs
-    /// the accept loop off instead of tight-spinning.
-    accept_errors: AtomicU64,
-    /// Request lines rejected as malformed or bad before admission.
-    rejected_invalid: AtomicU64,
-    /// Requests whose deadline expired before their batch formed.
-    deadline_misses: AtomicU64,
-    /// Batched sweeps executed (occupancy >= 2 lives in `multi_batches`).
-    batches: AtomicU64,
-    /// Real (non-padding) requests summed over all batched sweeps.
-    batched_requests: AtomicU64,
-    /// Batched sweeps that served two or more requests.
-    multi_batches: AtomicU64,
-    /// Padding lanes added to fill short batches to the engine width.
-    padded_lanes: AtomicU64,
-    /// Lone requests served by the scalar single-tree engine.
-    scalar_fallbacks: AtomicU64,
-    /// Lone point-to-point requests served by the bidirectional CH query.
-    p2p_fallbacks: AtomicU64,
-    /// Times a worker's engine state was torn down and rebuilt after a
-    /// panic escaped batch execution.
-    worker_restarts: AtomicU64,
-    /// Requests that were in a batch whose execution panicked; each got a
-    /// typed `internal` error reply instead of a dropped connection.
-    quarantined_requests: AtomicU64,
-    /// Many-to-many matrix requests served on the restricted rung.
-    matrix_requests: AtomicU64,
-    /// Matrix rows (sources) computed over all matrix requests.
-    matrix_rows: AtomicU64,
-    /// Restricted `k`-lane sweeps run by matrix requests (sources are
-    /// chunked to the engine width; the selection is shared across all
-    /// chunks of a request).
-    matrix_chunks: AtomicU64,
-    /// RPHAST target selections built by matrix requests.
-    selection_builds: AtomicU64,
-    /// Matrix requests that reused a worker's cached selection (same
-    /// target list as that worker's previous matrix request).
-    selection_cache_hits: AtomicU64,
-    /// Vertices selected, summed over all selection builds (cache hits
-    /// add nothing — no construction work happened).
-    selection_vertices: AtomicU64,
-    /// Selections evicted from a worker's bounded LRU cache to make room
-    /// for a newer target list.
-    selection_cache_evictions: AtomicU64,
-    /// Metric epochs published via [`Service::swap_epoch`](crate::Service::swap_epoch).
-    metric_swaps: AtomicU64,
-    /// Microseconds spent publishing metric swaps (admission-side cost
-    /// only; workers rebuild engines off the publisher's critical path).
-    swap_latency_us: AtomicU64,
-    /// Requests executed on an epoch older than the currently published
-    /// one — admitted before a swap, honoring their admission snapshot.
-    queries_on_stale_metric: AtomicU64,
-    /// Polls of the watched weights file that ended in a rejection
-    /// (unreadable file, bad JSON, failed customization). The previous
-    /// epoch keeps serving; this counter is how operators notice a
-    /// persistently broken weights feed that stderr alone would bury.
-    watch_errors: AtomicU64,
-    /// Candidate metrics whose canary queries diverged from the reference
-    /// Dijkstra — rejected *before* publication, so no live query ever
-    /// ran on them.
-    canary_failures: AtomicU64,
-    /// Distinct `(name, version)` metrics quarantined (canary failure or
-    /// guard rollback); a quarantined metric is never retried.
-    quarantined_metrics: AtomicU64,
-    /// Epochs re-published from the rollback history after a bad swap
-    /// ([`Service::rollback_epoch`](crate::Service::rollback_epoch)).
-    epoch_rollbacks: AtomicU64,
-    /// Post-swap guard windows that tripped on a health regression and
-    /// triggered an automatic rollback.
-    guard_trips: AtomicU64,
-    /// Sum of per-batch engine statistics.
-    engine: Mutex<QueryStats>,
-}
-
-macro_rules! bumpers {
-    ($($(#[$doc:meta])* $name:ident => $field:ident),* $(,)?) => {$(
-        $(#[$doc])*
-        pub fn $name(&self, n: u64) {
-            self.$field.fetch_add(n, Ordering::Relaxed);
-        }
-    )*};
+phast_obs::counter_table! {
+    /// Counters of one [`Service`](crate::Service) instance.
+    pub struct ServiceStats {
+        /// Requests admitted into the queue.
+        admitted: add_admitted => "requests_admitted",
+        /// Requests answered successfully.
+        served: add_served => "requests_served",
+        /// Requests answered with a typed error (any kind).
+        failed: add_failed => "requests_failed",
+        /// Requests rejected because the admission queue was full.
+        rejected_queue_full: add_rejected_queue_full => "rejected_queue_full",
+        /// Requests shed before admission because the queue depth (or queue
+        /// latency) crossed the overload threshold; each got a typed
+        /// `overloaded` reply with a `retry_after_ms` hint.
+        shed_overload: add_shed_overload => "shed_overload",
+        /// Connections refused with a typed `busy` reply because the
+        /// concurrent-connection cap was reached.
+        refused_busy: add_refused_busy => "refused_busy",
+        /// Connections reaped because a socket read or write exceeded the
+        /// per-connection I/O timeout (slowloris writers, dead clients).
+        timed_out_connections: add_timed_out_connections => "timed_out_connections",
+        /// `accept()` failures in the listener loop (e.g. EMFILE); each backs
+        /// the accept loop off instead of tight-spinning.
+        accept_errors: add_accept_errors => "accept_errors",
+        /// Request lines rejected as malformed or bad before admission.
+        rejected_invalid: add_rejected_invalid => "rejected_invalid",
+        /// Requests whose deadline expired before their batch formed.
+        deadline_misses: add_deadline_misses => "deadline_misses",
+        /// Batched sweeps executed (occupancy >= 2 lives in `multi_batches`).
+        batches: add_batches => "batches",
+        /// Real (non-padding) requests summed over all batched sweeps.
+        batched_requests: add_batched_requests => "batched_requests",
+        /// Batched sweeps that served two or more requests.
+        multi_batches: add_multi_batches => "multi_batches",
+        /// Padding lanes added to fill short batches to the engine width.
+        padded_lanes: add_padded_lanes => "padded_lanes",
+        /// Lone requests served by the scalar single-tree engine.
+        scalar_fallbacks: add_scalar_fallbacks => "scalar_fallbacks",
+        /// Lone point-to-point requests served by the bidirectional CH query.
+        p2p_fallbacks: add_p2p_fallbacks => "p2p_fallbacks",
+        /// Times a worker's engine state was torn down and rebuilt after a
+        /// panic escaped batch execution.
+        worker_restarts: add_worker_restarts => "worker_restarts",
+        /// Requests that were in a batch whose execution panicked; each got a
+        /// typed `internal` error reply instead of a dropped connection.
+        quarantined_requests: add_quarantined_requests => "quarantined_requests",
+        /// Many-to-many matrix requests served on the restricted rung.
+        matrix_requests: add_matrix_requests => "matrix_requests",
+        /// Matrix rows (sources) computed over all matrix requests.
+        matrix_rows: add_matrix_rows => "matrix_rows",
+        /// Restricted `k`-lane sweeps run by matrix requests (sources are
+        /// chunked to the engine width; the selection is shared across all
+        /// chunks of a request).
+        matrix_chunks: add_matrix_chunks => "matrix_chunks",
+        /// RPHAST target selections built by matrix requests.
+        selection_builds: add_selection_builds => "selection_builds",
+        /// Matrix requests that reused a worker's cached selection (same
+        /// target list as that worker's previous matrix request).
+        selection_cache_hits: add_selection_cache_hits => "selection_cache_hits",
+        /// Vertices selected, summed over all selection builds (cache hits
+        /// add nothing — no construction work happened).
+        selection_vertices: add_selection_vertices => "selection_vertices",
+        /// Selections evicted from a worker's bounded LRU cache to make room
+        /// for a newer target list.
+        selection_cache_evictions: add_selection_cache_evictions => "selection_cache_evictions",
+        /// Metric epochs published via [`Service::swap_epoch`](crate::Service::swap_epoch).
+        metric_swaps: add_metric_swaps => "metric_swaps",
+        /// Microseconds spent publishing metric swaps (admission-side cost
+        /// only; workers rebuild engines off the publisher's critical path).
+        swap_latency_us: add_swap_latency_us => "swap_latency_us",
+        /// Requests executed on an epoch older than the currently published
+        /// one — admitted before a swap, honoring their admission snapshot.
+        queries_on_stale_metric: add_queries_on_stale_metric => "queries_on_stale_metric",
+        /// Polls of the watched weights file that ended in a rejection
+        /// (unreadable file, bad JSON, failed customization). The previous
+        /// epoch keeps serving; this counter is how operators notice a
+        /// persistently broken weights feed that stderr alone would bury.
+        watch_errors: add_watch_errors => "watch_errors",
+        /// Candidate metrics whose canary queries diverged from the reference
+        /// Dijkstra — rejected *before* publication, so no live query ever
+        /// ran on them.
+        canary_failures: add_canary_failures => "canary_failures",
+        /// Distinct `(name, version)` metrics quarantined (canary failure or
+        /// guard rollback); a quarantined metric is never retried.
+        quarantined_metrics: add_quarantined_metrics => "quarantined_metrics",
+        /// Epochs re-published from the rollback history after a bad swap
+        /// ([`Service::rollback_epoch`](crate::Service::rollback_epoch)).
+        epoch_rollbacks: add_epoch_rollbacks => "epoch_rollbacks",
+        /// Post-swap guard windows that tripped on a health regression and
+        /// triggered an automatic rollback.
+        guard_trips: add_guard_trips => "guard_trips",
+        ..
+        /// Sum of per-batch engine statistics.
+        engine: Mutex<QueryStats>,
+    }
 }
 
 impl ServiceStats {
-    bumpers! {
-        /// Counts admitted requests.
-        add_admitted => admitted,
-        /// Counts successful replies.
-        add_served => served,
-        /// Counts typed-error replies.
-        add_failed => failed,
-        /// Counts queue-full rejections.
-        add_rejected_queue_full => rejected_queue_full,
-        /// Counts pre-admission overload sheds.
-        add_shed_overload => shed_overload,
-        /// Counts busy connection refusals.
-        add_refused_busy => refused_busy,
-        /// Counts connections reaped by the I/O timeout.
-        add_timed_out_connections => timed_out_connections,
-        /// Counts listener `accept()` failures.
-        add_accept_errors => accept_errors,
-        /// Counts malformed/bad request rejections.
-        add_rejected_invalid => rejected_invalid,
-        /// Counts deadline misses.
-        add_deadline_misses => deadline_misses,
-        /// Counts executed batched sweeps.
-        add_batches => batches,
-        /// Counts real requests inside batched sweeps.
-        add_batched_requests => batched_requests,
-        /// Counts batches serving >= 2 requests.
-        add_multi_batches => multi_batches,
-        /// Counts padding lanes.
-        add_padded_lanes => padded_lanes,
-        /// Counts scalar fallbacks.
-        add_scalar_fallbacks => scalar_fallbacks,
-        /// Counts bidirectional-CH fallbacks.
-        add_p2p_fallbacks => p2p_fallbacks,
-        /// Counts worker restarts after an escaped panic.
-        add_worker_restarts => worker_restarts,
-        /// Counts requests quarantined by a panicked batch.
-        add_quarantined_requests => quarantined_requests,
-        /// Counts matrix requests served on the restricted rung.
-        add_matrix_requests => matrix_requests,
-        /// Counts matrix rows (sources) computed.
-        add_matrix_rows => matrix_rows,
-        /// Counts restricted sweeps run by matrix requests.
-        add_matrix_chunks => matrix_chunks,
-        /// Counts RPHAST selection builds.
-        add_selection_builds => selection_builds,
-        /// Counts selection-cache hits.
-        add_selection_cache_hits => selection_cache_hits,
-        /// Counts selected vertices over all builds.
-        add_selection_vertices => selection_vertices,
-        /// Counts selections evicted from the bounded LRU cache.
-        add_selection_cache_evictions => selection_cache_evictions,
-        /// Counts published metric swaps.
-        add_metric_swaps => metric_swaps,
-        /// Accumulates swap publication latency in microseconds.
-        add_swap_latency_us => swap_latency_us,
-        /// Counts requests executed on a superseded metric epoch.
-        add_queries_on_stale_metric => queries_on_stale_metric,
-        /// Counts rejected weights-file polls.
-        add_watch_errors => watch_errors,
-        /// Counts candidate metrics rejected by the pre-publish canary.
-        add_canary_failures => canary_failures,
-        /// Counts metrics quarantined after a canary failure or guard trip.
-        add_quarantined_metrics => quarantined_metrics,
-        /// Counts epochs re-published from the rollback history.
-        add_epoch_rollbacks => epoch_rollbacks,
-        /// Counts tripped post-swap guard windows.
-        add_guard_trips => guard_trips,
-    }
-
     /// Folds one batch's engine statistics into the running aggregate.
     pub fn merge_query(&self, q: &QueryStats) {
         // Poison-tolerant: a worker that panicked *while* holding this
@@ -199,241 +124,21 @@ impl ServiceStats {
         agg.sweep_time += q.sweep_time;
     }
 
-    /// Requests answered successfully so far.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Batched sweeps executed so far.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Batched sweeps that served two or more requests.
-    pub fn multi_batches(&self) -> u64 {
-        self.multi_batches.load(Ordering::Relaxed)
-    }
-
-    /// Queue-full rejections so far.
-    pub fn rejected_queue_full(&self) -> u64 {
-        self.rejected_queue_full.load(Ordering::Relaxed)
-    }
-
-    /// Pre-admission overload sheds so far.
-    pub fn shed_overload(&self) -> u64 {
-        self.shed_overload.load(Ordering::Relaxed)
-    }
-
-    /// Busy connection refusals so far.
-    pub fn refused_busy(&self) -> u64 {
-        self.refused_busy.load(Ordering::Relaxed)
-    }
-
-    /// Connections reaped by the I/O timeout so far.
-    pub fn timed_out_connections(&self) -> u64 {
-        self.timed_out_connections.load(Ordering::Relaxed)
-    }
-
-    /// Listener `accept()` failures so far.
-    pub fn accept_errors(&self) -> u64 {
-        self.accept_errors.load(Ordering::Relaxed)
-    }
-
-    /// Request lines rejected as malformed or bad so far.
-    pub fn rejected_invalid(&self) -> u64 {
-        self.rejected_invalid.load(Ordering::Relaxed)
-    }
-
-    /// Deadline misses so far.
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
-    }
-
-    /// Worker restarts (engine rebuilds after an escaped panic) so far.
-    pub fn worker_restarts(&self) -> u64 {
-        self.worker_restarts.load(Ordering::Relaxed)
-    }
-
-    /// Requests quarantined by panicked batches so far.
-    pub fn quarantined_requests(&self) -> u64 {
-        self.quarantined_requests.load(Ordering::Relaxed)
-    }
-
-    /// Matrix requests served on the restricted rung so far.
-    pub fn matrix_requests(&self) -> u64 {
-        self.matrix_requests.load(Ordering::Relaxed)
-    }
-
-    /// Matrix rows (sources) computed so far.
-    pub fn matrix_rows(&self) -> u64 {
-        self.matrix_rows.load(Ordering::Relaxed)
-    }
-
-    /// Restricted sweeps run by matrix requests so far.
-    pub fn matrix_chunks(&self) -> u64 {
-        self.matrix_chunks.load(Ordering::Relaxed)
-    }
-
-    /// RPHAST selection builds so far.
-    pub fn selection_builds(&self) -> u64 {
-        self.selection_builds.load(Ordering::Relaxed)
-    }
-
-    /// Selection-cache hits so far.
-    pub fn selection_cache_hits(&self) -> u64 {
-        self.selection_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Vertices selected over all selection builds so far.
-    pub fn selection_vertices(&self) -> u64 {
-        self.selection_vertices.load(Ordering::Relaxed)
-    }
-
-    /// Selections evicted from the bounded LRU cache so far.
-    pub fn selection_cache_evictions(&self) -> u64 {
-        self.selection_cache_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Metric swaps published so far.
-    pub fn metric_swaps(&self) -> u64 {
-        self.metric_swaps.load(Ordering::Relaxed)
-    }
-
-    /// Total swap publication latency in microseconds so far.
-    pub fn swap_latency_us(&self) -> u64 {
-        self.swap_latency_us.load(Ordering::Relaxed)
-    }
-
-    /// Requests executed on a superseded metric epoch so far.
-    pub fn queries_on_stale_metric(&self) -> u64 {
-        self.queries_on_stale_metric.load(Ordering::Relaxed)
-    }
-
-    /// Rejected weights-file polls so far.
-    pub fn watch_errors(&self) -> u64 {
-        self.watch_errors.load(Ordering::Relaxed)
-    }
-
-    /// Candidate metrics rejected by the pre-publish canary so far.
-    pub fn canary_failures(&self) -> u64 {
-        self.canary_failures.load(Ordering::Relaxed)
-    }
-
-    /// Metrics quarantined (canary failure or guard rollback) so far.
-    pub fn quarantined_metrics(&self) -> u64 {
-        self.quarantined_metrics.load(Ordering::Relaxed)
-    }
-
-    /// Epochs re-published from the rollback history so far.
-    pub fn epoch_rollbacks(&self) -> u64 {
-        self.epoch_rollbacks.load(Ordering::Relaxed)
-    }
-
-    /// Tripped post-swap guard windows so far.
-    pub fn guard_trips(&self) -> u64 {
-        self.guard_trips.load(Ordering::Relaxed)
-    }
-
     /// Mean number of real requests per batched sweep (0 when no batch
     /// has run yet). The acceptance gate for "batching actually happens"
     /// is this ratio exceeding 1 under concurrent load.
     pub fn mean_batch_occupancy(&self) -> f64 {
-        let b = self.batches.load(Ordering::Relaxed);
-        if b == 0 {
-            0.0
-        } else {
-            self.batched_requests.load(Ordering::Relaxed) as f64 / b as f64
+        match self.batches() {
+            0 => 0.0,
+            b => self.batched_requests() as f64 / b as f64,
         }
     }
 
     /// Exports every counter (plus the engine aggregate) as a report.
     pub fn report(&self, title: impl Into<String>) -> Report {
         let mut r = Report::new(title);
-        r.push_count("requests_admitted", self.admitted.load(Ordering::Relaxed))
-            .push_count("requests_served", self.served.load(Ordering::Relaxed))
-            .push_count("requests_failed", self.failed.load(Ordering::Relaxed))
-            .push_count(
-                "rejected_queue_full",
-                self.rejected_queue_full.load(Ordering::Relaxed),
-            )
-            .push_count("shed_overload", self.shed_overload.load(Ordering::Relaxed))
-            .push_count("refused_busy", self.refused_busy.load(Ordering::Relaxed))
-            .push_count(
-                "timed_out_connections",
-                self.timed_out_connections.load(Ordering::Relaxed),
-            )
-            .push_count("accept_errors", self.accept_errors.load(Ordering::Relaxed))
-            .push_count(
-                "rejected_invalid",
-                self.rejected_invalid.load(Ordering::Relaxed),
-            )
-            .push_count("deadline_misses", self.deadline_misses.load(Ordering::Relaxed))
-            .push_count("batches", self.batches.load(Ordering::Relaxed))
-            .push_count(
-                "batched_requests",
-                self.batched_requests.load(Ordering::Relaxed),
-            )
-            .push_count("multi_batches", self.multi_batches.load(Ordering::Relaxed))
-            .push_count("padded_lanes", self.padded_lanes.load(Ordering::Relaxed))
-            .push_count(
-                "scalar_fallbacks",
-                self.scalar_fallbacks.load(Ordering::Relaxed),
-            )
-            .push_count("p2p_fallbacks", self.p2p_fallbacks.load(Ordering::Relaxed))
-            .push_count(
-                "worker_restarts",
-                self.worker_restarts.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "quarantined_requests",
-                self.quarantined_requests.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "matrix_requests",
-                self.matrix_requests.load(Ordering::Relaxed),
-            )
-            .push_count("matrix_rows", self.matrix_rows.load(Ordering::Relaxed))
-            .push_count("matrix_chunks", self.matrix_chunks.load(Ordering::Relaxed))
-            .push_count(
-                "selection_builds",
-                self.selection_builds.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "selection_cache_hits",
-                self.selection_cache_hits.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "selection_vertices",
-                self.selection_vertices.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "selection_cache_evictions",
-                self.selection_cache_evictions.load(Ordering::Relaxed),
-            )
-            .push_count("metric_swaps", self.metric_swaps.load(Ordering::Relaxed))
-            .push_count(
-                "swap_latency_us",
-                self.swap_latency_us.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "queries_on_stale_metric",
-                self.queries_on_stale_metric.load(Ordering::Relaxed),
-            )
-            .push_count("watch_errors", self.watch_errors.load(Ordering::Relaxed))
-            .push_count(
-                "canary_failures",
-                self.canary_failures.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "quarantined_metrics",
-                self.quarantined_metrics.load(Ordering::Relaxed),
-            )
-            .push_count(
-                "epoch_rollbacks",
-                self.epoch_rollbacks.load(Ordering::Relaxed),
-            )
-            .push_count("guard_trips", self.guard_trips.load(Ordering::Relaxed))
-            .push_ratio("mean_batch_occupancy", self.mean_batch_occupancy());
+        self.fill_report(&mut r);
+        r.push_ratio("mean_batch_occupancy", self.mean_batch_occupancy());
         let agg = *self
             .engine
             .lock()

@@ -32,10 +32,11 @@
 //! A malformed or half-written file is rejected by validation
 //! (`MetricWeights::validate` checks arity and the weight cap) and simply
 //! skipped — the previous epoch keeps serving, and the error is reported
-//! through the [`WatchReport`] the poll returns (the spawned thread warns
-//! on stderr *and* bumps the service's `watch_errors` counter, so a
-//! persistently broken weights feed shows up in `--stats` output, not
-//! just in a log nobody tails). Rejections are deduplicated by content
+//! through the [`WatchReport`] the poll returns (the poll bumps the
+//! service's `watch_errors` counter, so a persistently broken weights
+//! feed shows up in `--stats` output — it must be *countable*, or it
+//! looks identical to a quiet one — and the spawned thread also warns on
+//! stderr). Rejections are deduplicated by content
 //! hash: a persistently-bad file costs one customization attempt and one
 //! stderr line, not one per poll ([`WatchReport::StillRejected`] covers
 //! the quiet repeats). Mid-write reads are tolerated by requiring
@@ -45,7 +46,6 @@
 
 use crate::scheduler::Service;
 use phast_dijkstra::dijkstra::shortest_paths;
-use phast_graph::Graph;
 use phast_metrics::{MetricCustomizer, MetricWeights};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -184,19 +184,6 @@ impl WatchState {
     }
 }
 
-/// The base graph with the candidate metric's weights applied in
-/// canonical arc order — what the reference Dijkstra runs on.
-fn reweight(g: &Graph, m: &MetricWeights) -> Graph {
-    let arcs = g
-        .forward()
-        .arcs()
-        .iter()
-        .zip(&m.weights)
-        .map(|(a, &w)| phast_graph::Arc::new(a.head, w))
-        .collect();
-    Graph::from_csr(phast_graph::Csr::from_raw(g.forward().first().to_vec(), arcs))
-}
-
 /// Runs the canary: `n_queries` sources spread deterministically over the
 /// vertex range, each answered as a full tree on the candidate instance
 /// and compared bit-exactly against reference Dijkstra over the base
@@ -207,7 +194,7 @@ fn canary_check(
     metric: &MetricWeights,
     n_queries: usize,
 ) -> Result<(), String> {
-    let reference = reweight(customizer.graph(), metric);
+    let reference = metric.reweighted(customizer.graph());
     let n = candidate.num_vertices();
     let mut engine = candidate.engine();
     for i in 0..n_queries {
@@ -229,6 +216,14 @@ fn canary_check(
     Ok(())
 }
 
+/// A poll that ends in a rejection, counted where it is decided — so the
+/// spawned thread, the CLI, the benchmark and embedders that poll directly
+/// all register it (`watch_errors`).
+fn rejected(service: &Service, why: String) -> WatchReport {
+    service.stats().add_watch_errors(1);
+    WatchReport::Rejected(why)
+}
+
 /// Stable identity of the file's content for rejection deduplication.
 fn content_hash(bytes: &str) -> u64 {
     let mut h = DefaultHasher::new();
@@ -247,8 +242,8 @@ fn file_signature(path: &Path) -> Option<(u64, Option<std::time::SystemTime>)> {
 /// `path` if it differs from the last applied one. This is the
 /// synchronous core of the watcher — the spawned thread calls it in a
 /// loop, tests and the CLI can call it directly for deterministic
-/// behavior. Counter bumps for canary failures and quarantines happen
-/// here (not in the thread), so direct callers register them too.
+/// behavior. Every counter (rejections, canary failures, quarantines) is
+/// bumped here (not in the thread), so direct callers register them too.
 pub fn poll_metric_file(
     service: &Service,
     customizer: &MetricCustomizer,
@@ -263,7 +258,7 @@ pub fn poll_metric_file(
     let bytes = match std::fs::read_to_string(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return WatchReport::Unchanged,
-        Err(e) => return WatchReport::Rejected(format!("reading {}: {e}", path.display())),
+        Err(e) => return rejected(service, format!("reading {}: {e}", path.display())),
     };
     if file_signature(path) != sig_before {
         return WatchReport::Unchanged;
@@ -276,10 +271,8 @@ pub fn poll_metric_file(
         Ok(m) => m,
         Err(e) => {
             state.last_rejected = Some(hash);
-            return WatchReport::Rejected(format!(
-                "{} is not a metric-weights JSON document: {e:?}",
-                path.display()
-            ));
+            let why = format!("{} is not a metric-weights JSON document: {e:?}", path.display());
+            return rejected(service, why);
         }
     };
     let identity = (metric.name.clone(), metric.version);
@@ -288,11 +281,12 @@ pub fn poll_metric_file(
     }
     if state.quarantined.contains(&identity) {
         state.last_rejected = Some(hash);
-        return WatchReport::Rejected(format!(
+        let why = format!(
             "metric `{}` v{} is quarantined after an earlier canary failure \
              or guard rollback; refusing to retry it",
             identity.0, identity.1
-        ));
+        );
+        return rejected(service, why);
     }
     // Customize off the serving path (this thread), then publish. Any
     // failure — wrong arity, weight over the cap, hierarchy validation —
@@ -301,13 +295,14 @@ pub fn poll_metric_file(
         Ok(built) => built,
         Err(e) => {
             state.last_rejected = Some(hash);
-            return WatchReport::Rejected(format!("customizing {}: {e}", path.display()));
+            return rejected(service, format!("customizing {}: {e}", path.display()));
         }
     };
     if cfg.canary_queries > 0 {
         if let Err(detail) = canary_check(&phast, customizer, &metric, cfg.canary_queries) {
             state.quarantined.insert(identity.clone());
             state.last_rejected = Some(hash);
+            service.stats().add_watch_errors(1);
             service.stats().add_canary_failures(1);
             service.stats().add_quarantined_metrics(1);
             return WatchReport::CanaryFailed {
@@ -342,7 +337,7 @@ pub fn poll_metric_file(
                 version: identity.1,
             }
         }
-        Err(e) => WatchReport::Rejected(format!("publishing epoch: {e}")),
+        Err(e) => rejected(service, format!("publishing epoch: {e}")),
     }
 }
 
@@ -418,11 +413,14 @@ pub fn check_guard(service: &Service, cfg: &WatchConfig, state: &mut WatchState)
                 why,
             }
         }
-        Err(e) => WatchReport::Rejected(format!(
-            "guard tripped ({why}) but rollback failed: {e}; \
-             metric `{}` v{} stays quarantined",
-            guard.name, guard.version
-        )),
+        Err(e) => rejected(
+            service,
+            format!(
+                "guard tripped ({why}) but rollback failed: {e}; \
+                 metric `{}` v{} stays quarantined",
+                guard.name, guard.version
+            ),
+        ),
     }
 }
 
@@ -464,14 +462,14 @@ impl MetricWatcher {
                 let mut state = WatchState::default();
                 while !stop_flag.load(Ordering::Relaxed) {
                     let report = poll_metric_file(&service, &customizer, &path, &cfg, &mut state);
-                    log_report(&service, &report);
+                    log_report(&report);
                     // Sleep in small slices so shutdown is prompt even
                     // with a long poll interval — and so the guard
                     // window is evaluated promptly, not once per poll.
                     let mut left = interval;
                     loop {
                         let report = check_guard(&service, &cfg, &mut state);
-                        log_report(&service, &report);
+                        log_report(&report);
                         if left.is_zero() || stop_flag.load(Ordering::Relaxed) {
                             break;
                         }
@@ -497,12 +495,11 @@ impl MetricWatcher {
     }
 }
 
-/// The watcher thread's stderr + counter policy for one report.
-/// Rejections are counted and warned once per distinct content (the
-/// dedupe happens in [`poll_metric_file`], which returns the quiet
-/// [`WatchReport::StillRejected`] for repeats); canary failures and
-/// rollbacks had their counters bumped at the decision site.
-fn log_report(service: &Service, report: &WatchReport) {
+/// The watcher thread's stderr policy for one report; every counter was
+/// bumped at the decision site. Rejections are warned once per distinct
+/// content (the dedupe happens in [`poll_metric_file`], which returns the
+/// quiet [`WatchReport::StillRejected`] for repeats).
+fn log_report(report: &WatchReport) {
     match report {
         WatchReport::Swapped {
             epoch,
@@ -514,9 +511,7 @@ fn log_report(service: &Service, report: &WatchReport) {
         WatchReport::Rejected(why) => {
             // Transient read errors (a half-written file, a slow
             // writer) self-heal on the next poll, so this is a warning,
-            // not a shutdown — but it must be *countable*, or a
-            // permanently broken feed looks identical to a quiet one.
-            service.stats().add_watch_errors(1);
+            // not a shutdown.
             eprintln!("metric watcher: warning: {why} (keeping current epoch)");
         }
         WatchReport::CanaryFailed {
@@ -524,7 +519,6 @@ fn log_report(service: &Service, report: &WatchReport) {
             version,
             detail,
         } => {
-            service.stats().add_watch_errors(1);
             eprintln!(
                 "metric watcher: canary rejected `{name}` v{version}: {detail} \
                  (metric quarantined, current epoch keeps serving)"
@@ -614,15 +608,20 @@ mod tests {
         );
         // Garbage is rejected once, then deduped by content hash: the
         // retry-storm of one customization attempt per poll is gone.
+        // A poll that rejects counts itself — no watcher thread involved —
+        // and the quiet repeat does not count again.
+        assert_eq!(svc.stats().watch_errors(), 0);
         std::fs::write(&path, "{not json").unwrap();
         match poll_metric_file(&svc, &customizer, &path, &cfg, &mut state) {
             WatchReport::Rejected(_) => {}
             other => panic!("expected rejection, got {other:?}"),
         }
+        assert_eq!(svc.stats().watch_errors(), 1, "a directly polled bad file must count");
         assert_eq!(
             poll_metric_file(&svc, &customizer, &path, &cfg, &mut state),
             WatchReport::StillRejected
         );
+        assert_eq!(svc.stats().watch_errors(), 1, "the repeat must stay quiet");
         assert_eq!(svc.epoch_id(), 2);
         // A wrong-arity metric is rejected by validation, not applied —
         // and the dedupe resets because the content changed.
@@ -640,6 +639,7 @@ mod tests {
             poll_metric_file(&svc, &customizer, &path, &cfg, &mut state),
             WatchReport::StillRejected
         );
+        assert_eq!(svc.stats().watch_errors(), 2, "new bad content counts once more");
         assert_eq!(svc.epoch_id(), 2);
         // A good metric after the bad spell publishes and clears the
         // rejection dedupe.
@@ -689,6 +689,7 @@ mod tests {
         assert_eq!(tree(&svc, 3), baseline);
         assert_eq!(svc.stats().canary_failures(), 1);
         assert_eq!(svc.stats().quarantined_metrics(), 1);
+        assert_eq!(svc.stats().watch_errors(), 1, "a canary failure is a rejected poll");
         assert!(state.is_quarantined("canary-poison", 1));
 
         // The unchanged file goes quiet (content dedupe), and even a

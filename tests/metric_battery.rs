@@ -16,20 +16,7 @@ use phast::ch::{contract_graph, ContractionConfig};
 use phast::core::PhastBuilder;
 use phast::dijkstra::dijkstra::shortest_paths;
 use phast::graph::gen::{Metric, RoadNetworkConfig};
-use phast::graph::{Arc, Csr, Graph};
 use phast::metrics::{MetricCustomizer, MetricWeights};
-
-/// The base graph with `m`'s weights written over its arcs.
-fn reweight(g: &Graph, m: &MetricWeights) -> Graph {
-    let arcs = g
-        .forward()
-        .arcs()
-        .iter()
-        .zip(&m.weights)
-        .map(|(a, &w)| Arc::new(a.head, w))
-        .collect();
-    Graph::from_csr(Csr::from_raw(g.forward().first().to_vec(), arcs))
-}
 
 #[test]
 fn customized_equals_recontracted_equals_dijkstra() {
@@ -44,7 +31,7 @@ fn customized_equals_recontracted_equals_dijkstra() {
         let m = MetricWeights::perturbed(&g, "battery", seed, seed ^ 0xD1FF);
         let (customized, _) = customizer.build(&m).expect("customize");
 
-        let g2 = reweight(&g, &m);
+        let g2 = m.reweighted(&g);
         let h2 = contract_graph(&g2, &ContractionConfig::default());
         let recontracted = PhastBuilder::new().build_with_hierarchy(&g2, &h2);
 
@@ -87,7 +74,7 @@ fn customization_survives_extreme_metrics() {
 
     for m in [uniform, sparse_free] {
         let (p, _) = customizer.build(&m).expect("customize");
-        let g2 = reweight(&g, &m);
+        let g2 = m.reweighted(&g);
         let mut e = p.engine();
         for source in [0u32, 40] {
             assert_eq!(

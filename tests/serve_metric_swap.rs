@@ -9,23 +9,12 @@
 use phast::ch::{contract_graph, ContractionConfig};
 use phast::dijkstra::dijkstra::shortest_paths;
 use phast::graph::gen::{Metric, RoadNetworkConfig};
-use phast::graph::{Arc as GraphArc, Csr, Graph};
+use phast::graph::Graph;
 use phast::metrics::{MetricCustomizer, MetricWeights};
 use phast::serve::{Client, ClientConfig, MetricWatcher, ServeConfig, Server, Service};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn reweight(g: &Graph, m: &MetricWeights) -> Graph {
-    let arcs = g
-        .forward()
-        .arcs()
-        .iter()
-        .zip(&m.weights)
-        .map(|(a, &w)| GraphArc::new(a.head, w))
-        .collect();
-    Graph::from_csr(Csr::from_raw(g.forward().first().to_vec(), arcs))
-}
 
 /// Distance tables for the burst's fixed sources, one per metric epoch:
 /// index 0 = base metric (epoch 1), index k = variant k (epoch k + 1 —
@@ -49,7 +38,7 @@ fn hot_swap_under_tcp_burst_yields_zero_wrong_replies() {
     let mut variants = Vec::new();
     for v in 1..=2u64 {
         let m = MetricWeights::perturbed(&g, "swap-burst", v, v * 0x9E37);
-        tables.push(oracle(&reweight(&g, &m), &sources));
+        tables.push(oracle(&m.reweighted(&g), &sources));
         let (p, ch) = customizer.build(&m).expect("customize");
         variants.push((Arc::new(p), Arc::new(ch)));
     }
@@ -153,7 +142,7 @@ fn file_watcher_swaps_a_served_metric_end_to_end() {
     );
 
     let m = MetricWeights::perturbed(&g, "dropped-in", 4, 0xFACE);
-    let want = shortest_paths(reweight(&g, &m).forward(), 11).dist;
+    let want = shortest_paths(m.reweighted(&g).forward(), 11).dist;
     std::fs::write(&path, serde_json::to_string(&m).unwrap()).unwrap();
 
     let t0 = std::time::Instant::now();
@@ -214,7 +203,7 @@ fn watcher_canary_blocks_a_poisoned_metric_on_the_live_server() {
 
     // Honest publish first: the canary must pass honest metrics through.
     let honest = MetricWeights::perturbed(&g, "wire-honest", 1, 0xE11);
-    let honest_tree = shortest_paths(reweight(&g, &honest).forward(), 9).dist;
+    let honest_tree = shortest_paths(honest.reweighted(&g).forward(), 9).dist;
     std::fs::write(&path, serde_json::to_string(&honest).unwrap()).unwrap();
     wait("honest publish", &|| service.epoch_id() >= 2);
     assert_eq!(service.epoch_id(), 2);
@@ -240,7 +229,7 @@ fn watcher_canary_blocks_a_poisoned_metric_on_the_live_server() {
 
     // A quarantine is not a lockout: the next honest metric rolls out.
     let honest2 = MetricWeights::perturbed(&g, "wire-honest", 2, 0xE12);
-    let honest2_tree = shortest_paths(reweight(&g, &honest2).forward(), 9).dist;
+    let honest2_tree = shortest_paths(honest2.reweighted(&g).forward(), 9).dist;
     std::fs::write(&path, serde_json::to_string(&honest2).unwrap()).unwrap();
     wait("post-quarantine honest publish", &|| service.epoch_id() >= 3);
     let got = client.tree(9, None).expect("tree");

@@ -1,23 +1,157 @@
-//! Robustness tests for the `phast-serve` front end: every documented
+//! Robustness tests for the serving tier's front ends: every documented
 //! failure mode — an expired deadline, a full admission queue, a malformed
 //! request line — produces its documented typed error reply, and the
 //! listener keeps serving afterwards. No client input tears down a
 //! connection, let alone the server (DESIGN.md §9, "failure modes").
+//!
+//! The edge cases (connection cap, I/O timeout, line cap, malformed
+//! lines, forced close, freed port, skipped empty lines, relayed ids) run
+//! against both fronts of the one hardened edge (DESIGN.md §11): a
+//! `Server`, and a `Router` in front of one. Each asserts the typed line,
+//! the close and the counter on the side that enforced it.
 
 use phast::graph::gen::{Metric, RoadNetworkConfig};
 use phast::serve::protocol::{decode_reply, parse_request, Reply};
 use phast::serve::{Client, ClientConfig, ErrorKind, ServeConfig, Server, Service};
+use phast_router::{Router, RouterConfig};
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(cfg: ServeConfig) -> (Server, u32) {
     let net = RoadNetworkConfig::new(10, 10, 11, Metric::TravelTime).build();
     let n = net.graph.num_vertices() as u32;
     let service = Service::for_graph(&net.graph, cfg);
     (Server::spawn(service, "127.0.0.1:0").expect("bind"), n)
+}
+
+/// Which front end of the tier a test's clients connect to.
+#[derive(Clone, Copy, Debug)]
+enum Front {
+    /// The `Server` itself.
+    Server,
+    /// A `Router` relaying to the server.
+    Router,
+}
+
+const FRONTS: [Front; 2] = [Front::Server, Front::Router];
+
+/// The limits of the front under test; the tier behind a router keeps its
+/// defaults, so whatever is enforced is enforced by the front.
+struct Edge {
+    max_conns: usize,
+    io_timeout: Duration,
+    max_line_bytes: usize,
+}
+
+impl Default for Edge {
+    fn default() -> Self {
+        let cfg = ServeConfig::default();
+        Edge {
+            max_conns: cfg.max_conns,
+            io_timeout: cfg.io_timeout,
+            max_line_bytes: cfg.max_line_bytes,
+        }
+    }
+}
+
+/// What the edge of the front under test counted: busy refusals, reaped
+/// connections, oversized lines.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct EdgeCounts {
+    refused_busy: u64,
+    timed_out: u64,
+    oversized: u64,
+}
+
+/// A server, alone or behind a router, and the address clients use.
+struct Tier {
+    server: Server,
+    router: Option<Router>,
+    n: u32,
+}
+
+impl Tier {
+    fn start(front: Front, edge: Edge) -> Tier {
+        let Edge { max_conns, io_timeout, max_line_bytes } = edge;
+        match front {
+            Front::Server => {
+                let (server, n) = start(ServeConfig {
+                    window: Duration::ZERO,
+                    max_conns,
+                    io_timeout,
+                    max_line_bytes,
+                    ..ServeConfig::default()
+                });
+                Tier { server, router: None, n }
+            }
+            Front::Router => {
+                let (server, n) = start(ServeConfig {
+                    window: Duration::ZERO,
+                    ..ServeConfig::default()
+                });
+                let cfg = RouterConfig {
+                    backends: vec![server.local_addr()],
+                    max_conns,
+                    io_timeout,
+                    max_line_bytes,
+                    ..RouterConfig::default()
+                };
+                let router = Router::spawn(cfg, "127.0.0.1:0").expect("router bind");
+                Tier { server, router: Some(router), n }
+            }
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        self.router.as_ref().map_or(self.server.local_addr(), Router::local_addr)
+    }
+
+    fn live_connections(&self) -> usize {
+        self.router.as_ref().map_or(self.server.live_connections(), Router::live_connections)
+    }
+
+    /// The front's own edge counters.
+    fn edge_counts(&self) -> EdgeCounts {
+        match &self.router {
+            Some(router) => EdgeCounts {
+                refused_busy: router.stats().refused_busy(),
+                timed_out: router.stats().timed_out_connections(),
+                oversized: router.stats().oversized_lines(),
+            },
+            None => self.server_edge_counts(),
+        }
+    }
+
+    /// The server's edge counters (the front's own when there is no router).
+    fn server_edge_counts(&self) -> EdgeCounts {
+        let stats = self.server.service().stats();
+        EdgeCounts {
+            refused_busy: stats.refused_busy(),
+            timed_out: stats.timed_out_connections(),
+            oversized: stats.rejected_invalid(),
+        }
+    }
+
+    /// Asserts the front counted exactly `want`, and that a server behind
+    /// a router enforced (and counted) nothing itself.
+    fn assert_edge_counts(&self, want: EdgeCounts, front: Front) {
+        assert_eq!(self.edge_counts(), want, "{front:?}");
+        if self.router.is_some() {
+            let quiet = EdgeCounts::default();
+            assert_eq!(self.server_edge_counts(), quiet, "the router enforces, not the server");
+        }
+    }
+
+    /// Shuts the front down, then whatever is behind it.
+    fn shutdown(self) {
+        if let Some(router) = self.router {
+            router.shutdown();
+        }
+        self.server.shutdown();
+    }
 }
 
 /// Decodes a raw reply line and asserts it is a typed error of `kind`.
@@ -84,11 +218,6 @@ fn queue_full_rejects_instead_of_blocking() {
 
 #[test]
 fn malformed_lines_get_typed_replies_and_connection_survives() {
-    let (server, n) = start(ServeConfig {
-        window: Duration::from_millis(0),
-        ..ServeConfig::default()
-    });
-    let mut c = Client::connect(server.local_addr()).expect("connect");
     let cases: &[(&str, ErrorKind)] = &[
         // not JSON at all
         ("garbage", ErrorKind::Malformed),
@@ -109,15 +238,27 @@ fn malformed_lines_get_typed_replies_and_connection_survives() {
         // negative deadline
         (r#"{"op":"tree","source":0,"deadline_ms":-5}"#, ErrorKind::BadRequest),
     ];
-    for (line, kind) in cases {
-        let reply = c.roundtrip_line(line).expect("connection must stay open");
-        assert_error_line(&reply, *kind, line);
+    for front in FRONTS {
+        let tier = Tier::start(front, Edge::default());
+        let mut c = Client::connect(tier.addr()).expect("connect");
+        for (line, kind) in cases {
+            let reply = c.roundtrip_line(line).expect("connection must stay open");
+            assert_error_line(&reply, *kind, line);
+        }
+        // After the whole gauntlet the same connection still answers.
+        let dist = c.tree(tier.n - 1, None).expect("still serving");
+        assert_eq!(dist.len(), tier.n as usize);
+        let stats = tier.server.service().stats();
+        assert!(stats.served() >= 1);
+        // The verdicts are the server's, relayed or not: a router forwards
+        // a line it cannot parse once, and never retries it.
+        assert_eq!(stats.rejected_invalid(), cases.len() as u64, "{front:?}");
+        if let Some(router) = &tier.router {
+            assert_eq!(router.stats().failovers(), 0);
+            assert_eq!(router.stats().answered(), cases.len() as u64 + 1);
+        }
+        tier.shutdown();
     }
-    // After the whole gauntlet the same connection still answers.
-    let dist = c.tree(n - 1, None).expect("still serving");
-    assert_eq!(dist.len(), n as usize);
-    assert!(server.service().stats().served() >= 1);
-    server.shutdown();
 }
 
 #[test]
@@ -152,47 +293,47 @@ fn worker_panic_is_quarantined_and_the_socket_keeps_serving() {
 
 #[test]
 fn oversized_request_line_is_rejected_then_the_connection_closes() {
-    let (server, _) = start(ServeConfig {
-        max_line_bytes: 256,
-        ..ServeConfig::default()
-    });
-    let mut s = TcpStream::connect(server.local_addr()).expect("connect");
-    s.write_all(&vec![b'a'; 4096]).expect("write flood");
-    let _ = s.write_all(b"\n");
-    // The server must answer with a typed malformed reply naming the cap,
-    // then hang up — read_to_string returning at all proves the close.
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("typed reply then close");
-    let line = reply.lines().next().expect("reply line before close");
-    assert_error_line(line, ErrorKind::Malformed, "oversized line");
-    assert!(line.contains("exceeds"), "{line}");
-    assert_eq!(server.service().stats().rejected_invalid(), 1);
-    // The listener itself is unaffected.
-    let mut c = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(c.tree(0, None).expect("still serving")[0], 0);
-    server.shutdown();
+    for front in FRONTS {
+        let tier = Tier::start(front, Edge { max_line_bytes: 256, ..Edge::default() });
+        let mut s = TcpStream::connect(tier.addr()).expect("connect");
+        s.write_all(&vec![b'a'; 4096]).expect("write flood");
+        let _ = s.write_all(b"\n");
+        // The front must answer with a typed malformed reply naming the
+        // cap, then hang up — read_to_string returning at all proves the
+        // close.
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).expect("typed reply then close");
+        let line = reply.lines().next().expect("reply line before close");
+        assert_error_line(line, ErrorKind::Malformed, "oversized line");
+        assert!(line.contains("exceeds 256 bytes"), "{front:?}: {line}");
+        tier.assert_edge_counts(EdgeCounts { oversized: 1, ..EdgeCounts::default() }, front);
+        // The listener itself is unaffected.
+        let mut c = Client::connect(tier.addr()).expect("connect");
+        assert_eq!(c.tree(0, None).expect("still serving")[0], 0);
+        tier.shutdown();
+    }
 }
 
 #[test]
 fn slow_clients_are_reaped_by_the_io_timeout() {
-    let (server, _) = start(ServeConfig {
-        io_timeout: Duration::from_millis(150),
-        ..ServeConfig::default()
-    });
-    let mut s = TcpStream::connect(server.local_addr()).expect("connect");
-    s.write_all(b"{\"op\":\"tr").expect("half a request");
-    // ...then nothing: a slowloris holding the line open. The server's
-    // read timeout must reap the connection instead of waiting forever.
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut buf = [0u8; 64];
-    let n = s.read(&mut buf).expect("server close reads as EOF");
-    assert_eq!(n, 0, "expected EOF after reaping, got {n} bytes");
-    assert_eq!(server.service().stats().timed_out_connections(), 1);
-    // A prompt client is still served.
-    let mut c = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(c.tree(0, None).expect("still serving")[0], 0);
-    server.shutdown();
+    for front in FRONTS {
+        let io_timeout = Duration::from_millis(150);
+        let tier = Tier::start(front, Edge { io_timeout, ..Edge::default() });
+        let mut s = TcpStream::connect(tier.addr()).expect("connect");
+        s.write_all(b"{\"op\":\"tr").expect("half a request");
+        // ...then nothing: a slowloris holding the line open. The front's
+        // read timeout must reap the connection instead of waiting forever.
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 64];
+        let n = s.read(&mut buf).expect("front close reads as EOF");
+        assert_eq!(n, 0, "{front:?}: expected EOF after reaping, got {n} bytes");
+        tier.assert_edge_counts(EdgeCounts { timed_out: 1, ..EdgeCounts::default() }, front);
+        // A prompt client is still served.
+        let mut c = Client::connect(tier.addr()).expect("connect");
+        assert_eq!(c.tree(0, None).expect("still serving")[0], 0);
+        tier.shutdown();
+    }
 }
 
 #[test]
@@ -239,39 +380,137 @@ fn saturation_sheds_with_a_retry_hint_and_a_retrying_client_recovers() {
 
 #[test]
 fn connections_beyond_max_conns_get_a_typed_busy_refusal() {
-    let (server, _) = start(ServeConfig {
-        max_conns: 1,
-        ..ServeConfig::default()
-    });
-    let addr = server.local_addr();
-    let mut first = Client::connect(addr).expect("first connection");
-    assert_eq!(first.tree(0, None).expect("first is served")[0], 0);
-    // Second connection: accepted at the TCP level, refused with `busy`.
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("read refusal");
-    let line = reply.lines().next().expect("typed busy line");
-    assert_error_line(line, ErrorKind::Busy, "over-cap connection");
-    assert_eq!(server.service().stats().refused_busy(), 1);
-    // Freeing the slot lets the next connection in.
-    drop(first);
-    let mut served = false;
-    for _ in 0..100 {
-        std::thread::sleep(Duration::from_millis(20));
-        let mut c = Client::connect(addr).expect("reconnect");
-        match c.tree(0, None) {
-            Ok(d) => {
-                assert_eq!(d[0], 0);
-                served = true;
-                break;
+    for front in FRONTS {
+        let tier = Tier::start(front, Edge { max_conns: 1, ..Edge::default() });
+        let addr = tier.addr();
+        let mut first = Client::connect(addr).expect("first connection");
+        assert_eq!(first.tree(0, None).expect("first is served")[0], 0);
+        // Second connection: accepted at the TCP level, refused with `busy`
+        // — in the same words by either front.
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).expect("read refusal");
+        let line = reply.lines().next().expect("typed busy line");
+        assert_error_line(line, ErrorKind::Busy, "over-cap connection");
+        assert!(line.contains("connection limit 1 reached; retry shortly"), "{front:?}: {line}");
+        tier.assert_edge_counts(EdgeCounts { refused_busy: 1, ..EdgeCounts::default() }, front);
+        // Freeing the slot lets the next connection in.
+        drop(first);
+        let mut served = false;
+        for _ in 0..100 {
+            std::thread::sleep(Duration::from_millis(20));
+            let mut c = Client::connect(addr).expect("reconnect");
+            match c.tree(0, None) {
+                Ok(d) => {
+                    assert_eq!(d[0], 0);
+                    served = true;
+                    break;
+                }
+                Err(e) if e.kind == ErrorKind::Busy => continue,
+                Err(e) => panic!("unexpected error after slot freed: {:?} {}", e.kind, e.message),
             }
-            Err(e) if e.kind == ErrorKind::Busy => continue,
-            Err(e) => panic!("unexpected error after slot freed: {:?} {}", e.kind, e.message),
+        }
+        assert!(served, "{front:?}: slot never freed after the first client disconnected");
+        tier.shutdown();
+    }
+}
+
+#[test]
+fn shutdown_closes_an_idle_connection_without_waiting_on_it() {
+    for front in FRONTS {
+        let tier = Tier::start(front, Edge::default());
+        let mut idle = TcpStream::connect(tier.addr()).expect("connect");
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Wait for the connection to be registered before shutting down.
+        let t0 = Instant::now();
+        while tier.live_connections() == 0 && t0.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(tier.live_connections(), 1, "{front:?}");
+        let t = Instant::now();
+        tier.shutdown();
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_secs(4),
+            "{front:?}: shutdown waited {took:?} on an idle client"
+        );
+        // The idle client observes the close instead of hanging.
+        let mut buf = [0u8; 8];
+        match idle.read(&mut buf) {
+            Ok(0) | Err(_) => {}
+            Ok(n) => panic!("{front:?}: expected close, read {n} bytes"),
         }
     }
-    assert!(served, "slot never freed after the first client disconnected");
-    server.shutdown();
+}
+
+#[test]
+fn a_dropped_front_frees_its_port() {
+    for front in FRONTS {
+        let tier = Tier::start(front, Edge::default());
+        let addr = tier.addr();
+        drop(TcpStream::connect(addr).expect("the front is listening"));
+        // Dropped, not shut down: the accept thread (and a router's prober)
+        // must go with the handle, and the port with them.
+        let Tier { server, router, .. } = tier;
+        match router {
+            Some(router) => drop(router),
+            None => drop(server),
+        }
+        let t = Instant::now();
+        let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(300));
+        assert!(refused.is_err(), "{front:?}: a dropped front still accepts on {addr}");
+        let took = t.elapsed();
+        assert!(took < Duration::from_millis(300), "{front:?}: refusal took {took:?}");
+    }
+}
+
+/// Sends `lines` in one write and returns the reply lines that arrive
+/// before the connection goes quiet.
+fn reply_lines(addr: SocketAddr, lines: &str) -> Vec<String> {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.write_all(lines.as_bytes()).expect("write");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut replies = Vec::new();
+    let mut line = String::new();
+    while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+        replies.push(line.trim_end().to_owned());
+        line.clear();
+        // Anything after the first reply must already be on its way.
+        s.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    }
+    replies
+}
+
+#[test]
+fn empty_lines_are_skipped_not_answered() {
+    for front in FRONTS {
+        let tier = Tier::start(front, Edge::default());
+        let request = "\n   \n\r\n{\"op\":\"p2p\",\"source\":0,\"target\":0}\n\n";
+        let replies = reply_lines(tier.addr(), request);
+        assert_eq!(replies.len(), 1, "{front:?}: one request line, one reply line: {replies:?}");
+        let answered = matches!(decode_reply(&replies[0]), Ok(Reply::Answer(_)));
+        assert!(answered, "{front:?}: {replies:?}");
+        tier.shutdown();
+    }
+}
+
+#[test]
+fn a_request_id_comes_back_on_answers_and_on_errors() {
+    for front in FRONTS {
+        let tier = Tier::start(front, Edge::default());
+        let request = "{\"id\":41,\"op\":\"p2p\",\"source\":0,\"target\":1}\n\
+                       {\"id\":-7,\"op\":\"tree\",\"source\":4000000000}\n";
+        let replies = reply_lines(tier.addr(), request);
+        let ids: Vec<_> = replies
+            .iter()
+            .map(|r| serde_json::from_str::<serde_json::Value>(r).unwrap()["id"].as_i64())
+            .collect();
+        assert_eq!(ids, [Some(41), Some(-7)], "{front:?}: {replies:?}");
+        assert_error_line(&replies[1], ErrorKind::BadRequest, "out-of-range source");
+        tier.shutdown();
+    }
 }
 
 #[test]

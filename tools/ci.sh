@@ -4,15 +4,18 @@
 #
 #   tools/ci.sh               # build + tests + clippy, both feature states
 #   tools/ci.sh quick         # skip the release build (debug tests + clippy)
-#   tools/ci.sh bench-smoke   # only the perf-regression smoke gate
-#   tools/ci.sh matrix-smoke  # only the RPHAST matrix gate (release)
-#   tools/ci.sh customize-smoke  # only the metric-customization gate
-#   tools/ci.sh canary-smoke  # only the guarded-rollout (canary) gate
-#   tools/ci.sh router-chaos  # only the replicated-tier kill-a-backend gate
-#   tools/ci.sh mmap-smoke    # only the zero-copy artifact load gate
-#   tools/ci.sh contract-smoke  # only the parallel-contraction gate
-#   tools/ci.sh wire-smoke    # only the reply-codec gate + the benchmark's smoke suite
-#   tools/ci.sh kernel-smoke  # only the sweep-kernel gate (release, both feature states)
+#   tools/ci.sh GATE          # only that gate (also spelled --GATE):
+#     bench-smoke      the perf-regression smoke gate
+#     matrix-smoke     the RPHAST matrix gate (release)
+#     customize-smoke  the metric-customization gate
+#     canary-smoke     the guarded-rollout (canary) gate
+#     router-chaos     the replicated-tier kill-a-backend gate
+#     edge-smoke       the TCP edge gate: one front, both tiers (release)
+#     mmap-smoke       the zero-copy artifact load gate
+#     contract-smoke   the parallel-contraction gate
+#     wire-smoke       the reply-codec gate + the benchmark's smoke suite
+#     kernel-smoke     the sweep-kernel gate (release, both feature states)
+#   tools/ci.sh help          # this header
 #
 # Mirrors the checks the repo treats as tier-1: a release build, the full
 # test suite in the default build AND with the hot-path observability
@@ -205,6 +208,22 @@ router_chaos() {
     echo "router chaos ok"
 }
 
+# The TCP edge gate (DESIGN.md §11): the one hardened front and the one
+# outbound line connection, in release. The umbrella robustness battery
+# drives every edge case (cap, timeout, oversize, malformed, forced close,
+# freed port, empty lines, relayed ids) through a `Server` and through a
+# `Router` in front of one; the router's own tests cover failover over
+# pooled `LineConn`s and the dropped-router leak; phast-serve's `conn::`
+# unit tests cover `LineConn` (one write, poisoning, buffer reuse) and the
+# front behind a fake service.
+edge_smoke() {
+    step "TCP edge gate (both fronts + router + conn unit tests, release)"
+    cargo test -q --release --test serve_robustness
+    cargo test -q --release -p phast-router
+    filtered_tests -q --release -p phast-serve --lib conn::
+    echo "edge smoke ok"
+}
+
 # The zero-copy artifact gate: the mmap/heap parity battery (every fault
 # injected into the mmap path must yield the same typed error as the heap
 # decoder), then the CLI flow — preprocess to a PHASTBIN v3 artifact and
@@ -304,52 +323,28 @@ kernel_smoke() {
     echo "kernel smoke ok"
 }
 
+# The gates that also run alone, in the order the full run takes them.
+GATES=(bench-smoke matrix-smoke customize-smoke canary-smoke router-chaos
+    edge-smoke mmap-smoke contract-smoke wire-smoke kernel-smoke)
+
 PROFILE_FLAG=""
-if [[ "${1:-}" == "bench-smoke" || "${1:-}" == "--bench-smoke" ]]; then
-    bench_smoke
-    step "ci green (bench-smoke only)"
-    exit 0
-fi
-if [[ "${1:-}" == "matrix-smoke" || "${1:-}" == "--matrix-smoke" ]]; then
-    matrix_smoke
-    step "ci green (matrix-smoke only)"
-    exit 0
-fi
-if [[ "${1:-}" == "customize-smoke" || "${1:-}" == "--customize-smoke" ]]; then
-    customize_smoke
-    step "ci green (customize-smoke only)"
-    exit 0
-fi
-if [[ "${1:-}" == "canary-smoke" || "${1:-}" == "--canary-smoke" ]]; then
-    canary_smoke
-    step "ci green (canary-smoke only)"
-    exit 0
-fi
-if [[ "${1:-}" == "router-chaos" || "${1:-}" == "--router-chaos" ]]; then
-    router_chaos
-    step "ci green (router-chaos only)"
-    exit 0
-fi
-if [[ "${1:-}" == "mmap-smoke" || "${1:-}" == "--mmap-smoke" ]]; then
-    mmap_smoke
-    step "ci green (mmap-smoke only)"
-    exit 0
-fi
-if [[ "${1:-}" == "contract-smoke" || "${1:-}" == "--contract-smoke" ]]; then
-    contract_smoke
-    step "ci green (contract-smoke only)"
-    exit 0
-fi
-if [[ "${1:-}" == "wire-smoke" || "${1:-}" == "--wire-smoke" ]]; then
-    wire_smoke
-    step "ci green (wire-smoke only)"
-    exit 0
-fi
-if [[ "${1:-}" == "kernel-smoke" || "${1:-}" == "--kernel-smoke" ]]; then
-    kernel_smoke
-    step "ci green (kernel-smoke only)"
-    exit 0
-fi
+case "${1:-}" in
+    "" | quick) ;;
+    help | --help | -h)
+        sed -n '2,/^$/s/^# \{0,1\}//p' "$0"
+        exit 0
+        ;;
+    *)
+        gate="${1#--}"
+        if [[ " ${GATES[*]} " != *" $gate "* ]]; then
+            echo "error: unknown gate '$1' (one of: quick ${GATES[*]})" >&2
+            exit 2
+        fi
+        "${gate//-/_}"
+        step "ci green ($gate only)"
+        exit 0
+        ;;
+esac
 if [[ "${1:-}" != "quick" ]]; then
     step "release build"
     cargo build --release --workspace
@@ -395,23 +390,9 @@ step "serve chaos gate (--chaos --smoke)"
 cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
     --vertices 1200 --chaos --smoke
 
-bench_smoke
-
-matrix_smoke
-
-customize_smoke
-
-canary_smoke
-
-router_chaos
-
-mmap_smoke
-
-contract_smoke
-
-wire_smoke
-
-kernel_smoke
+for gate in "${GATES[@]}"; do
+    "${gate//-/_}"
+done
 
 step "clippy (default features)"
 cargo clippy --workspace --all-targets -- -D warnings
