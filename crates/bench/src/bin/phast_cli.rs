@@ -628,7 +628,7 @@ fn cmd_customize(args: &[String]) -> CliResult {
     let h = phast_ch::contract_graph(&g, &ch_cfg);
     let contract = t.elapsed();
     let t = std::time::Instant::now();
-    let customizer = phast_metrics::MetricCustomizer::new(g, &h)?.with_threads(threads);
+    let customizer = phast_metrics::MetricCustomizer::new(g, &h)?;
     eprintln!(
         "contracted in {contract:.2?}, froze topology in {:.2?} \
          ({} closure arcs, {} triangles, {} levels)",

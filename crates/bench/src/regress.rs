@@ -23,7 +23,8 @@
 //! | `serve_batch_k{k}` | the serve scheduler's batch-execution path ([`phast_serve::BatchRunner`]) |
 //! | `rphast_select_r100` | RPHAST selection build at `\|T\| = scale/100` |
 //! | `rphast_sweep_r{10,100,1000}` | RPHAST restricted single-tree sweep at `\|T\| = scale/ratio` (r100/r1000 are the paper's "beats the full sweep" regime) |
-//! | `customize_10e6` | `phast-metrics` customization: perturbed metric → servable `(Phast, Hierarchy)` on the frozen topology |
+//! | `freeze_10e6` | `phast-metrics` topology freeze (`MetricCustomizer::new`): elimination order, closure, by-middle triangle layout |
+//! | `customize_10e6` | `phast-metrics` customization: perturbed metric → servable `(Phast, Hierarchy)` on the frozen topology; `obs` carries the pass's size and per-triangle cost: `closure_arcs`, `triangles`, `ns_per_triangle`, `frozen_bytes` |
 //! | `recontract_10e6` | the path customization replaces: full witness-search recontraction + instance build |
 //! | `contract_10e5` | sequential lazy-heap CH contraction (reference ordering) |
 //! | `contract_par_10e5` | round-based parallel CH contraction at 4 threads |
@@ -455,18 +456,38 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
     {
         let customizer = phast_metrics::MetricCustomizer::new(graph.clone(), &hierarchy)
             .map_err(|e| format!("metric topology freeze failed: {e}"))?;
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            phast_metrics::MetricCustomizer::new(graph.clone(), &hierarchy)
+                .expect("the freeze above succeeded on the same inputs");
+        });
+        record("freeze_10e6", s, None);
+        let perturbed = |i: usize| {
+            phast_metrics::MetricWeights::perturbed(graph, "bench", i as u64, 0xC0FFEE ^ i as u64)
+        };
         let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
-            let m = phast_metrics::MetricWeights::perturbed(
-                graph,
-                "bench",
-                i as u64,
-                0xC0FFEE ^ i as u64,
-            );
             customizer
-                .build(&m)
+                .build(&perturbed(i))
                 .expect("customizing a valid perturbed metric cannot fail");
         });
-        record("customize_10e6", s, None);
+        // What the frozen layout moves is the pass alone (the entry's
+        // median also assembles the engines): its own median over the
+        // triangle count is the per-triangle cost.
+        let frozen = customizer.frozen();
+        let pass = Samples::collect(cfg.warmup, cfg.runs, |i| {
+            frozen
+                .customize(&perturbed(i))
+                .expect("customizing a valid perturbed metric cannot fail");
+        });
+        let mut report = phast_obs::Report::new("customize");
+        report
+            .push_count("closure_arcs", frozen.num_arcs() as u64)
+            .push_count("triangles", frozen.num_triangles() as u64)
+            .push_ratio(
+                "ns_per_triangle",
+                pass.stats().median_ns as f64 / frozen.num_triangles().max(1) as f64,
+            )
+            .push_count("frozen_bytes", frozen.memory_bytes() as u64);
+        record("customize_10e6", s, Some(&report));
         let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
             let h = phast_ch::contract_graph(graph, &phast_ch::ContractionConfig::default());
             PhastBuilder::new().build_with_hierarchy(graph, &h);
@@ -895,6 +916,7 @@ mod tests {
             "rphast_sweep_r10",
             "rphast_sweep_r100",
             "rphast_sweep_r1000",
+            "freeze_10e6",
             "customize_10e6",
             "recontract_10e6",
             "contract_10e5",
@@ -922,6 +944,20 @@ mod tests {
         assert!(
             per_arc.is_some_and(|x| x > 0.0 && x.is_finite()),
             "{per_arc:?}"
+        );
+        // The customize entry carries the pass's size and per-triangle
+        // cost; the layout stores 4 bytes per triangle plus the arcs.
+        let count = |field: &str| {
+            let x = metrics[format!("customize_10e6.{field}").as_str()].as_i64();
+            x.unwrap_or_else(|| panic!("customize_10e6.{field} missing"))
+        };
+        let (arcs, triangles) = (count("closure_arcs"), count("triangles"));
+        assert!(arcs > 600 && triangles > arcs, "{arcs} arcs, {triangles} triangles");
+        assert!(count("frozen_bytes") > 4 * (triangles + arcs));
+        let per_triangle = metrics["customize_10e6.ns_per_triangle"].as_f64();
+        assert!(
+            per_triangle.is_some_and(|x| x > 0.0 && x.is_finite()),
+            "{per_triangle:?}"
         );
         // Each k-tree kernel entry carries its roofline: bytes computed
         // from the array sizes (`first` + 8-byte arcs + the 4-wide rows

@@ -3,29 +3,23 @@
 use crate::weights::MetricWeights;
 use phast_ch::hierarchy::{Hierarchy, NO_MIDDLE};
 use phast_graph::{Arc, Csr, Graph, Vertex, Weight, INF};
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
-
-/// Below this many arcs a level group is relaxed sequentially — the
-/// stand-in rayon spawns real threads per call, so tiny groups are
-/// cheaper inline. Parallel and sequential paths produce identical bits.
-const PAR_CUTOFF: usize = 4096;
+use std::ops::Range;
 
 /// A contraction topology frozen independently of any metric.
 ///
 /// Built once per graph + contraction order by [`FrozenTopology::freeze`]:
 /// the *elimination closure* of the base graph under the order (every arc
 /// contraction would ever create, with no witness pruning — witnesses
-/// depend on weights, and this structure must serve them all), plus
-/// everything the per-metric pass needs:
+/// depend on weights, and this structure must serve them all), laid out
+/// by **middle vertex** for the per-metric pass.
 ///
-/// * per closure arc, the **lower triangles** `(u,m),(m,w)` that can
-///   shorten it (`m` contracted before both endpoints);
-/// * per closure arc, the **base arcs** it directly represents (a CSR,
-///   because parallel base arcs stay distinct: which one is minimal
-///   depends on the metric);
-/// * a **schedule** grouping arcs by the elimination level of their lower
-///   endpoint, in which every triangle reads only finished groups.
+/// Closure arcs are numbered the way [`apply`](FrozenTopology::apply)
+/// emits them: the forward-up CSR first (arcs leaving their lower-ranked
+/// endpoint, grouped by it), then the backward-up CSR (arcs entering it).
+/// So the legs of every lower triangle through `m` are two contiguous id
+/// ranges — `m`'s row of each CSR — and all that is stored per triangle
+/// is the id of the arc it can shorten.
 pub struct FrozenTopology {
     /// Elimination rank per vertex — a fresh fill-reducing order computed
     /// by [`freeze`](FrozenTopology::freeze), *not* the source
@@ -37,28 +31,31 @@ pub struct FrozenTopology {
     /// at contraction time bumps the neighbour above the contracted
     /// vertex, so levels strictly increase along every closure arc).
     level: Vec<u32>,
-    /// Closure arc tails, indexed by arc id (creation order).
-    arc_tail: Vec<Vertex>,
-    /// Closure arc heads, indexed by arc id.
-    arc_head: Vec<Vertex>,
-    /// Triangle CSR offsets per arc (`tri_first[a]..tri_first[a+1]`).
-    tri_first: Vec<u32>,
-    /// Lower-triangle first legs: arc id of `(u, m)`.
-    tri_lower: Vec<u32>,
-    /// Lower-triangle second legs: arc id of `(m, w)`.
-    tri_upper: Vec<u32>,
+    /// Vertices in elimination order (the inverse of `rank`).
+    order: Vec<Vertex>,
+    /// Forward-up CSR offsets: arcs `fwd_first[v]..fwd_first[v + 1]` leave
+    /// `v` for a higher-ranked head — the out-legs of middle `v`.
+    fwd_first: Vec<u32>,
+    /// Backward-up CSR offsets, counted from the last forward arc: arcs
+    /// `F + bwd_first[v]..F + bwd_first[v + 1]` enter `v` from a
+    /// higher-ranked tail — the in-legs of middle `v`.
+    bwd_first: Vec<u32>,
+    /// The higher-ranked endpoint of each closure arc.
+    upper: Vec<Vertex>,
+    /// Per middle in elimination order, per in-leg, per out-leg: the id of
+    /// the arc `(u, w)` that `(u, m) + (m, w)` can shorten. A `u == w`
+    /// pair holds its own in-leg, which `w1 + w2 < w1` never improves.
+    targets: Vec<u32>,
     /// Base-arc CSR offsets per arc (empty range = pure fill-in shortcut).
     orig_first: Vec<u32>,
     /// Base forward-CSR arc indices, grouped by closure arc.
     orig_ids: Vec<u32>,
-    /// Arc ids grouped by lower-endpoint level (the processing order).
-    sched: Vec<u32>,
-    /// Per-level ranges into `sched`, in ascending level order.
-    sched_ranges: Vec<std::ops::Range<usize>>,
     /// Base-arc count the metric arity is validated against.
     num_base_arcs: usize,
     /// Closure arcs with no base arc behind them (pure shortcuts).
     num_fill_arcs: usize,
+    /// Lower triangles (`targets` entries with `u != w`).
+    num_triangles: usize,
 }
 
 /// One metric's customized closure weights, ready to
@@ -79,7 +76,8 @@ impl CustomizedMetric {
 
 impl FrozenTopology {
     /// Runs a pure elimination game over `graph`, recording the closure
-    /// arcs, their lower triangles, and the level schedule.
+    /// arcs and, per contracted vertex, the arc each of its `in × out`
+    /// neighbour pairs creates or reinforces.
     ///
     /// The elimination order is computed here, greedily by minimum
     /// fill-degree (`|in| × |out|`, the number of pairs a contraction
@@ -100,10 +98,11 @@ impl FrozenTopology {
     /// Triangle counts still grow as Θ(n^1.5) on grid-like networks under
     /// *any* order — the top separators of a √n-separator family form
     /// cliques along each root path — so the per-metric customization
-    /// advantage over witness-pruned recontraction narrows with scale on
-    /// a single core (measured ≥10× at 2·10³ vertices, ~7× at 2·10⁴,
-    /// ~3.4× at 10⁵); the level-parallel pass recovers the gap on
-    /// multicore hardware, where recontraction stays sequential.
+    /// advantage over witness-pruned recontraction narrows with scale.
+    /// A level-parallel pass did not recover it (20k benchmark instance:
+    /// 95.9 % of the triangles in level groups too small for a thread
+    /// hand-off, 2 threads no faster than 1); the pass is bound by memory
+    /// traffic per triangle, which the by-middle layout cuts.
     pub fn freeze(graph: &Graph, hierarchy: &Hierarchy) -> Result<FrozenTopology, String> {
         let n = graph.num_vertices();
         if hierarchy.num_vertices() != n {
@@ -169,9 +168,10 @@ impl FrozenTopology {
             .collect();
         let mut contracted = vec![false; n];
         let mut rank = vec![0u32; n];
-        let mut next_rank = 0u32;
+        let mut order: Vec<Vertex> = Vec::with_capacity(n);
         let mut level = vec![0u32; n];
-        let mut tris: Vec<(u32, u32, u32)> = Vec::new();
+        let mut targets: Vec<u32> = Vec::new();
+        let mut num_triangles = 0usize;
         let mut touched: Vec<Vertex> = Vec::new();
         while let Some(Reverse((s, hr, v))) = heap.pop() {
             if contracted[v as usize] {
@@ -183,19 +183,21 @@ impl FrozenTopology {
                 continue;
             }
             contracted[v as usize] = true;
-            rank[v as usize] = next_rank;
-            next_rank += 1;
+            rank[v as usize] = order.len() as u32;
+            order.push(v);
             let in_list = std::mem::take(&mut inn[v as usize]);
             let out_list = std::mem::take(&mut out[v as usize]);
             // Every in-above × out-above pair becomes (or reinforces) a
-            // closure arc, with the pair of legs recorded as one of its
-            // lower triangles.
+            // closure arc: the target of the lower triangle through `v`.
+            // Both lists are in arc-creation order, which is the order of
+            // `v`'s rows in the final numbering.
             for &(u, a1) in &in_list {
-                for &(w, a2) in &out_list {
+                for &(w, _) in &out_list {
                     if u == w {
+                        targets.push(a1);
                         continue;
                     }
-                    let id = get_or_add(
+                    targets.push(get_or_add(
                         u,
                         w,
                         &mut arc_ids,
@@ -203,8 +205,8 @@ impl FrozenTopology {
                         &mut arc_head,
                         &mut out,
                         &mut inn,
-                    );
-                    tris.push((id, a1, a2));
+                    ));
+                    num_triangles += 1;
                 }
             }
             // Remove `v` from its neighbours' lists and bump their level
@@ -234,55 +236,60 @@ impl FrozenTopology {
                 )));
             }
         }
-        debug_assert_eq!(next_rank as usize, n);
+        debug_assert_eq!(order.len(), n);
+        // Freed before the renumbering allocates: 15–85 MiB of the peak.
+        drop((out, inn, arc_ids, heap));
 
+        // Renumber the arcs from creation order to `apply`'s output order.
+        // The counting sort is stable, so a vertex's row keeps creation
+        // order — the order its legs were paired in above.
         let num_arcs = arc_tail.len();
+        let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+        for a in 0..num_arcs {
+            let (t, h) = (arc_tail[a], arc_head[a]);
+            if rank[t as usize] < rank[h as usize] {
+                fwd.push((t, (a as u32, h)));
+            } else {
+                bwd.push((h, (a as u32, t)));
+            }
+        }
+        let (fwd_first, fwd) = bucket_by_key(n, &fwd);
+        let (bwd_first, bwd) = bucket_by_key(n, &bwd);
+        let mut new_id = vec![0u32; num_arcs];
+        let mut upper = Vec::with_capacity(num_arcs);
+        for (new, &(old, hi)) in fwd.iter().chain(&bwd).enumerate() {
+            new_id[old as usize] = new as u32;
+            upper.push(hi);
+        }
+        for t in &mut targets {
+            *t = new_id[*t as usize];
+        }
+        targets.shrink_to_fit();
+        for (id, _) in &mut base_pairs {
+            *id = new_id[*id as usize];
+        }
         let (orig_first, orig_ids) = bucket_by_key(num_arcs, &base_pairs);
-        let tri_pairs: Vec<(u32, (u32, u32))> =
-            tris.into_iter().map(|(a, l, u)| (a, (l, u))).collect();
-        let (tri_first, tri_legs) = bucket_by_key(num_arcs, &tri_pairs);
-        let (tri_lower, tri_upper) = tri_legs.into_iter().unzip();
-
-        // The schedule: arcs grouped by the elimination level of their
-        // lower endpoint. Each triangle's legs have the contracted middle
-        // as *their* lower endpoint, and the middle's level is strictly
-        // below the level of both endpoints (they were its neighbours at
-        // contraction time) — so a group only ever reads finished groups.
-        let lower_level = |a: usize| {
-            let (t, h) = (arc_tail[a] as usize, arc_head[a] as usize);
-            let low = if rank[t] < rank[h] { t } else { h };
-            level[low]
-        };
-        let sched_pairs: Vec<(u32, u32)> =
-            (0..num_arcs).map(|a| (lower_level(a), a as u32)).collect();
-        let num_levels = level.iter().max().map_or(0, |&m| m as usize + 1);
-        let (group_first, sched) = bucket_by_key(num_levels, &sched_pairs);
-        let sched_ranges = group_first
-            .windows(2)
-            .map(|w| w[0] as usize..w[1] as usize)
-            .collect();
 
         let arcs_with_base = orig_first.windows(2).filter(|w| w[0] != w[1]).count();
         Ok(FrozenTopology {
             rank,
             level,
-            arc_tail,
-            arc_head,
-            tri_first,
-            tri_lower,
-            tri_upper,
+            order,
+            fwd_first,
+            bwd_first,
+            upper,
+            targets,
             orig_first,
             orig_ids,
-            sched,
-            sched_ranges,
             num_base_arcs: graph.num_arcs(),
             num_fill_arcs: num_arcs - arcs_with_base,
+            num_triangles,
         })
     }
 
     /// Closure arcs (base-derived + fill-in shortcuts).
     pub fn num_arcs(&self) -> usize {
-        self.arc_tail.len()
+        self.upper.len()
     }
 
     /// Pure fill-in shortcuts (closure arcs with no base arc behind them).
@@ -293,7 +300,7 @@ impl FrozenTopology {
     /// Lower triangles recorded over all closure arcs — the work unit of
     /// one customization pass.
     pub fn num_triangles(&self) -> usize {
-        self.tri_lower.len()
+        self.num_triangles
     }
 
     /// Base arcs the metric arity is validated against.
@@ -301,73 +308,84 @@ impl FrozenTopology {
         self.num_base_arcs
     }
 
-    /// Elimination levels (one customization wave per level).
+    /// Elimination levels.
     pub fn num_levels(&self) -> usize {
-        self.sched_ranges.len()
+        self.level.iter().max().map_or(0, |&m| m as usize + 1)
     }
 
     /// Heap bytes of the frozen layout.
     pub fn memory_bytes(&self) -> usize {
-        (self.rank.len() + self.level.len()) * 4
-            + (self.arc_tail.len() + self.arc_head.len()) * 4
-            + (self.tri_first.len() + self.tri_lower.len() + self.tri_upper.len()) * 4
-            + (self.orig_first.len() + self.orig_ids.len()) * 4
-            + self.sched.len() * 4
-            + self.sched_ranges.len() * std::mem::size_of::<std::ops::Range<usize>>()
+        let a = [&self.rank, &self.level, &self.order, &self.fwd_first, &self.bwd_first];
+        let b = [&self.upper, &self.targets, &self.orig_first, &self.orig_ids];
+        4 * a.into_iter().chain(b).map(Vec::len).sum::<usize>()
     }
 
-    /// The customization pass: seeds every closure arc with the minimum of
-    /// its base-arc weights under `metric` (or [`INF`] for pure
-    /// shortcuts), then relaxes each level group's arcs over their lower
-    /// triangles, in level order, in parallel within a group.
-    ///
-    /// Deterministic by construction: each arc owns its triangle list,
-    /// reads only strictly-lower groups, and ties keep the first minimum
-    /// (triangle order is fixed at freeze time).
-    pub fn customize(&self, metric: &MetricWeights) -> Result<CustomizedMetric, String> {
-        metric.validate(self.num_base_arcs)?;
-        let a = self.num_arcs();
-        let mut weight: Vec<Weight> = (0..a)
-            .map(|i| {
-                let r = self.orig_first[i] as usize..self.orig_first[i + 1] as usize;
-                self.orig_ids[r]
+    /// Forward-up arcs: ids below this are forward, the rest backward.
+    fn num_fwd(&self) -> usize {
+        self.fwd_first[self.fwd_first.len() - 1] as usize
+    }
+
+    /// Id ranges of `m`'s in-legs `(u, m)` and out-legs `(m, w)`.
+    fn legs(&self, m: usize) -> (Range<usize>, Range<usize>) {
+        let f = self.num_fwd();
+        (
+            f + self.bwd_first[m] as usize..f + self.bwd_first[m + 1] as usize,
+            self.fwd_first[m] as usize..self.fwd_first[m + 1] as usize,
+        )
+    }
+
+    /// Every closure arc at the minimum of its base-arc weights under
+    /// `metric` ([`INF`] for pure shortcuts).
+    fn seed(&self, metric: &MetricWeights) -> Vec<Weight> {
+        self.orig_first
+            .windows(2)
+            .map(|r| {
+                self.orig_ids[r[0] as usize..r[1] as usize]
                     .iter()
                     .map(|&b| metric.weights[b as usize])
                     .min()
                     .unwrap_or(INF)
             })
-            .collect();
-        let mut middle: Vec<Vertex> = vec![NO_MIDDLE; a];
+            .collect()
+    }
 
-        let mut updates: Vec<(Weight, Vertex)> = Vec::new();
-        for range in &self.sched_ranges {
-            let ids = &self.sched[range.clone()];
-            let relax = |&aid: &u32| -> (Weight, Vertex) {
-                let aid = aid as usize;
-                let mut best = weight[aid];
-                let mut best_mid = NO_MIDDLE;
-                let tr = self.tri_first[aid] as usize..self.tri_first[aid + 1] as usize;
-                for t in tr {
-                    let lo = self.tri_lower[t] as usize;
-                    let hi = self.tri_upper[t] as usize;
+    /// The customization pass: seeds every closure arc with the minimum of
+    /// its base-arc weights under `metric` (or [`INF`] for pure
+    /// shortcuts), then replays the elimination game on weights — for each
+    /// vertex `m` in elimination order, every in-leg `(u, m)` and out-leg
+    /// `(m, w)` offers `w(u,m) + w(m,w)` to the arc `(u, w)`.
+    ///
+    /// Exact because every lower triangle of a leg of `m` has a middle
+    /// eliminated before `m`, so both legs are final when `m` is reached.
+    /// Deterministic: an arc's candidates arrive in ascending middle rank
+    /// after its base seed, and ties keep the first minimum. Per triangle
+    /// the pass reads one streamed target id and one in-cache leg weight,
+    /// and touches one arc weight.
+    pub fn customize(&self, metric: &MetricWeights) -> Result<CustomizedMetric, String> {
+        metric.validate(self.num_base_arcs)?;
+        let mut weight = self.seed(metric);
+        let mut middle: Vec<Vertex> = vec![NO_MIDDLE; weight.len()];
+
+        let mut out_w: Vec<Weight> = Vec::new();
+        let mut rows = self.targets.as_slice();
+        for &m in &self.order {
+            let (ins, outs) = self.legs(m as usize);
+            // No target of `m` is one of its own out-legs, so the copy
+            // stays current while the weights are written.
+            out_w.clear();
+            out_w.extend_from_slice(&weight[outs]);
+            for i in ins {
+                let w1 = weight[i];
+                let (row, rest) = rows.split_at(out_w.len());
+                rows = rest;
+                for (&t, &w2) in row.iter().zip(&out_w) {
                     // Both legs are <= INF, so the u32 sum cannot wrap.
-                    let cand = (weight[lo] + weight[hi]).min(INF);
-                    if cand < best {
-                        best = cand;
-                        best_mid = self.arc_head[lo];
+                    let cand = (w1 + w2).min(INF);
+                    if cand < weight[t as usize] {
+                        weight[t as usize] = cand;
+                        middle[t as usize] = m;
                     }
                 }
-                (best, best_mid)
-            };
-            if ids.len() >= PAR_CUTOFF {
-                updates = ids.par_iter().map(relax).collect();
-            } else {
-                updates.clear();
-                updates.extend(ids.iter().map(relax));
-            }
-            for (&aid, &(w, m)) in ids.iter().zip(&updates) {
-                weight[aid as usize] = w;
-                middle[aid as usize] = m;
             }
         }
         Ok(CustomizedMetric { weight, middle })
@@ -394,27 +412,23 @@ impl FrozenTopology {
         if custom.weight.len() != self.num_arcs() {
             return Err("customized metric is for a different topology".into());
         }
-        let n = self.rank.len();
 
         let reweighted = metric.reweighted(base);
 
         // Each closure arc lives at its lower endpoint: tail side in the
         // forward (upward) search graph, head side in the backward one —
-        // the exact layout `contract_graph` emits.
-        let mut fwd: Vec<(Vertex, Arc, Vertex)> = Vec::new();
-        let mut bwd: Vec<(Vertex, Arc, Vertex)> = Vec::new();
-        for a in 0..self.num_arcs() {
-            let (t, h) = (self.arc_tail[a], self.arc_head[a]);
-            let arc_w = custom.weight[a];
-            let mid = custom.middle[a];
-            if self.rank[t as usize] < self.rank[h as usize] {
-                fwd.push((t, Arc::new(h, arc_w), mid));
-            } else {
-                bwd.push((h, Arc::new(t, arc_w), mid));
-            }
-        }
-        let (forward_up, forward_middle) = csr_with_middles(n, fwd);
-        let (backward_up, backward_middle) = csr_with_middles(n, bwd);
+        // the exact layout `contract_graph` emits, and the one the arcs
+        // are numbered in, so each side is a linear copy.
+        let side = |first: &[u32], ids: Range<usize>| {
+            let arcs = ids
+                .clone()
+                .map(|a| Arc::new(self.upper[a], custom.weight[a]))
+                .collect();
+            (Csr::from_raw(first.to_vec(), arcs), custom.middle[ids].to_vec())
+        };
+        let f = self.num_fwd();
+        let (forward_up, forward_middle) = side(&self.fwd_first, 0..f);
+        let (backward_up, backward_middle) = side(&self.bwd_first, f..self.num_arcs());
         let h = Hierarchy {
             rank: self.rank.clone(),
             level: self.level.clone(),
@@ -455,8 +469,8 @@ fn get_or_add(
 
 /// Stable counting sort of `(key, value)` pairs into a CSR: returns
 /// (`first` of length `buckets + 1`, values grouped by key in input
-/// order). The deterministic backbone of the triangle, base-arc and
-/// schedule layouts.
+/// order). The deterministic backbone of the arc numbering and the
+/// base-arc layout.
 fn bucket_by_key<T: Copy>(buckets: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
     let mut first = vec![0u32; buckets + 1];
     for &(k, _) in pairs {
@@ -478,20 +492,6 @@ fn bucket_by_key<T: Copy>(buckets: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<
     (first, values)
 }
 
-/// Builds a per-vertex CSR (plus aligned middle array) from unsorted
-/// `(tail, arc, middle)` triples with a stable counting sort, mirroring
-/// the layout `Csr::from_arc_list` produces.
-fn csr_with_middles(
-    n: usize,
-    list: Vec<(Vertex, Arc, Vertex)>,
-) -> (Csr, Vec<Vertex>) {
-    let pairs: Vec<(u32, (Arc, Vertex))> =
-        list.into_iter().map(|(t, a, m)| (t, (a, m))).collect();
-    let (first, values) = bucket_by_key(n, &pairs);
-    let (arcs, middles) = values.into_iter().unzip();
-    (Csr::from_raw(first, arcs), middles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,12 +500,69 @@ mod tests {
     use phast_dijkstra::dijkstra::shortest_paths;
     use phast_graph::gen::random::gnm;
     use phast_graph::gen::{Metric, RoadNetworkConfig};
+    use phast_graph::MAX_WEIGHT;
     use proptest::prelude::*;
 
     fn fixture() -> (Graph, Hierarchy) {
         let net = RoadNetworkConfig::new(6, 6, 11, Metric::TravelTime).build();
         let h = contract_graph(&net.graph, &ContractionConfig::default());
         (net.graph, h)
+    }
+
+    /// The lower-ranked endpoint of every closure arc (the vertex whose
+    /// CSR row holds it).
+    fn lower_endpoints(f: &FrozenTopology) -> Vec<Vertex> {
+        let mut lower = vec![0; f.num_arcs()];
+        for m in 0..f.rank.len() {
+            let (ins, outs) = f.legs(m);
+            ins.chain(outs).for_each(|a| lower[a] = m as Vertex);
+        }
+        lower
+    }
+
+    /// Reference twin of [`FrozenTopology::customize`]: the per-arc gather
+    /// relaxation the by-middle loop replaced. Each arc, in order of its
+    /// lower endpoint's rank, takes the minimum over its own lower
+    /// triangles, listed in middle order.
+    fn customize_by_arc(f: &FrozenTopology, metric: &MetricWeights) -> CustomizedMetric {
+        let lower = lower_endpoints(f);
+        let mut tris: Vec<Vec<(usize, usize)>> = vec![Vec::new(); f.num_arcs()];
+        let mut targets = f.targets.iter();
+        for &m in &f.order {
+            let (ins, outs) = f.legs(m as usize);
+            for i in ins {
+                for o in outs.clone() {
+                    let t = *targets.next().unwrap() as usize;
+                    if t != i {
+                        tris[t].push((i, o));
+                    }
+                }
+            }
+        }
+        assert!(targets.next().is_none());
+        let mut weight = f.seed(metric);
+        let mut middle = vec![NO_MIDDLE; f.num_arcs()];
+        let mut ids: Vec<usize> = (0..f.num_arcs()).collect();
+        ids.sort_by_key(|&a| f.rank[lower[a] as usize]);
+        for a in ids {
+            for &(i, o) in &tris[a] {
+                let cand = (weight[i] + weight[o]).min(INF);
+                if cand < weight[a] {
+                    weight[a] = cand;
+                    middle[a] = lower[i];
+                }
+            }
+        }
+        CustomizedMetric { weight, middle }
+    }
+
+    /// `customize` must equal the reference twin, middles included.
+    fn assert_matches_twin(f: &FrozenTopology, m: &MetricWeights) -> CustomizedMetric {
+        let got = f.customize(m).unwrap();
+        let want = customize_by_arc(f, m);
+        assert_eq!(got.weight, want.weight, "weights, metric `{}`", m.name);
+        assert_eq!(got.middle, want.middle, "middles, metric `{}`", m.name);
+        got
     }
 
     #[test]
@@ -523,9 +580,10 @@ mod tests {
         let (g, h) = fixture();
         let f = FrozenTopology::freeze(&g, &h).unwrap();
         assert!(f.num_arcs() >= g.num_arcs() - count_self_loops(&g));
-        for a in 0..f.num_arcs() {
-            let (t, hd) = (f.arc_tail[a] as usize, f.arc_head[a] as usize);
-            let (lo, hi) = if f.rank[t] < f.rank[hd] { (t, hd) } else { (hd, t) };
+        let lower = lower_endpoints(&f);
+        for (a, (&lo, &hi)) in lower.iter().zip(&f.upper).enumerate() {
+            let (lo, hi) = (lo as usize, hi as usize);
+            assert!(f.rank[lo] < f.rank[hi], "closure arc {a} does not go up in rank");
             assert!(
                 f.level[lo] < f.level[hi],
                 "closure arc {a} does not go up in level"
@@ -537,27 +595,53 @@ mod tests {
         g.forward().iter_arcs().filter(|&(u, v, _)| u == v).count()
     }
 
+    /// What the by-middle loop relies on: middles come in ascending rank,
+    /// each one's legs are exactly its rows of the two CSRs, and the
+    /// target of a pair joins the in-leg's tail to the out-leg's head,
+    /// both ranked above the middle.
     #[test]
-    fn triangles_only_reference_lower_levels() {
+    fn targets_join_the_upper_neighbours_of_each_middle() {
         let (g, h) = fixture();
         let f = FrozenTopology::freeze(&g, &h).unwrap();
-        let lower_level = |a: usize| {
-            let (t, hd) = (f.arc_tail[a] as usize, f.arc_head[a] as usize);
-            f.level[if f.rank[t] < f.rank[hd] { t } else { hd }]
+        let lower = lower_endpoints(&f);
+        let num_fwd = f.num_fwd();
+        // (tail, head) of a closure arc.
+        let ends = |a: usize| {
+            if a < num_fwd {
+                (lower[a], f.upper[a])
+            } else {
+                (f.upper[a], lower[a])
+            }
         };
-        assert!(f.num_triangles() > 0, "road networks must produce fill-in");
-        for a in 0..f.num_arcs() {
-            let own = lower_level(a);
-            for t in f.tri_first[a] as usize..f.tri_first[a + 1] as usize {
-                assert!(lower_level(f.tri_lower[t] as usize) < own);
-                assert!(lower_level(f.tri_upper[t] as usize) < own);
-                // Both legs share the contracted middle vertex.
-                assert_eq!(
-                    f.arc_head[f.tri_lower[t] as usize],
-                    f.arc_tail[f.tri_upper[t] as usize]
-                );
+        for (r, &m) in f.order.iter().enumerate() {
+            assert_eq!(f.rank[m as usize] as usize, r, "order is not rank's inverse");
+        }
+        let mut targets = f.targets.iter();
+        let mut real = 0;
+        for &m in &f.order {
+            let (ins, outs) = f.legs(m as usize);
+            for i in ins {
+                let (u, into) = ends(i);
+                assert_eq!(into, m, "in-leg {i} does not enter its middle");
+                assert!(f.rank[u as usize] > f.rank[m as usize]);
+                for o in outs.clone() {
+                    let (from, w) = ends(o);
+                    assert_eq!(from, m, "out-leg {o} does not leave its middle");
+                    assert!(f.rank[w as usize] > f.rank[m as usize]);
+                    let t = *targets.next().expect("one target per pair") as usize;
+                    if u == w {
+                        assert_eq!(t, i, "a u == w pair must hold its in-leg");
+                    } else {
+                        assert_eq!(ends(t), (u, w), "target of ({u},{m},{w})");
+                        real += 1;
+                    }
+                }
             }
         }
+        assert!(targets.next().is_none(), "targets beyond the last middle");
+        assert!(real > 0, "road networks must produce fill-in");
+        assert_eq!(f.num_triangles(), real, "num_triangles counts real pairs only");
+        assert!(real < f.targets.len(), "two-way roads must produce u == w pairs");
     }
 
     #[test]
@@ -580,6 +664,22 @@ mod tests {
     }
 
     #[test]
+    fn extreme_metrics_match_the_twin_and_clamp() {
+        let (g, h) = fixture();
+        let f = FrozenTopology::freeze(&g, &h).unwrap();
+        let flat = |name: &str, w: Weight| {
+            MetricWeights::new(name, 1, vec![w; g.num_arcs()]).unwrap()
+        };
+        // Every sum of two legs overflows INF: it must clamp, never wrap.
+        let c = assert_matches_twin(&f, &flat("max", MAX_WEIGHT));
+        assert!(c.weight.iter().all(|&w| (MAX_WEIGHT..=INF).contains(&w)));
+        let c = assert_matches_twin(&f, &flat("zero", 0));
+        assert!(c.weight.iter().all(|&w| w == 0));
+        // Uniform: every tie is live, so the middles pin the tie-break.
+        assert_matches_twin(&f, &flat("uniform", 7));
+    }
+
+    #[test]
     fn customized_phast_matches_dijkstra_on_gnm() {
         // Unstructured random digraphs: correctness must not depend on
         // road-like structure (the paper's own correctness bar).
@@ -588,7 +688,7 @@ mod tests {
             let h = contract_graph(&g, &ContractionConfig::default());
             let f = FrozenTopology::freeze(&g, &h).unwrap();
             let m = MetricWeights::perturbed(&g, "p", 1, seed.wrapping_mul(77));
-            let c = f.customize(&m).unwrap();
+            let c = assert_matches_twin(&f, &m);
             let (g2, h2) = f.apply(&g, &m, &c).unwrap();
             let p = PhastBuilder::new().build_with_hierarchy(&g2, &h2);
             for s in [0u32, 50, 179] {
@@ -615,7 +715,7 @@ mod tests {
             let h = contract_graph(&g, &ContractionConfig::default());
             let f = FrozenTopology::freeze(&g, &h).unwrap();
             let m = MetricWeights::perturbed(&g, "prop", 1, seed ^ 0xABCD);
-            let c = f.customize(&m).unwrap();
+            let c = assert_matches_twin(&f, &m);
             let (g2, h2) = f.apply(&g, &m, &c).unwrap();
             let p = PhastBuilder::new().build_with_hierarchy(&g2, &h2);
             let s = (seed % n as u64) as u32;

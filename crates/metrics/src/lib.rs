@@ -8,8 +8,8 @@
 //!
 //! 1. a **metric-independent topology phase** that fixes the contraction
 //!    order and the shortcut *structure* once, and
-//! 2. a fast, parallelizable **customization pass** that re-derives the
-//!    shortcut *weights* for each new metric.
+//! 2. a fast **customization pass** that re-derives the shortcut
+//!    *weights* for each new metric.
 //!
 //! This crate implements that split alongside the existing `phast-ch`
 //! contraction (with its own fill-reducing elimination order — see
@@ -20,16 +20,14 @@
 //!   witness searches — witnesses are metric-dependent, so a
 //!   weight-agnostic topology must keep every fill-in arc) under a
 //!   fill-reducing greedy min-degree order computed on the spot, and
-//!   records, per closure arc, the list of *lower triangles*
-//!   `(u, m) + (m, w)` through which a new metric can shorten it, plus
-//!   the base arcs it directly represents.
-//! * [`FrozenTopology::customize`] runs the bottom-up pass
-//!   `w(u,w) = min(w(u,w), w(u,m) + w(m,v))` over arcs grouped by the
-//!   elimination level of their lower endpoint. Every triangle of an arc
-//!   reads only arcs from strictly lower levels (the middle vertex was
-//!   contracted before either endpoint), so each level group is
-//!   embarrassingly parallel and the result is bit-deterministic for any
-//!   thread count.
+//!   records, per contracted vertex `m`, the closure arc `(u, w)` that
+//!   each *lower triangle* `(u, m) + (m, w)` can shorten, plus the base
+//!   arcs every closure arc directly represents.
+//! * [`FrozenTopology::customize`] replays that game on weights: for `m`
+//!   in elimination order, `w(u,w) = min(w(u,w), w(u,m) + w(m,w))` over
+//!   `m`'s in-legs × out-legs. Both legs were last written by middles
+//!   eliminated before `m`, so they are final when `m` is reached; the
+//!   pass is one sequential loop and bit-deterministic.
 //! * [`FrozenTopology::apply`] materializes the customized weights as a
 //!   fresh [`Hierarchy`] + reweighted base graph, from which the existing
 //!   sweep/RPHAST kernels are assembled **unchanged** (they only ever see
@@ -68,7 +66,6 @@ use phast_graph::Graph;
 pub struct MetricCustomizer {
     graph: Graph,
     frozen: FrozenTopology,
-    threads: usize,
 }
 
 /// **Fault-injection seam** (tests, chaos gates and CI only): when this
@@ -114,22 +111,7 @@ impl MetricCustomizer {
     /// when replayed without witnesses (see [`FrozenTopology::freeze`]).
     pub fn new(graph: Graph, hierarchy: &Hierarchy) -> Result<MetricCustomizer, String> {
         let frozen = FrozenTopology::freeze(&graph, hierarchy)?;
-        Ok(MetricCustomizer {
-            graph,
-            frozen,
-            threads: 0,
-        })
-    }
-
-    /// Caps the per-metric customization pass at `threads` rayon workers.
-    /// `0` (the default) honours `PHAST_THREADS` if set, else the ambient
-    /// pool — the same resolution as `phast_ch::with_threads`. The pass is
-    /// bit-deterministic for any thread count, so this only trades latency
-    /// against interference with co-resident work (e.g. serve traffic
-    /// during a background hot-swap).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+        Ok(MetricCustomizer { graph, frozen })
     }
 
     /// The base graph (canonical arc order for [`MetricWeights`]).
@@ -173,10 +155,8 @@ impl MetricCustomizer {
         } else {
             std::borrow::Cow::Borrowed(metric)
         };
-        let (g2, h2) = phast_ch::with_threads(self.threads, || {
-            let custom = self.frozen.customize(&effective)?;
-            self.frozen.apply(&self.graph, &effective, &custom)
-        })?;
+        let custom = self.frozen.customize(&effective)?;
+        let (g2, h2) = self.frozen.apply(&self.graph, &effective, &custom)?;
         let phast = PhastBuilder::new().build_with_hierarchy(&g2, &h2);
         Ok((phast, h2))
     }

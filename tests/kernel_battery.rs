@@ -24,33 +24,11 @@ use phast::core::{
 };
 use phast::dijkstra::dijkstra::shortest_paths;
 use phast::graph::gen::random::strongly_connected_gnm;
-use phast::graph::gen::{Metric, RoadNetworkConfig};
-use phast::graph::{Arc, Csr, Graph, Vertex, Weight, INF};
+use phast::graph::gen::{adversarial, Metric, RoadNetworkConfig};
+use phast::graph::{Graph, Vertex, Weight, INF};
 
 const WIDTHS: [usize; 7] = [4, 8, 12, 16, 20, 32, 64];
 const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2];
-
-/// `base` plus what generated graphs lack: every 5th arc gets weight 0,
-/// every 3rd a heavier and every 7th a lighter parallel twin, and four
-/// more vertices form a cycle of their own that nothing else reaches.
-fn adversarial(base: &Graph) -> Graph {
-    let n = base.num_vertices();
-    let mut list: Vec<(Vertex, Arc)> = Vec::new();
-    for (i, (u, v, w)) in base.forward().iter_arcs().enumerate() {
-        list.push((u, Arc::new(v, if i % 5 == 0 { 0 } else { w })));
-        if i % 3 == 0 {
-            list.push((u, Arc::new(v, w + 9)));
-        }
-        if i % 7 == 0 {
-            list.push((u, Arc::new(v, w / 2)));
-        }
-    }
-    for i in 0..4 {
-        let (a, b) = ((n + i) as Vertex, (n + (i + 1) % 4) as Vertex);
-        list.push((a, Arc::new(b, 3 * i as Weight)));
-    }
-    Graph::from_csr(Csr::from_arc_list(n + 4, list))
-}
 
 /// `k` sources spread over the graph, the island included.
 fn sources(g: &Graph, k: usize) -> Vec<Vertex> {
