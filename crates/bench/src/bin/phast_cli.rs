@@ -6,6 +6,7 @@
 //! phast-cli preprocess net.gr --out inst.phast [--reverse] [--threads N]
 //!                     [--stats[=json]]
 //! phast-cli tree      inst.phast --source 0 [--top 5] [--stats[=json]]
+//! phast-cli dump      inst.phast
 //! phast-cli query     net.gr --from 0 --to 999 [--path]
 //! phast-cli matrix    inst.phast --sources 0,5,9 --targets 3,7
 //!                     [--k 16] [--out dist.tsv] [--stats[=json]]
@@ -36,13 +37,16 @@
 //! Graphs use the 9th DIMACS Implementation Challenge `.gr`/`.co` formats,
 //! so real road networks work directly.
 //!
-//! Preprocessed artifacts have two formats, chosen by the output
-//! extension: a path ending in `.phast` writes the crash-safe versioned
-//! binary store of `phast-store` (checksummed, with the contraction
-//! hierarchy bundled so `serve --instance` skips recontraction *and*
-//! keeps its point-to-point fast path); any other path writes the legacy
-//! serde_json artifact. `tree` and `serve --instance` sniff the format by
-//! magic bytes, so both artifact kinds work everywhere.
+//! Preprocessed artifacts have one format, whatever the output path is
+//! called: the crash-safe versioned binary store of `phast-store`
+//! (DESIGN.md §10) — checksummed, with the contraction hierarchy bundled
+//! so `serve --instance` skips recontraction *and* keeps its
+//! point-to-point fast path. `tree`, `matrix` and `serve --instance` load
+//! it through the store's one decoder; anything else is the typed "not a
+//! .phast artifact" error. `dump` is how a human reads one: the format
+//! version, a row per section (tag, name, payload offset, bytes, offset
+//! mod 64, CRC verdict) from the decoder's own section walk, then what
+//! the instance, the bundled hierarchy and each `METRIC` section hold.
 //!
 //! `matrix` computes a many-to-many distance table with RPHAST
 //! (DESIGN.md §13): one target selection built over the comma-separated
@@ -122,6 +126,7 @@ fn main() {
         Some("stats") => cmd_stats(&args[1..]),
         Some("preprocess") => cmd_preprocess(&args[1..]),
         Some("tree") => cmd_tree(&args[1..]),
+        Some("dump") => cmd_dump(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("matrix") => cmd_matrix(&args[1..]),
         Some("customize") => cmd_customize(&args[1..]),
@@ -130,7 +135,7 @@ fn main() {
         Some("bench") => cmd_bench(&args[1..]),
         _ => {
             eprintln!(
-                "usage: phast-cli <generate|stats|preprocess|tree|query|matrix|customize|serve|route|bench> [options]\n\
+                "usage: phast-cli <generate|stats|preprocess|tree|dump|query|matrix|customize|serve|route|bench> [options]\n\
                  see the module docs (or the README) for the option lists"
             );
             exit(2);
@@ -275,14 +280,9 @@ fn cmd_preprocess(args: &[String]) -> CliResult {
             .push_time("preprocess_time", elapsed);
         emit_report(&r, json)?;
     }
-    if out.ends_with(".phast") {
-        phast_store::write_instance(std::path::Path::new(out), &p, Some(&h))
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-        eprintln!("wrote {out} (binary store, hierarchy bundled)");
-    } else {
-        serde_json::to_writer(BufWriter::new(create_file(out)?), &p)?;
-        eprintln!("wrote {out}");
-    }
+    phast_store::write_instance(std::path::Path::new(out), &p, Some(&h))
+        .map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    eprintln!("wrote {out} (binary store, hierarchy bundled)");
     Ok(())
 }
 
@@ -323,6 +323,51 @@ fn cmd_tree(args: &[String]) -> CliResult {
             writeln!(w, "{v} {d}")?;
         }
         eprintln!("wrote {out}");
+    }
+    Ok(())
+}
+
+/// Prints what an artifact holds. The section table comes first and from
+/// the frame walk alone, so a file the decoder then refuses still shows
+/// which section is the damaged one.
+fn cmd_dump(args: &[String]) -> CliResult {
+    let f = Flags::parse(args, &[])?;
+    let path = f.positional("artifact file")?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let cannot_load = |e| format!("cannot load artifact `{path}`: {e}");
+    let sections = phast_store::codec::sections(&bytes).map_err(cannot_load)?;
+    println!("artifact     : {path} ({} bytes)", bytes.len());
+    println!("format       : PHASTBIN version {}", phast_store::FORMAT_VERSION);
+    println!("{:<4} {:<15} {:>10} {:>10} {:>3}  crc", "tag", "section", "offset", "bytes", "%64");
+    for section in sections {
+        let s = section.map_err(cannot_load)?;
+        println!(
+            "0x{:02X} {:<15} {:>10} {:>10} {:>3}  {}",
+            s.tag,
+            phast_store::codec::section_name(s.tag).unwrap_or("?"),
+            s.offset,
+            s.payload.len(),
+            s.offset % 64,
+            if s.crc_ok { "ok" } else { "BAD" }
+        );
+    }
+    let loaded = phast_store::decode_instance(&bytes, None).map_err(cannot_load)?;
+    let p = &loaded.phast;
+    println!("vertices     : {}", p.num_vertices());
+    println!(
+        "arcs         : {} up, {} down, {} original",
+        p.up().num_arcs(),
+        p.down().num_arcs(),
+        p.orig_incoming().num_arcs()
+    );
+    println!("levels       : {}", p.num_levels());
+    println!("shortcuts    : {}", p.num_shortcuts());
+    println!(
+        "hierarchy    : {}",
+        if loaded.hierarchy.is_some() { "bundled" } else { "absent" }
+    );
+    for m in &loaded.metrics {
+        println!("metric       : `{}` v{}, {} weights", m.name, m.version, m.weights.len());
     }
     Ok(())
 }
@@ -668,13 +713,9 @@ fn cmd_customize(args: &[String]) -> CliResult {
         metric.version,
         t.elapsed(),
     );
-    phast_store::write_instance_with_metrics(
-        std::path::Path::new(out),
-        &p,
-        Some(&ch),
-        std::slice::from_ref(&metric),
-    )
-    .map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    let artifact = phast_store::encode_instance(&p, Some(&ch), std::slice::from_ref(&metric));
+    phast_store::write_atomic(std::path::Path::new(out), &artifact)
+        .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     eprintln!("wrote {out} (customized instance, hierarchy + metric bundled)");
     if let Some(mp) = f.get("--emit-metric") {
         let mut w = BufWriter::new(create_file(mp)?);

@@ -127,31 +127,18 @@ pub fn load_graph(path: &str) -> Result<Graph, String> {
         .map_err(|e| format!("cannot parse DIMACS graph `{path}`: {e}"))
 }
 
-/// Loads a preprocessed instance artifact, sniffing the format by magic
-/// bytes: binary `.phast` stores load through `phast-store` with full
-/// integrity checking (and may bundle the contraction hierarchy);
-/// anything else is treated as a legacy JSON artifact and structurally
-/// re-validated. Either way a damaged file is a clean error, not a panic.
-///
-/// Binary stores load through [`phast_store::load_instance_mmap`]: an
-/// aligned (v3) artifact is validated once and then *borrowed* from the
-/// page cache instead of copied to the heap; legacy or unmappable files
-/// silently fall back to the heap path.
+/// Loads a preprocessed `.phast` artifact (and the hierarchy, if it
+/// bundles one) through [`phast_store::load_instance_mmap`]: validated
+/// once with full integrity checking, then *borrowed* from the page cache
+/// where the file can be mapped. A damaged file, or one that is no
+/// artifact at all, is a clean error, not a panic.
 pub fn load_instance(path: &str) -> Result<(Phast, Option<Hierarchy>), String> {
-    if phast_store::is_store_file(Path::new(path)) {
-        let loaded = phast_store::load_instance_mmap(Path::new(path))
-            .map_err(|e| format!("cannot load artifact `{path}`: {e}"))?;
-        if loaded.zero_copy {
-            eprintln!("loaded `{path}` zero-copy (mmap)");
-        }
-        Ok((loaded.phast, loaded.hierarchy))
-    } else {
-        let p: Phast = serde_json::from_reader(BufReader::new(open_file(path)?))
-            .map_err(|e| format!("cannot parse artifact `{path}`: {e}"))?;
-        p.validate()
-            .map_err(|e| format!("corrupt artifact `{path}`: {e}"))?;
-        Ok((p, None))
+    let loaded = phast_store::load_instance_mmap(Path::new(path))
+        .map_err(|e| format!("cannot load artifact `{path}`: {e}"))?;
+    if loaded.zero_copy {
+        eprintln!("loaded `{path}` zero-copy (mmap)");
     }
+    Ok((loaded.phast, loaded.hierarchy))
 }
 
 /// The scheduler / hardening flags every serve-shaped binary shares

@@ -28,8 +28,8 @@
 //! | `recontract_10e6` | the path customization replaces: full witness-search recontraction + instance build |
 //! | `contract_10e5` | sequential lazy-heap CH contraction (reference ordering) |
 //! | `contract_par_10e5` | round-based parallel CH contraction at 4 threads |
-//! | `store_load_heap` | PHASTBIN artifact load, heap decode (`read_instance`) |
-//! | `store_load_mmap` | the same artifact through the zero-copy mmap path (`load_instance_mmap`) |
+//! | `store_load_heap` | PHASTBIN artifact load from bytes read to the heap (`read_instance`) |
+//! | `store_load_mmap` | the same artifact, same decoder, borrowing from a mapping (`load_instance_mmap`) |
 //! | `wire_encode_tree` / `wire_encode_matrix` | `protocol::encode_answer_into` a reused buffer: one full tree; a 16 × `scale/16` matrix |
 //! | `wire_decode_tree` | `protocol::decode_reply_with_epoch` of that tree line (the client's one pass) |
 //! | `wire_classify_tree` | `protocol::classify_reply` of the same line (the router's validate-only pass) |
@@ -516,11 +516,11 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         record("contract_par_10e5", s, None);
     }
 
-    // 10. Artifact load: heap decode (`read_instance`) vs the zero-copy
-    //    mmap path (`load_instance_mmap`). Same PHASTBIN v3 file, written
-    //    once; the mmap row validates CRCs then borrows the big section
-    //    slices out of the mapping instead of copying them, which is the
-    //    point of the format — replica startup cost is dominated by this.
+    // 10. Artifact load: the one decoder over bytes read to the heap
+    //    (`read_instance`) vs over a mapping (`load_instance_mmap`). Same
+    //    file, written once; both rows validate every CRC, the mmap row
+    //    then borrows the big section slices out of the mapping instead of
+    //    converting them — replica startup cost is dominated by this.
     {
         let dir = std::env::temp_dir().join(format!("phast-regress-{}", std::process::id()));
         std::fs::create_dir_all(&dir)
@@ -535,7 +535,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
             let loaded =
                 phast_store::load_instance_mmap(&file).expect("mmap load of a file we just wrote");
-            assert!(loaded.zero_copy, "a fresh v3 artifact must take the zero-copy path");
+            assert!(loaded.zero_copy, "a fresh artifact must take the zero-copy path");
         });
         record("store_load_mmap", s, None);
         let _ = std::fs::remove_dir_all(&dir);

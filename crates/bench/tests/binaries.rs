@@ -47,7 +47,7 @@ fn cli_full_pipeline() {
     std::fs::create_dir_all(&dir).unwrap();
     let gr = dir.join("g.gr");
     let gr = gr.to_str().unwrap();
-    let art = dir.join("g.phast.json");
+    let art = dir.join("g.phast");
     let art = art.to_str().unwrap();
 
     let (_, stderr, ok) = run(
@@ -97,10 +97,11 @@ fn cli_full_pipeline() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The binary artifact pipeline: `preprocess --out x.phast` writes the
-/// checksummed store (with the hierarchy bundled), `tree` loads it by
-/// magic-byte sniffing, and `serve --instance` starts without
-/// recontracting. A corrupted store must be a clean error, not a panic.
+/// The artifact pipeline: `preprocess --out` writes the checksummed store
+/// (with the hierarchy bundled), `tree` loads it, `serve --instance`
+/// starts without recontracting, and `dump` shows what a `customize`
+/// output holds. A corrupted store, a version-skewed one and a file that
+/// is no artifact must each be a clean error, not a panic.
 #[test]
 fn cli_binary_store_pipeline() {
     let bin = env!("CARGO_BIN_EXE_phast_cli");
@@ -140,7 +141,47 @@ fn cli_binary_store_pipeline() {
     );
     assert!(stderr.contains("listening on"), "{stderr}");
 
-    // Flip one payload byte: load must fail with a checksum error.
+    // `dump` on a customized artifact: every section row from the
+    // decoder's own walk (the down arcs on a cache line, CRC ok), the
+    // instance's counts, the bundled hierarchy and the METRIC section.
+    let custom = dir.join("rush.phast");
+    let custom = custom.to_str().unwrap();
+    let (_, stderr, ok) = run(
+        bin,
+        &["customize", gr, "--perturb", "42", "--name", "rush", "--version", "2", "--out", custom],
+    );
+    assert!(ok, "customize failed: {stderr}");
+    let (stdout, stderr, ok) = run(bin, &["dump", custom]);
+    assert!(ok, "dump failed: {stderr}");
+    assert!(stdout.contains("PHASTBIN version 3"), "{stdout}");
+    let down_arcs = stdout
+        .lines()
+        .find(|l| l.starts_with("0x08 down arcs"))
+        .unwrap_or_else(|| panic!("no down-arcs row: {stdout}"));
+    assert_eq!(
+        down_arcs.split_whitespace().rev().take(2).collect::<Vec<_>>(),
+        ["ok", "0"],
+        "down arcs must sit at offset % 64 == 0 with a good CRC: {down_arcs}"
+    );
+    assert!(!stdout.contains("BAD"), "{stdout}");
+    let graph = std::fs::read_to_string(gr).unwrap();
+    let problem: Vec<&str> = graph
+        .lines()
+        .find(|l| l.starts_with("p sp "))
+        .expect("DIMACS problem line")
+        .split_whitespace()
+        .collect();
+    let (n, m) = (problem[2], problem[3]);
+    assert!(stdout.contains(&format!("vertices     : {n}\n")), "{stdout}");
+    assert!(stdout.contains(&format!("{m} original\n")), "{stdout}");
+    assert!(stdout.contains("hierarchy    : bundled"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("metric       : `rush` v2, {m} weights")),
+        "{stdout}"
+    );
+
+    // Flip one payload byte: load must fail with a checksum error, and
+    // `dump` must still name the section that took the hit.
     let mut corrupt = bytes.clone();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x40;
@@ -150,6 +191,21 @@ fn cli_binary_store_pipeline() {
     assert!(!ok, "corrupt store must be rejected");
     assert!(!stderr.contains("panicked"), "panic on corrupt store: {stderr}");
     assert!(stderr.contains("error:"), "{stderr}");
+    let (stdout, stderr, ok) = run(bin, &["dump", bad.to_str().unwrap()]);
+    assert!(!ok, "dump of a corrupt store must fail");
+    assert_eq!(stdout.matches("BAD").count(), 1, "{stdout}");
+    assert!(stderr.contains("failed its CRC32 check"), "{stderr}");
+
+    // A file that is no artifact — JSON, say — is the typed bad-magic
+    // error through every consumer.
+    let json = dir.join("g.json");
+    let json = json.to_str().unwrap();
+    std::fs::write(json, format!("{{\"up\": [{}]}}", "0,".repeat(40))).unwrap();
+    for args in [vec!["tree", json, "--source", "0"], vec!["dump", json]] {
+        let (_, stderr, ok) = run(bin, &args);
+        assert!(!ok, "a non-store file must be rejected ({args:?})");
+        assert!(stderr.contains("error:") && stderr.contains("not a .phast artifact"), "{stderr}");
+    }
 
     // A file written by a newer build (version field bumped, everything
     // else intact) must surface the typed version-skew message through

@@ -17,7 +17,7 @@ pub const NO_MIDDLE: Vertex = Vertex::MAX;
 ///   `(u, v) ∈ A ∪ A+` and `rank(u) > rank(v)`. Read as out-arcs this is the
 ///   backward query search graph; read as *incoming* arcs it is exactly the
 ///   downward graph `G↓` the PHAST linear sweep relaxes.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hierarchy {
     /// `rank[v]`: position of `v` in the contraction order (0 = first
     /// contracted, least important).

@@ -54,7 +54,7 @@ pub use tree::TreeEngine;
 /// vertex — what arc flags and reach need. It reuses the same hierarchy:
 /// the upward graph of the reversed input is the stored backward graph and
 /// vice versa.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Distances from the source (ordinary shortest path trees).
     Forward,
@@ -172,7 +172,7 @@ impl PhastBuilder {
 /// The preprocessed PHAST instance: renumbered search graphs plus the level
 /// metadata the sweeps need. Immutable and shareable across threads; per
 /// -query state lives in the engines.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Phast {
     /// `old -> sweep` vertex renumbering.
     perm: Permutation,

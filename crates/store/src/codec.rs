@@ -12,14 +12,17 @@
 //! even a swapped pair of intact sections — is detected. Per-section CRCs
 //! localize the damage for diagnostics.
 //!
-//! Since v3 the writer interleaves zero-filled `PAD` sections (tag 0x00,
-//! normal framing) so that every data section's *payload* starts on a
-//! 64-byte boundary. Nothing else about the frame changed: a v2 reader's
-//! walk would still parse the framing (it rejects the unknown tag, as the
-//! version bump demands), and the pads are what let the mmap loader
-//! borrow the big arrays straight out of the file — a payload that is
-//! cache-line-aligned in the file is cache-line-aligned in a page-aligned
-//! mapping.
+//! The writer interleaves zero-filled `PAD` sections (tag 0x00, normal
+//! framing) so that every data section's *payload* starts on a 64-byte
+//! boundary: a payload that is cache-line-aligned in the file is
+//! cache-line-aligned in a page-aligned mapping, which is what lets
+//! [`decode_instance`] borrow the big arrays straight out of one.
+//!
+//! There is one array codec: every array section is consecutive
+//! little-endian `u32` words, written by [`Encoder::array`] and read by
+//! [`decode`] — which borrows when it soundly can and converts when it
+//! cannot, so a mapped load, a heap load and a big-endian host run the
+//! same function.
 //!
 //! Decoding never trusts a length field: every read is bounds-checked
 //! against the remaining buffer *before* any slicing or allocation, so a
@@ -29,8 +32,9 @@
 //! checksums happen to pass but whose arrays are inconsistent is still
 //! rejected instead of producing a silently-wrong tree.
 
-use crate::crc::{crc32, Crc32};
-use crate::{ArtifactKind, StoreError};
+use crate::crc::crc32;
+use crate::mmap::Mmap;
+use crate::{LoadedInstance, StoreError};
 use phast_ch::hierarchy::Hierarchy;
 use phast_core::{Direction, Phast, PhastParts};
 use phast_graph::csr::{Csr, ReverseArc};
@@ -38,39 +42,34 @@ use phast_graph::segment::{Segment, SegmentOwner};
 use phast_graph::{Arc, MAX_WEIGHT};
 use phast_metrics::MetricWeights;
 use std::collections::BTreeMap;
+use std::mem::{align_of, size_of};
 use std::sync::Arc as SharedArc;
 
-/// File magic: identifies a `.phast` artifact regardless of kind.
+/// File magic: identifies a `.phast` artifact.
 pub const MAGIC: [u8; 8] = *b"PHASTBIN";
 
-/// Current format version. Bump on any layout change; readers reject
-/// every version they do not explicitly understand (no silent
+/// The format version this build writes and the only one it reads. Bump
+/// on any layout change; a reader rejects every other version (no silent
 /// best-effort parsing).
-///
-/// History: v1 = instance/hierarchy sections; v2 = adds repeatable
-/// `METRIC` sections (0x40) so one topology artifact carries N versioned
-/// metrics; v3 = adds zero-filled `PAD` sections (0x00) so every data
-/// payload starts 64-byte-aligned, enabling zero-copy mmap loads.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// Oldest version this build still reads. v2 files (unpadded) load fine —
-/// their payloads are simply not alignment-guaranteed, so the mmap loader
-/// falls back to heap copies for them.
-pub const OLDEST_READABLE_VERSION: u32 = 2;
+/// The header's kind code: a sweep instance, the one kind there is.
+const KIND_INSTANCE: u32 = 1;
 
-/// Alignment guarantee (bytes) for every data-section payload in a v3
-/// file. One x86 cache line; also ≥ the alignment of every array element
-/// type we store.
+/// Alignment guarantee (bytes) for every data-section payload. One x86
+/// cache line; also ≥ the alignment of every array element type we store.
 pub const PAYLOAD_ALIGN: usize = 64;
 
 /// Header length: magic + version + kind.
 const HEADER_LEN: usize = 8 + 4 + 4;
+/// Section framing before the payload: tag + len.
+const SECTION_PREFIX: usize = 4 + 8;
 /// Per-section framing overhead: tag + len + payload CRC.
-const SECTION_OVERHEAD: usize = 4 + 8 + 4;
+const SECTION_OVERHEAD: usize = SECTION_PREFIX + 4;
 /// Smallest possible file: header + trailing file CRC.
 const MIN_FILE_LEN: usize = HEADER_LEN + 4;
 
-// Padding (v3+): zero payload bytes, repeatable, carries no data. Emitted
+// Padding: zero payload bytes, repeatable, carries no data. Emitted
 // before a data section whenever the data payload would otherwise start
 // off a PAYLOAD_ALIGN boundary.
 const SEC_PAD: u32 = 0x00;
@@ -88,7 +87,7 @@ const SEC_DOWN_MIDDLE: u32 = 0x09;
 const SEC_ORIG_FIRST: u32 = 0x0A;
 const SEC_ORIG_ARCS: u32 = 0x0B;
 
-// Hierarchy sections (also used for the bundled hierarchy of an instance).
+// The bundled hierarchy: all nine sections or none.
 const SEC_H_META: u32 = 0x20;
 const SEC_H_RANK: u32 = 0x21;
 const SEC_H_LEVEL: u32 = 0x22;
@@ -99,461 +98,393 @@ const SEC_H_BWD_FIRST: u32 = 0x26;
 const SEC_H_BWD_ARCS: u32 = 0x27;
 const SEC_H_BWD_MIDDLE: u32 = 0x28;
 
-// Metric sections (v2): unlike every other tag, METRIC may repeat — one
-// section per stored `(name, version)` weight generation.
+// Unlike every other data tag, METRIC may repeat — one section per stored
+// `(name, version)` weight generation.
 const SEC_METRIC: u32 = 0x40;
 
-const HIERARCHY_SECTIONS: [u32; 9] = [
-    SEC_H_META,
-    SEC_H_RANK,
-    SEC_H_LEVEL,
-    SEC_H_FWD_FIRST,
-    SEC_H_FWD_ARCS,
-    SEC_H_FWD_MIDDLE,
-    SEC_H_BWD_FIRST,
-    SEC_H_BWD_ARCS,
-    SEC_H_BWD_MIDDLE,
-];
-
-/// True if `bytes` begin with the `.phast` magic (format sniffing for
-/// CLIs that also accept JSON artifacts).
-pub fn sniff(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
+/// What a section tag holds, `None` for a tag this format does not have.
+/// The names are the ones the decoder's error messages use.
+pub fn section_name(tag: u32) -> Option<&'static str> {
+    Some(match tag {
+        SEC_PAD => "pad",
+        SEC_META => "meta",
+        SEC_PERM => "permutation",
+        SEC_LEVELS => "levels",
+        SEC_UP_FIRST => "up first",
+        SEC_UP_ARCS => "up arcs",
+        SEC_UP_MIDDLE => "up middle",
+        SEC_DOWN_FIRST => "down first",
+        SEC_DOWN_ARCS => "down arcs",
+        SEC_DOWN_MIDDLE => "down middle",
+        SEC_ORIG_FIRST => "orig first",
+        SEC_ORIG_ARCS => "orig arcs",
+        SEC_H_META => "hierarchy meta",
+        SEC_H_RANK => "rank",
+        SEC_H_LEVEL => "level",
+        SEC_H_FWD_FIRST => "forward first",
+        SEC_H_FWD_ARCS => "forward arcs",
+        SEC_H_FWD_MIDDLE => "forward middle",
+        SEC_H_BWD_FIRST => "backward first",
+        SEC_H_BWD_ARCS => "backward arcs",
+        SEC_H_BWD_MIDDLE => "backward middle",
+        SEC_METRIC => "metric",
+        _ => return None,
+    })
 }
 
-// ---------------------------------------------------------------- encoding
+// ------------------------------------------------------------- array codec
 
-struct Encoder {
-    buf: Vec<u8>,
-    /// True when writing the current (padded) version; false for the
-    /// legacy v2 layout kept around so tests can exercise the reader's
-    /// unaligned fallback.
-    pad: bool,
-}
-
-impl Encoder {
-    fn new(kind: ArtifactKind) -> Self {
-        Self::with_version(kind, FORMAT_VERSION)
-    }
-
-    fn with_version(kind: ArtifactKind, version: u32) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&version.to_le_bytes());
-        buf.extend_from_slice(&(kind as u32).to_le_bytes());
-        Encoder {
-            buf,
-            pad: version >= 3,
-        }
-    }
-
-    fn section(&mut self, tag: u32, payload: &[u8]) {
-        if self.pad && !(self.buf.len() + 12).is_multiple_of(PAYLOAD_ALIGN) {
-            // Insert a pad section sized so the *next* payload (after the
-            // pad's own 16 bytes of framing and this section's 12-byte
-            // tag+len prefix) starts on a PAYLOAD_ALIGN boundary.
-            let pad_len = (PAYLOAD_ALIGN
-                - (self.buf.len() + 12 + SECTION_OVERHEAD) % PAYLOAD_ALIGN)
-                % PAYLOAD_ALIGN;
-            const ZEROS: [u8; PAYLOAD_ALIGN] = [0; PAYLOAD_ALIGN];
-            self.raw_section(SEC_PAD, &ZEROS[..pad_len]);
-        }
-        self.raw_section(tag, payload);
-    }
-
-    fn raw_section(&mut self, tag: u32, payload: &[u8]) {
-        self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    }
-
-    fn u32s_section(&mut self, tag: u32, vals: &[u32]) {
-        let mut payload = Vec::with_capacity(vals.len() * 4);
-        for &v in vals {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        self.section(tag, &payload);
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        let mut crc = Crc32::new();
-        crc.update(&self.buf);
-        self.buf.extend_from_slice(&crc.finish().to_le_bytes());
-        self.buf
-    }
-}
-
-fn arcs_payload(arcs: &[Arc]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(arcs.len() * 8);
-    for a in arcs {
-        payload.extend_from_slice(&a.head.to_le_bytes());
-        payload.extend_from_slice(&a.weight.to_le_bytes());
-    }
-    payload
-}
-
-fn rev_arcs_payload(arcs: &[ReverseArc]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(arcs.len() * 8);
-    for a in arcs {
-        payload.extend_from_slice(&a.tail.to_le_bytes());
-        payload.extend_from_slice(&a.weight.to_le_bytes());
-    }
-    payload
-}
-
-fn encode_hierarchy_sections(enc: &mut Encoder, h: &Hierarchy) {
-    let mut meta = Vec::with_capacity(8);
-    meta.extend_from_slice(&(h.num_shortcuts as u64).to_le_bytes());
-    enc.section(SEC_H_META, &meta);
-    enc.u32s_section(SEC_H_RANK, &h.rank);
-    enc.u32s_section(SEC_H_LEVEL, &h.level);
-    enc.u32s_section(SEC_H_FWD_FIRST, h.forward_up.first());
-    enc.section(SEC_H_FWD_ARCS, &arcs_payload(h.forward_up.arcs()));
-    enc.u32s_section(SEC_H_FWD_MIDDLE, &h.forward_middle);
-    enc.u32s_section(SEC_H_BWD_FIRST, h.backward_up.first());
-    enc.section(SEC_H_BWD_ARCS, &arcs_payload(h.backward_up.arcs()));
-    enc.u32s_section(SEC_H_BWD_MIDDLE, &h.backward_middle);
-}
-
-/// Serializes one metric as a METRIC section payload:
-/// `name_len u32 | name bytes | version u64 | count u64 | weights u32*`.
-fn metric_payload(m: &MetricWeights) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(4 + m.name.len() + 16 + m.weights.len() * 4);
-    payload.extend_from_slice(&(m.name.len() as u32).to_le_bytes());
-    payload.extend_from_slice(m.name.as_bytes());
-    payload.extend_from_slice(&m.version.to_le_bytes());
-    payload.extend_from_slice(&(m.weights.len() as u64).to_le_bytes());
-    for &w in &m.weights {
-        payload.extend_from_slice(&w.to_le_bytes());
-    }
-    payload
-}
-
-/// Serializes a preprocessed instance — optionally bundling the hierarchy
-/// it was built from, so a later `serve` run can skip recontraction *and*
-/// still build p2p engines.
-pub fn encode_instance(p: &Phast, h: Option<&Hierarchy>) -> Vec<u8> {
-    encode_instance_with_metrics(p, h, &[])
-}
-
-/// Serializes a preprocessed instance plus any number of versioned
-/// metrics, each in its own CRC-protected METRIC section.
-pub fn encode_instance_with_metrics(
-    p: &Phast,
-    h: Option<&Hierarchy>,
-    metrics: &[MetricWeights],
-) -> Vec<u8> {
-    encode_instance_versioned(p, h, metrics, FORMAT_VERSION)
-}
-
-/// Serializes an instance in the legacy v2 (unpadded) layout.
+/// An array element stored as consecutive little-endian `u32` words.
 ///
-/// Production writers always emit the current version; this exists so
-/// tests can prove the readers — including the mmap loader's
-/// alignment-fallback path — still accept files written before the
-/// aligned layout landed.
-pub fn encode_instance_compat_v2(
-    p: &Phast,
-    h: Option<&Hierarchy>,
-    metrics: &[MetricWeights],
-) -> Vec<u8> {
-    encode_instance_versioned(p, h, metrics, OLDEST_READABLE_VERSION)
+/// # Safety
+///
+/// The type must be `u32` or a `#[repr(C)]` struct of `u32` fields and
+/// nothing else (no padding, every bit pattern valid), with `put`/`get`
+/// writing and reading the fields in declaration order — so that on a
+/// little-endian target the in-memory array *is* the on-disk payload.
+unsafe trait LeWords: Sized + 'static {
+    /// Appends `size_of::<Self>()` bytes.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one element from exactly `size_of::<Self>()` bytes.
+    fn get(bytes: &[u8]) -> Self;
 }
 
-fn encode_instance_versioned(
-    p: &Phast,
-    h: Option<&Hierarchy>,
-    metrics: &[MetricWeights],
-    version: u32,
-) -> Vec<u8> {
-    let mut enc = Encoder::with_version(ArtifactKind::Instance, version);
-    let mut meta = Vec::with_capacity(12);
-    let dir = match p.direction() {
-        Direction::Forward => 0u32,
-        Direction::Reverse => 1u32,
-    };
-    meta.extend_from_slice(&dir.to_le_bytes());
-    meta.extend_from_slice(&(p.num_shortcuts() as u64).to_le_bytes());
-    enc.section(SEC_META, &meta);
-    enc.u32s_section(SEC_PERM, p.permutation().as_slice());
-    enc.u32s_section(SEC_LEVELS, p.levels());
-    enc.u32s_section(SEC_UP_FIRST, p.up().first());
-    enc.section(SEC_UP_ARCS, &arcs_payload(p.up().arcs()));
-    enc.u32s_section(SEC_UP_MIDDLE, p.up_middles());
-    enc.u32s_section(SEC_DOWN_FIRST, p.down().first());
-    enc.section(SEC_DOWN_ARCS, &rev_arcs_payload(p.down().arcs()));
-    enc.u32s_section(SEC_DOWN_MIDDLE, p.down_middles());
-    enc.u32s_section(SEC_ORIG_FIRST, p.orig_incoming().first());
-    enc.section(SEC_ORIG_ARCS, &rev_arcs_payload(p.orig_incoming().arcs()));
-    if let Some(h) = h {
-        encode_hierarchy_sections(&mut enc, h);
+// SAFETY: `u32` itself; `to_le_bytes` is its little-endian memory image.
+unsafe impl LeWords for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
     }
-    for m in metrics {
-        enc.section(SEC_METRIC, &metric_payload(m));
+    fn get(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes(bytes.try_into().expect("one u32 word"))
     }
-    enc.finish()
 }
 
-/// Serializes a standalone contraction hierarchy.
-pub fn encode_hierarchy(h: &Hierarchy) -> Vec<u8> {
-    let mut enc = Encoder::new(ArtifactKind::Hierarchy);
-    encode_hierarchy_sections(&mut enc, h);
-    enc.finish()
+// SAFETY: `Arc` is `#[repr(C)] { head: u32, weight: u32 }`, on disk
+// `head_le | weight_le`.
+unsafe impl LeWords for Arc {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.head.put(out);
+        self.weight.put(out);
+    }
+    fn get(bytes: &[u8]) -> Arc {
+        Arc::new(u32::get(&bytes[..4]), u32::get(&bytes[4..]))
+    }
 }
 
-// ---------------------------------------------------------------- decoding
-
-/// Parsed section payloads: unique sections keyed by tag, plus the
-/// repeatable METRIC sections in file order.
-struct Sections<'a> {
-    by_tag: BTreeMap<u32, &'a [u8]>,
-    metrics: Vec<&'a [u8]>,
-    /// Header version of the parsed file (within the readable range).
-    /// Only v3+ files *guarantee* payload alignment, so only they are
-    /// eligible for zero-copy borrowing.
-    version: u32,
+// SAFETY: `ReverseArc` is `#[repr(C)] { tail: u32, weight: u32 }`, on
+// disk `tail_le | weight_le`.
+unsafe impl LeWords for ReverseArc {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.tail.put(out);
+        self.weight.put(out);
+    }
+    fn get(bytes: &[u8]) -> ReverseArc {
+        ReverseArc::new(u32::get(&bytes[..4]), u32::get(&bytes[4..]))
+    }
 }
 
-/// Parses the header and section framing of `bytes`, verifying magic,
-/// version, kind, per-section CRCs and the whole-file CRC. Returns the
-/// section payload slices keyed by tag.
-fn parse_sections(bytes: &[u8], expected: ArtifactKind) -> Result<Sections<'_>, StoreError> {
-    if bytes.len() < MIN_FILE_LEN {
-        return Err(StoreError::Truncated { offset: bytes.len() });
+/// Appends `vals` as little-endian words — the one array encode loop.
+fn put_all<T: LeWords>(vals: &[T], out: &mut Vec<u8>) {
+    out.reserve(std::mem::size_of_val(vals));
+    for v in vals {
+        v.put(out);
     }
-    if bytes[..8] != MAGIC {
-        return Err(StoreError::NotAStore);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(StoreError::UnsupportedVersion { found: version });
-    }
-    let kind_code = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let kind = ArtifactKind::from_code(kind_code)
-        .ok_or(StoreError::UnknownKind(kind_code))?;
-    if kind != expected {
-        return Err(StoreError::WrongKind {
-            expected,
-            found: kind,
-        });
-    }
-
-    let body_end = bytes.len() - 4;
-    let mut sections = Sections {
-        by_tag: BTreeMap::new(),
-        metrics: Vec::new(),
-        version,
-    };
-    let mut pos = HEADER_LEN;
-    while pos < body_end {
-        if body_end - pos < SECTION_OVERHEAD {
-            return Err(StoreError::Truncated { offset: pos });
-        }
-        let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        // Unknown tags are rejected rather than skipped: the version-bump
-        // policy (DESIGN.md §10) says any new section implies a new format
-        // version, so an unrecognized tag — including a PAD in a pre-v3
-        // file — is corruption. METRIC sections only make sense next to
-        // an instance.
-        let known = matches!(
-            tag,
-            SEC_META..=SEC_ORIG_ARCS | SEC_H_META..=SEC_H_BWD_MIDDLE | SEC_METRIC
-        ) || (tag == SEC_PAD && version >= 3);
-        let instance_only = matches!(tag, SEC_META..=SEC_ORIG_ARCS | SEC_METRIC);
-        let allowed = known && (expected == ArtifactKind::Instance || !instance_only);
-        if !allowed {
-            return Err(StoreError::Corrupt(format!("unknown section 0x{tag:02X}")));
-        }
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let payload_start = pos + 12;
-        // Bounds check *before* converting to usize arithmetic: a hostile
-        // 64-bit length must not overflow or slice out of range.
-        let avail = (body_end - payload_start).saturating_sub(4);
-        if len > avail as u64 {
-            return Err(StoreError::Truncated { offset: pos });
-        }
-        let len = len as usize;
-        let payload = &bytes[payload_start..payload_start + len];
-        let stored_crc = u32::from_le_bytes(
-            bytes[payload_start + len..payload_start + len + 4]
-                .try_into()
-                .unwrap(),
-        );
-        if crc32(payload) != stored_crc {
-            return Err(StoreError::SectionChecksum { tag });
-        }
-        if tag == SEC_PAD {
-            // Padding carries no data, repeats freely, and must be all
-            // zeros: non-zero bytes mean damage (or smuggled data) that
-            // the CRCs happened to bless.
-            if payload.iter().any(|&b| b != 0) {
-                return Err(StoreError::Corrupt(
-                    "padding section holds non-zero bytes".into(),
-                ));
-            }
-        } else if tag == SEC_METRIC {
-            // The other deliberately repeatable tag: one section per metric.
-            sections.metrics.push(payload);
-        } else if sections.by_tag.insert(tag, payload).is_some() {
-            return Err(StoreError::Corrupt(format!("duplicate section 0x{tag:02X}")));
-        }
-        pos = payload_start + len + 4;
-    }
-
-    let stored_file_crc = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    if crc32(&bytes[..body_end]) != stored_file_crc {
-        return Err(StoreError::FileChecksum);
-    }
-    Ok(sections)
 }
 
-fn require<'a>(
-    sections: &BTreeMap<u32, &'a [u8]>,
-    tag: u32,
-) -> Result<&'a [u8], StoreError> {
-    sections
-        .get(&tag)
-        .copied()
-        .ok_or_else(|| StoreError::Corrupt(format!("missing section 0x{tag:02X}")))
-}
-
-/// Rejects a payload whose length is not a multiple of the element size.
-/// Factored out so the heap and zero-copy decode paths emit *identical*
-/// error strings (the fault-injection parity suite depends on that).
-fn check_multiple(payload: &[u8], what: &str, unit: usize) -> Result<(), StoreError> {
+/// Converts a payload to owned elements — the one array decode loop.
+/// Rejects a payload whose length is not a whole number of elements.
+fn get_all<T: LeWords>(payload: &[u8], what: &str) -> Result<Vec<T>, StoreError> {
+    let unit = size_of::<T>();
     if !payload.len().is_multiple_of(unit) {
         return Err(StoreError::Corrupt(format!(
             "{what} section length {} is not a multiple of {unit}",
             payload.len()
         )));
     }
-    Ok(())
+    Ok(payload.chunks_exact(unit).map(T::get).collect())
 }
 
-/// Borrows `payload` out of the mapping as a `[T]` when possible
-/// (an owner is supplied, the target is little-endian, and the payload
-/// happens to be aligned for `T`); otherwise falls back to `heap`.
-///
-/// # Safety
-///
-/// `T` must be a `#[repr(C)]` composition of `u32`s (or `u32` itself) so
-/// that its in-memory layout on a little-endian target equals the on-disk
-/// layout, and `payload` must live inside memory kept alive by `owner`.
-unsafe fn segment_from_payload<T: 'static>(
+/// Turns an array payload into a [`Segment`]: borrowed out of `owner`
+/// when there is one, `payload` lies inside it, the target is
+/// little-endian and the payload is aligned for `T`; converted to the heap
+/// by [`get_all`] otherwise. Both branches reject the same lengths with
+/// the same error.
+fn decode<T: LeWords>(
     payload: &[u8],
-    owner: Option<&SegmentOwner>,
-    heap: impl FnOnce() -> Vec<T>,
-) -> Segment<T> {
-    if let Some(owner) = owner {
-        if cfg!(target_endian = "little")
-            && (payload.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>())
-        {
-            // SAFETY: alignment just checked; length is a multiple of
-            // size_of::<T> (callers validate via check_multiple); layout
-            // equivalence and lifetime are the caller's contract above.
-            return unsafe {
-                Segment::from_mapped(
-                    payload.as_ptr() as *const T,
-                    payload.len() / std::mem::size_of::<T>(),
-                    SharedArc::clone(owner),
-                )
-            };
+    what: &str,
+    owner: Option<&SharedArc<Mmap>>,
+) -> Result<Segment<T>, StoreError> {
+    let lender = owner.filter(|map| {
+        let (held, asked) = (map.as_ptr_range(), payload.as_ptr_range());
+        cfg!(target_endian = "little")
+            && held.start <= asked.start
+            && asked.end <= held.end
+            && payload.len().is_multiple_of(size_of::<T>())
+            && (payload.as_ptr() as usize).is_multiple_of(align_of::<T>())
+    });
+    match lender {
+        // SAFETY: the pointer is aligned for `T` and the length a whole
+        // number of `T`s (both just checked); on this little-endian
+        // target the bytes are valid `T`s by the `LeWords` contract; and
+        // `payload` lies inside `map` (checked too), a read-only mapping
+        // that the segment's clone of the handle keeps alive.
+        Some(map) => Ok(unsafe {
+            Segment::from_mapped(
+                payload.as_ptr() as *const T,
+                payload.len() / size_of::<T>(),
+                SharedArc::clone(map) as SegmentOwner,
+            )
+        }),
+        None => Ok(get_all(payload, what)?.into()),
+    }
+}
+
+// ---------------------------------------------------------------- encoding
+
+struct Encoder {
+    buf: Vec<u8>,
+}
+
+impl Encoder {
+    fn new() -> Self {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&KIND_INSTANCE.to_le_bytes());
+        Encoder { buf }
+    }
+
+    /// Appends one data section whose payload `fill` writes straight into
+    /// the buffer, preceded by whatever `PAD` section puts that payload
+    /// on a [`PAYLOAD_ALIGN`] boundary.
+    fn section(&mut self, tag: u32, fill: impl FnOnce(&mut Vec<u8>)) {
+        if !(self.buf.len() + SECTION_PREFIX).is_multiple_of(PAYLOAD_ALIGN) {
+            // Sized so the *next* payload (after the pad's own framing
+            // and this section's tag + len) starts on the boundary.
+            let pad_len = (PAYLOAD_ALIGN
+                - (self.buf.len() + SECTION_PREFIX + SECTION_OVERHEAD) % PAYLOAD_ALIGN)
+                % PAYLOAD_ALIGN;
+            self.frame(SEC_PAD, |buf| buf.resize(buf.len() + pad_len, 0));
+        }
+        self.frame(tag, fill);
+    }
+
+    /// `tag | len | payload | crc`, the length patched in once `fill` has
+    /// said how long the payload is.
+    fn frame(&mut self, tag: u32, fill: impl FnOnce(&mut Vec<u8>)) {
+        self.buf.extend_from_slice(&tag.to_le_bytes());
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&0u64.to_le_bytes());
+        let start = self.buf.len();
+        fill(&mut self.buf);
+        let len = (self.buf.len() - start) as u64;
+        self.buf[len_at..start].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&self.buf[start..]);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Appends one array section.
+    fn array<T: LeWords>(&mut self, tag: u32, vals: &[T]) {
+        self.section(tag, |buf| put_all(vals, buf));
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        let crc = crc32(&self.buf);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+        self.buf
+    }
+}
+
+/// Serializes a preprocessed instance — optionally bundling the hierarchy
+/// it was built from, so a later `serve` run can skip recontraction *and*
+/// still build p2p engines — plus any number of versioned metrics, each
+/// in its own CRC-protected METRIC section.
+pub fn encode_instance(p: &Phast, h: Option<&Hierarchy>, metrics: &[MetricWeights]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    let dir = match p.direction() {
+        Direction::Forward => 0u32,
+        Direction::Reverse => 1u32,
+    };
+    enc.section(SEC_META, |buf| {
+        buf.extend_from_slice(&dir.to_le_bytes());
+        buf.extend_from_slice(&(p.num_shortcuts() as u64).to_le_bytes());
+    });
+    enc.array(SEC_PERM, p.permutation().as_slice());
+    enc.array(SEC_LEVELS, p.levels());
+    enc.array(SEC_UP_FIRST, p.up().first());
+    enc.array(SEC_UP_ARCS, p.up().arcs());
+    enc.array(SEC_UP_MIDDLE, p.up_middles());
+    enc.array(SEC_DOWN_FIRST, p.down().first());
+    enc.array(SEC_DOWN_ARCS, p.down().arcs());
+    enc.array(SEC_DOWN_MIDDLE, p.down_middles());
+    enc.array(SEC_ORIG_FIRST, p.orig_incoming().first());
+    enc.array(SEC_ORIG_ARCS, p.orig_incoming().arcs());
+    if let Some(h) = h {
+        enc.section(SEC_H_META, |buf| {
+            buf.extend_from_slice(&(h.num_shortcuts as u64).to_le_bytes());
+        });
+        enc.array(SEC_H_RANK, &h.rank);
+        enc.array(SEC_H_LEVEL, &h.level);
+        enc.array(SEC_H_FWD_FIRST, h.forward_up.first());
+        enc.array(SEC_H_FWD_ARCS, h.forward_up.arcs());
+        enc.array(SEC_H_FWD_MIDDLE, &h.forward_middle);
+        enc.array(SEC_H_BWD_FIRST, h.backward_up.first());
+        enc.array(SEC_H_BWD_ARCS, h.backward_up.arcs());
+        enc.array(SEC_H_BWD_MIDDLE, &h.backward_middle);
+    }
+    for m in metrics {
+        // `name_len u32 | name bytes | version u64 | count u64 | weights u32*`
+        enc.section(SEC_METRIC, |buf| {
+            buf.extend_from_slice(&(m.name.len() as u32).to_le_bytes());
+            buf.extend_from_slice(m.name.as_bytes());
+            buf.extend_from_slice(&m.version.to_le_bytes());
+            buf.extend_from_slice(&(m.weights.len() as u64).to_le_bytes());
+            put_all(&m.weights, buf);
+        });
+    }
+    enc.finish()
+}
+
+// ---------------------------------------------------------------- decoding
+
+/// One framed section of an artifact, as [`sections`] walks them.
+#[derive(Clone, Copy, Debug)]
+pub struct Section<'a> {
+    /// What the payload is; [`section_name`] names it.
+    pub tag: u32,
+    /// Byte offset of the payload in the file.
+    pub offset: usize,
+    /// The payload bytes.
+    pub payload: &'a [u8],
+    /// Whether the payload matches the CRC-32 stored after it.
+    pub crc_ok: bool,
+}
+
+/// Checks the header of `bytes` — minimum length, magic, version, kind,
+/// in that order and before any checksum is looked at — and returns the
+/// frame walk over its sections, in file order: every length is
+/// bounds-checked before its payload is sliced, and a frame that does not
+/// fit ends the walk with [`StoreError::Truncated`]. What the sections
+/// *hold* (tags, failed CRCs, pads, the whole-file CRC) is for the
+/// consumer of the walk to judge; [`decode_instance`] is the one that does.
+pub fn sections(
+    bytes: &[u8],
+) -> Result<impl Iterator<Item = Result<Section<'_>, StoreError>>, StoreError> {
+    if bytes.len() < MIN_FILE_LEN {
+        return Err(StoreError::Truncated { offset: bytes.len() });
+    }
+    if bytes[..8] != MAGIC {
+        return Err(StoreError::NotAStore);
+    }
+    let word = |at: usize| u32::get(&bytes[at..at + 4]);
+    if word(8) != FORMAT_VERSION {
+        return Err(StoreError::UnsupportedVersion { found: word(8) });
+    }
+    if word(12) != KIND_INSTANCE {
+        return Err(StoreError::UnknownKind(word(12)));
+    }
+    // Where the sections end and the whole-file CRC begins.
+    let body_end = bytes.len() - 4;
+    let mut next = HEADER_LEN;
+    Ok(std::iter::from_fn(move || {
+        let pos = next;
+        if pos >= body_end {
+            return None;
+        }
+        // Whatever goes wrong below, the walk is over.
+        next = body_end;
+        if body_end - pos < SECTION_OVERHEAD {
+            return Some(Err(StoreError::Truncated { offset: pos }));
+        }
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
+        let offset = pos + SECTION_PREFIX;
+        // Bounds check *before* converting to usize arithmetic: a hostile
+        // 64-bit length must not overflow or slice out of range.
+        if len > (body_end - offset - 4) as u64 {
+            return Some(Err(StoreError::Truncated { offset: pos }));
+        }
+        let end = offset + len as usize;
+        next = end + 4;
+        let payload = &bytes[offset..end];
+        Some(Ok(Section {
+            tag: word(pos),
+            offset,
+            payload,
+            crc_ok: crc32(payload) == word(end),
+        }))
+    }))
+}
+
+/// Checked section payloads: unique sections keyed by tag, plus the
+/// repeatable METRIC sections in file order.
+struct Parsed<'a> {
+    by_tag: BTreeMap<u32, &'a [u8]>,
+    metrics: Vec<&'a [u8]>,
+}
+
+impl<'a> Parsed<'a> {
+    fn require(&self, tag: u32) -> Result<&'a [u8], StoreError> {
+        self.by_tag
+            .get(&tag)
+            .copied()
+            .ok_or_else(|| StoreError::Corrupt(format!("missing section 0x{tag:02X}")))
+    }
+
+    /// The array section `tag`, borrowed from `owner` where [`decode`] can.
+    fn array<T: LeWords>(
+        &self,
+        tag: u32,
+        owner: Option<&SharedArc<Mmap>>,
+    ) -> Result<Segment<T>, StoreError> {
+        decode(self.require(tag)?, section_name(tag).expect("our own tag"), owner)
+    }
+
+    /// The array section `tag`, on the heap.
+    fn vec<T: LeWords>(&self, tag: u32) -> Result<Vec<T>, StoreError> {
+        get_all(self.require(tag)?, section_name(tag).expect("our own tag"))
+    }
+}
+
+/// Walks [`sections`] and verifies what they hold: known tags only,
+/// per-section CRCs, zero-only pads, no duplicates, the whole-file CRC.
+fn parse_sections(bytes: &[u8]) -> Result<Parsed<'_>, StoreError> {
+    let mut parsed = Parsed {
+        by_tag: BTreeMap::new(),
+        metrics: Vec::new(),
+    };
+    for section in sections(bytes)? {
+        let section = section?;
+        let tag = section.tag;
+        // Unknown tags are rejected rather than skipped: the version-bump
+        // policy (DESIGN.md §10) says any new section implies a new format
+        // version, so an unrecognized tag is corruption.
+        if section_name(tag).is_none() {
+            return Err(StoreError::Corrupt(format!("unknown section 0x{tag:02X}")));
+        }
+        if !section.crc_ok {
+            return Err(StoreError::SectionChecksum { tag });
+        }
+        if tag == SEC_PAD {
+            // Padding carries no data, repeats freely, and must be all
+            // zeros: non-zero bytes mean damage (or smuggled data) that
+            // the CRCs happened to bless.
+            if section.payload.iter().any(|&b| b != 0) {
+                return Err(StoreError::Corrupt(
+                    "padding section holds non-zero bytes".into(),
+                ));
+            }
+        } else if tag == SEC_METRIC {
+            // The other deliberately repeatable tag: one section per metric.
+            parsed.metrics.push(section.payload);
+        } else if parsed.by_tag.insert(tag, section.payload).is_some() {
+            return Err(StoreError::Corrupt(format!("duplicate section 0x{tag:02X}")));
         }
     }
-    heap().into()
-}
-
-/// Decodes a u32 array section as a [`Segment`], zero-copy when aligned.
-fn decode_u32_segment(
-    payload: &[u8],
-    what: &str,
-    owner: Option<&SegmentOwner>,
-) -> Result<Segment<u32>, StoreError> {
-    check_multiple(payload, what, 4)?;
-    // SAFETY: u32 is layout-identical to its LE encoding on LE targets;
-    // payload length validated; owner contract forwarded from our caller.
-    Ok(unsafe {
-        segment_from_payload(payload, owner, || {
-            payload
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect()
-        })
-    })
-}
-
-/// Decodes a forward-arc section as a [`Segment`], zero-copy when aligned.
-fn decode_arc_segment(
-    payload: &[u8],
-    what: &str,
-    owner: Option<&SegmentOwner>,
-) -> Result<Segment<Arc>, StoreError> {
-    check_multiple(payload, what, 8)?;
-    // SAFETY: Arc is #[repr(C)] { head: u32, weight: u32 }, matching the
-    // on-disk `head_le | weight_le` layout on LE targets.
-    Ok(unsafe {
-        segment_from_payload(payload, owner, || {
-            payload
-                .chunks_exact(8)
-                .map(|c| {
-                    Arc::new(
-                        u32::from_le_bytes(c[..4].try_into().unwrap()),
-                        u32::from_le_bytes(c[4..].try_into().unwrap()),
-                    )
-                })
-                .collect()
-        })
-    })
-}
-
-/// Decodes a reverse-arc section as a [`Segment`], zero-copy when aligned.
-fn decode_rev_arc_segment(
-    payload: &[u8],
-    what: &str,
-    owner: Option<&SegmentOwner>,
-) -> Result<Segment<ReverseArc>, StoreError> {
-    check_multiple(payload, what, 8)?;
-    // SAFETY: ReverseArc is #[repr(C)] { tail: u32, weight: u32 },
-    // matching the on-disk `tail_le | weight_le` layout on LE targets.
-    Ok(unsafe {
-        segment_from_payload(payload, owner, || {
-            payload
-                .chunks_exact(8)
-                .map(|c| {
-                    ReverseArc::new(
-                        u32::from_le_bytes(c[..4].try_into().unwrap()),
-                        u32::from_le_bytes(c[4..].try_into().unwrap()),
-                    )
-                })
-                .collect()
-        })
-    })
-}
-
-fn decode_u32s(payload: &[u8], what: &str) -> Result<Vec<u32>, StoreError> {
-    check_multiple(payload, what, 4)?;
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
-fn decode_arcs(payload: &[u8], what: &str) -> Result<Vec<Arc>, StoreError> {
-    check_multiple(payload, what, 8)?;
-    Ok(payload
-        .chunks_exact(8)
-        .map(|c| {
-            Arc::new(
-                u32::from_le_bytes(c[..4].try_into().unwrap()),
-                u32::from_le_bytes(c[4..].try_into().unwrap()),
-            )
-        })
-        .collect())
-}
-
-fn corrupt(e: String) -> StoreError {
-    StoreError::Corrupt(e)
+    let body_end = bytes.len() - 4;
+    if crc32(&bytes[..body_end]) != u32::get(&bytes[body_end..]) {
+        return Err(StoreError::FileChecksum);
+    }
+    Ok(parsed)
 }
 
 /// Decodes one METRIC payload with the same paranoia as everything else:
@@ -565,14 +496,14 @@ fn decode_metric(payload: &[u8]) -> Result<MetricWeights, StoreError> {
             .get(pos..pos + len)
             .ok_or(StoreError::Corrupt("metric section truncated".into()))
     };
-    let name_len = u32::from_le_bytes(take(0, 4)?.try_into().unwrap()) as usize;
+    let name_len = u32::get(take(0, 4)?) as usize;
     let name = std::str::from_utf8(take(4, name_len)?)
         .map_err(|_| StoreError::Corrupt("metric name is not UTF-8".into()))?
         .to_string();
     let mut pos = 4 + name_len;
-    let version = u64::from_le_bytes(take(pos, 8)?.try_into().unwrap());
+    let version = u64::from_le_bytes(take(pos, 8)?.try_into().expect("8 bytes"));
     pos += 8;
-    let count = u64::from_le_bytes(take(pos, 8)?.try_into().unwrap());
+    let count = u64::from_le_bytes(take(pos, 8)?.try_into().expect("8 bytes"));
     pos += 8;
     let avail = (payload.len() - pos) / 4;
     if count != avail as u64 || payload.len() != pos + avail * 4 {
@@ -580,10 +511,7 @@ fn decode_metric(payload: &[u8]) -> Result<MetricWeights, StoreError> {
             "metric `{name}` declares {count} weights but carries {avail}"
         )));
     }
-    let weights: Vec<u32> = payload[pos..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let weights: Vec<u32> = get_all(&payload[pos..], "metric weights")?;
     if let Some(&w) = weights.iter().find(|&&w| w > MAX_WEIGHT) {
         return Err(StoreError::Corrupt(format!(
             "metric `{name}` v{version} holds weight {w} above MAX_WEIGHT"
@@ -596,29 +524,23 @@ fn decode_metric(payload: &[u8]) -> Result<MetricWeights, StoreError> {
     })
 }
 
-fn decode_hierarchy_sections(
-    sections: &BTreeMap<u32, &[u8]>,
-) -> Result<Hierarchy, StoreError> {
-    let meta = require(sections, SEC_H_META)?;
+fn decode_bundled_hierarchy(parsed: &Parsed) -> Result<Hierarchy, StoreError> {
+    let meta = parsed.require(SEC_H_META)?;
     if meta.len() != 8 {
         return Err(StoreError::Corrupt("hierarchy meta has wrong length".into()));
     }
-    let num_shortcuts = u64::from_le_bytes(meta.try_into().unwrap()) as usize;
+    let num_shortcuts = u64::from_le_bytes(meta.try_into().expect("8 bytes")) as usize;
 
-    let rank = decode_u32s(require(sections, SEC_H_RANK)?, "rank")?;
-    let level = decode_u32s(require(sections, SEC_H_LEVEL)?, "level")?;
-    let forward_up = Csr::try_from_raw(
-        decode_u32s(require(sections, SEC_H_FWD_FIRST)?, "forward first")?,
-        decode_arcs(require(sections, SEC_H_FWD_ARCS)?, "forward arcs")?,
-    )
-    .map_err(corrupt)?;
-    let forward_middle = decode_u32s(require(sections, SEC_H_FWD_MIDDLE)?, "forward middle")?;
-    let backward_up = Csr::try_from_raw(
-        decode_u32s(require(sections, SEC_H_BWD_FIRST)?, "backward first")?,
-        decode_arcs(require(sections, SEC_H_BWD_ARCS)?, "backward arcs")?,
-    )
-    .map_err(corrupt)?;
-    let backward_middle = decode_u32s(require(sections, SEC_H_BWD_MIDDLE)?, "backward middle")?;
+    let rank: Vec<u32> = parsed.vec(SEC_H_RANK)?;
+    let level: Vec<u32> = parsed.vec(SEC_H_LEVEL)?;
+    let forward_up =
+        Csr::try_from_raw(parsed.vec(SEC_H_FWD_FIRST)?, parsed.vec(SEC_H_FWD_ARCS)?)
+            .map_err(StoreError::Corrupt)?;
+    let forward_middle: Vec<u32> = parsed.vec(SEC_H_FWD_MIDDLE)?;
+    let backward_up =
+        Csr::try_from_raw(parsed.vec(SEC_H_BWD_FIRST)?, parsed.vec(SEC_H_BWD_ARCS)?)
+            .map_err(StoreError::Corrupt)?;
+    let backward_middle: Vec<u32> = parsed.vec(SEC_H_BWD_MIDDLE)?;
 
     // Cross-array length checks must come before `validate()`, which
     // indexes `level`/`rank` by arc endpoints and assumes equal lengths.
@@ -645,108 +567,70 @@ fn decode_hierarchy_sections(
         backward_middle,
         num_shortcuts,
     };
-    h.validate().map_err(corrupt)?;
+    h.validate().map_err(StoreError::Corrupt)?;
     Ok(h)
 }
 
-/// Decodes an instance artifact, re-validating every structural invariant.
-pub fn decode_instance(bytes: &[u8]) -> Result<(Phast, Option<Hierarchy>), StoreError> {
-    let (p, h, _) = decode_instance_full(bytes)?;
-    Ok((p, h))
-}
-
-/// Decodes an instance artifact together with every METRIC section it
-/// carries, re-validating every structural invariant (including metric
-/// arity against the instance's own base-arc count).
-pub fn decode_instance_full(
-    bytes: &[u8],
-) -> Result<(Phast, Option<Hierarchy>, Vec<MetricWeights>), StoreError> {
-    let (p, h, m, _) = decode_instance_inner(bytes, None)?;
-    Ok((p, h, m))
-}
-
-/// [`decode_instance_full`] over a memory mapping: the seven large arrays
-/// (permutation + the three CSRs) borrow directly out of `bytes` when
-/// their payloads are aligned, each holding a clone of `owner` to keep
-/// the mapping alive. The returned flag reports whether *all* of them
-/// borrowed (false means at least one fell back to a heap copy — e.g. a
-/// legacy v2 file). Error behavior is byte-for-byte identical to the heap
-/// decoder.
+/// Decodes an artifact — the instance, the hierarchy it may bundle and
+/// every METRIC section — re-validating every structural invariant
+/// (including metric arity against the instance's own base-arc count).
 ///
-/// # Safety
-///
-/// `bytes` must live inside memory owned (and kept alive, immutable) by
-/// `owner` — in practice, a slice of the [`crate::mmap::Mmap`] that
-/// `owner` wraps.
-pub(crate) unsafe fn decode_instance_full_mapped(
+/// With `owner: None` every array is decoded to the heap. With a mapping
+/// that `bytes` is a slice of, the seven large arrays (permutation + the
+/// three CSRs) are borrowed straight out of it wherever the target's
+/// endianness and the payload's alignment allow, each holding a clone of
+/// the handle to keep the mapping alive; [`LoadedInstance::zero_copy`]
+/// reports whether *all* of them were. Nothing is ever borrowed from
+/// memory `owner` does not hold: bytes from elsewhere decode to the heap.
+/// The checks, and the error each failure yields, are the same either way.
+pub fn decode_instance(
     bytes: &[u8],
-    owner: &SegmentOwner,
-) -> Result<(Phast, Option<Hierarchy>, Vec<MetricWeights>, bool), StoreError> {
-    decode_instance_inner(bytes, Some(owner))
-}
+    owner: Option<&SharedArc<Mmap>>,
+) -> Result<LoadedInstance, StoreError> {
+    let parsed = parse_sections(bytes)?;
 
-fn decode_instance_inner(
-    bytes: &[u8],
-    owner: Option<&SegmentOwner>,
-) -> Result<(Phast, Option<Hierarchy>, Vec<MetricWeights>, bool), StoreError> {
-    let parsed = parse_sections(bytes, ArtifactKind::Instance)?;
-    // Zero-copy eligibility: only v3+ files carry the alignment
-    // guarantee. A v2 file's payloads may *happen* to be aligned, but
-    // borrowing from it would make the load path depend on an accident of
-    // layout — legacy files always take the (well-tested) heap path.
-    let owner = if parsed.version >= 3 { owner } else { None };
-    let sections = parsed.by_tag;
-
-    let meta = require(&sections, SEC_META)?;
+    let meta = parsed.require(SEC_META)?;
     if meta.len() != 12 {
         return Err(StoreError::Corrupt("instance meta has wrong length".into()));
     }
-    let direction = match u32::from_le_bytes(meta[..4].try_into().unwrap()) {
+    let direction = match u32::get(&meta[..4]) {
         0 => Direction::Forward,
         1 => Direction::Reverse,
         d => return Err(StoreError::Corrupt(format!("unknown direction code {d}"))),
     };
-    let num_shortcuts = u64::from_le_bytes(meta[4..12].try_into().unwrap()) as usize;
+    let num_shortcuts = u64::from_le_bytes(meta[4..12].try_into().expect("8 bytes")) as usize;
 
     let parts = PhastParts {
-        new_of_old: decode_u32_segment(require(&sections, SEC_PERM)?, "permutation", owner)?,
-        level_of_sweep: decode_u32s(require(&sections, SEC_LEVELS)?, "levels")?,
-        up_first: decode_u32_segment(require(&sections, SEC_UP_FIRST)?, "up first", owner)?,
-        up_arcs: decode_arc_segment(require(&sections, SEC_UP_ARCS)?, "up arcs", owner)?,
-        up_middle: decode_u32s(require(&sections, SEC_UP_MIDDLE)?, "up middle")?,
-        down_first: decode_u32_segment(require(&sections, SEC_DOWN_FIRST)?, "down first", owner)?,
-        down_arcs: decode_rev_arc_segment(require(&sections, SEC_DOWN_ARCS)?, "down arcs", owner)?,
-        down_middle: decode_u32s(require(&sections, SEC_DOWN_MIDDLE)?, "down middle")?,
-        orig_first: decode_u32_segment(require(&sections, SEC_ORIG_FIRST)?, "orig first", owner)?,
-        orig_arcs: decode_rev_arc_segment(require(&sections, SEC_ORIG_ARCS)?, "orig arcs", owner)?,
+        new_of_old: parsed.array(SEC_PERM, owner)?,
+        level_of_sweep: parsed.vec(SEC_LEVELS)?,
+        up_first: parsed.array(SEC_UP_FIRST, owner)?,
+        up_arcs: parsed.array(SEC_UP_ARCS, owner)?,
+        up_middle: parsed.vec(SEC_UP_MIDDLE)?,
+        down_first: parsed.array(SEC_DOWN_FIRST, owner)?,
+        down_arcs: parsed.array(SEC_DOWN_ARCS, owner)?,
+        down_middle: parsed.vec(SEC_DOWN_MIDDLE)?,
+        orig_first: parsed.array(SEC_ORIG_FIRST, owner)?,
+        orig_arcs: parsed.array(SEC_ORIG_ARCS, owner)?,
         direction,
         num_shortcuts,
     };
-    let zero_copy = [
-        parts.new_of_old.is_mapped(),
-        parts.up_first.is_mapped(),
-        parts.up_arcs.is_mapped(),
-        parts.down_first.is_mapped(),
-        parts.down_arcs.is_mapped(),
-        parts.orig_first.is_mapped(),
-        parts.orig_arcs.is_mapped(),
-    ]
-    .iter()
-    .all(|&m| m);
-    let p = Phast::from_parts(parts).map_err(corrupt)?;
+    let zero_copy = parts.new_of_old.is_mapped()
+        && parts.up_first.is_mapped()
+        && parts.up_arcs.is_mapped()
+        && parts.down_first.is_mapped()
+        && parts.down_arcs.is_mapped()
+        && parts.orig_first.is_mapped()
+        && parts.orig_arcs.is_mapped();
+    let phast = Phast::from_parts(parts).map_err(StoreError::Corrupt)?;
 
     // The hierarchy bundle is all-or-nothing: a partial set of hierarchy
     // sections means the file was damaged in a way the CRCs cannot see
     // (e.g. written by a buggy tool), so reject it.
-    let present = HIERARCHY_SECTIONS
-        .iter()
-        .filter(|t| sections.contains_key(t))
-        .count();
-    let h = match present {
+    let hierarchy = match parsed.by_tag.range(SEC_H_META..=SEC_H_BWD_MIDDLE).count() {
         0 => None,
         9 => {
-            let h = decode_hierarchy_sections(&sections)?;
-            if h.num_vertices() != p.num_vertices() {
+            let h = decode_bundled_hierarchy(&parsed)?;
+            if h.num_vertices() != phast.num_vertices() {
                 return Err(StoreError::Corrupt(
                     "bundled hierarchy is for a different graph".into(),
                 ));
@@ -760,10 +644,9 @@ fn decode_instance_inner(
         }
     };
 
-    let num_base_arcs = p.orig_incoming().num_arcs();
-    let mut metrics = Vec::with_capacity(parsed.metrics.len());
-    let mut seen: Vec<(String, u64)> = Vec::new();
-    for payload in parsed.metrics {
+    let num_base_arcs = phast.orig_incoming().num_arcs();
+    let mut metrics: Vec<MetricWeights> = Vec::with_capacity(parsed.metrics.len());
+    for payload in &parsed.metrics {
         let m = decode_metric(payload)?;
         if m.weights.len() != num_base_arcs {
             return Err(StoreError::Corrupt(format!(
@@ -774,21 +657,18 @@ fn decode_instance_inner(
                 num_base_arcs
             )));
         }
-        let key = (m.name.clone(), m.version);
-        if seen.contains(&key) {
+        if metrics.iter().any(|s| s.name == m.name && s.version == m.version) {
             return Err(StoreError::Corrupt(format!(
                 "duplicate metric `{}` v{}",
                 m.name, m.version
             )));
         }
-        seen.push(key);
         metrics.push(m);
     }
-    Ok((p, h, metrics, zero_copy))
-}
-
-/// Decodes a standalone hierarchy artifact.
-pub fn decode_hierarchy(bytes: &[u8]) -> Result<Hierarchy, StoreError> {
-    let sections = parse_sections(bytes, ArtifactKind::Hierarchy)?;
-    decode_hierarchy_sections(&sections.by_tag)
+    Ok(LoadedInstance {
+        phast,
+        hierarchy,
+        metrics,
+        zero_copy,
+    })
 }

@@ -3,7 +3,7 @@
 //! PHAST's economics are "preprocess once, sweep millions of times"
 //! (paper §III): the preprocessed instance is a long-lived production
 //! asset that outlives any single process, so this crate gives it a real
-//! on-disk format instead of an unversioned JSON blob:
+//! on-disk format:
 //!
 //! * **Integrity**: magic bytes, an explicit format version, a CRC32 per
 //!   section and a whole-file CRC32. A corrupt, truncated or
@@ -14,10 +14,13 @@
 //!   directory, `fsync`, then atomically rename over the target and
 //!   `fsync` the directory. Readers either see the complete old file or
 //!   the complete new one.
-//! * **Two artifact kinds**: a [`phast_core::Phast`] *instance*
-//!   (optionally bundling the [`phast_ch::Hierarchy`] it came from, so a
-//!   serving process can build point-to-point engines without
-//!   recontracting) and a standalone hierarchy.
+//! * **One artifact**: a [`phast_core::Phast`] instance, optionally
+//!   bundling the [`phast_ch::Hierarchy`] it came from (so a serving
+//!   process can build point-to-point engines without recontracting) and
+//!   any number of versioned metrics.
+//! * **One load path**: [`decode_instance`] over the file's bytes, which
+//!   [`read_instance`] hands it from the heap and [`load_instance_mmap`]
+//!   from a mapping it may borrow the large arrays out of.
 //!
 //! The byte layout is specified in DESIGN.md §10; [`codec`] implements
 //! it and this module adds the file-level API.
@@ -26,50 +29,16 @@ pub mod codec;
 pub mod crc;
 pub mod mmap;
 
-pub use codec::{
-    decode_hierarchy, decode_instance, decode_instance_full, encode_hierarchy, encode_instance,
-    encode_instance_compat_v2, encode_instance_with_metrics, sniff, FORMAT_VERSION, MAGIC,
-    OLDEST_READABLE_VERSION, PAYLOAD_ALIGN,
-};
+pub use codec::{decode_instance, encode_instance, FORMAT_VERSION, MAGIC, PAYLOAD_ALIGN};
 
 use phast_ch::Hierarchy;
 use phast_core::Phast;
-use phast_graph::segment::SegmentOwner;
 use phast_metrics::MetricWeights;
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc as SharedArc;
-
-/// What a `.phast` file contains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u32)]
-pub enum ArtifactKind {
-    /// A preprocessed [`Phast`] instance (optionally with its hierarchy).
-    Instance = 1,
-    /// A standalone contraction [`Hierarchy`].
-    Hierarchy = 2,
-}
-
-impl ArtifactKind {
-    /// Decodes the on-disk kind code.
-    pub fn from_code(code: u32) -> Option<ArtifactKind> {
-        match code {
-            1 => Some(ArtifactKind::Instance),
-            2 => Some(ArtifactKind::Hierarchy),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ArtifactKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArtifactKind::Instance => write!(f, "instance"),
-            ArtifactKind::Hierarchy => write!(f, "hierarchy"),
-        }
-    }
-}
 
 /// Why a `.phast` artifact failed to load (or save).
 ///
@@ -87,15 +56,8 @@ pub enum StoreError {
         /// Version number found in the header.
         found: u32,
     },
-    /// The header's artifact-kind code is not a known kind.
+    /// The header's artifact-kind code is not the instance kind.
     UnknownKind(u32),
-    /// The file holds a different artifact kind than requested.
-    WrongKind {
-        /// Kind the caller asked for.
-        expected: ArtifactKind,
-        /// Kind the file declares.
-        found: ArtifactKind,
-    },
     /// The file ends in the middle of a header or section.
     Truncated {
         /// Byte offset at which data ran out.
@@ -123,9 +85,6 @@ impl std::fmt::Display for StoreError {
                 "unsupported format version {found} (this build reads version {FORMAT_VERSION})"
             ),
             StoreError::UnknownKind(code) => write!(f, "unknown artifact kind code {code}"),
-            StoreError::WrongKind { expected, found } => {
-                write!(f, "expected a {expected} artifact but the file holds a {found}")
-            }
             StoreError::Truncated { offset } => {
                 write!(f, "file truncated (data ran out at byte {offset})")
             }
@@ -155,8 +114,12 @@ impl From<io::Error> for StoreError {
 
 /// Writes `bytes` to `path` crash-safely: temp file in the same
 /// directory, `fsync`, atomic rename, directory `fsync`. A crash at any
-/// point leaves either the old file or the new one — never a torn write.
+/// point leaves either the old file or the new one — never a torn write —
+/// and so do concurrent writers of one target: each call has a temp file
+/// of its own, so the last rename wins whole.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    // Tells apart this process's writers; the pid tells apart processes.
+    static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d,
         _ => Path::new("."),
@@ -165,9 +128,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         .file_name()
         .ok_or_else(|| StoreError::Io(io::Error::new(io::ErrorKind::InvalidInput, "path has no file name")))?;
     let tmp = dir.join(format!(
-        ".{}.tmp.{}",
+        ".{}.tmp.{}.{}",
         file_name.to_string_lossy(),
-        std::process::id()
+        std::process::id(),
+        NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
     ));
     let result = (|| {
         let mut f = File::create(&tmp)?;
@@ -185,43 +149,15 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     result
 }
 
-fn read_all(path: &Path) -> Result<Vec<u8>, StoreError> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    Ok(buf)
-}
-
 /// Saves a preprocessed instance (and optionally its hierarchy) to
-/// `path`, crash-safely.
+/// `path`, crash-safely. An artifact that also carries metrics is
+/// [`write_atomic`] of [`encode_instance`] with them.
 pub fn write_instance(path: &Path, p: &Phast, h: Option<&Hierarchy>) -> Result<(), StoreError> {
-    write_atomic(path, &encode_instance(p, h))
+    write_atomic(path, &encode_instance(p, h, &[]))
 }
 
-/// Loads an instance saved by [`write_instance`], re-validating every
-/// structural invariant.
-pub fn read_instance(path: &Path) -> Result<(Phast, Option<Hierarchy>), StoreError> {
-    decode_instance(&read_all(path)?)
-}
-
-/// Saves a preprocessed instance plus any number of versioned metrics
-/// (each in its own CRC-protected `METRIC` section), crash-safely.
-pub fn write_instance_with_metrics(
-    path: &Path,
-    p: &Phast,
-    h: Option<&Hierarchy>,
-    metrics: &[MetricWeights],
-) -> Result<(), StoreError> {
-    write_atomic(path, &encode_instance_with_metrics(p, h, metrics))
-}
-
-/// Loads an instance together with every metric stored alongside it.
-pub fn read_instance_full(
-    path: &Path,
-) -> Result<(Phast, Option<Hierarchy>, Vec<MetricWeights>), StoreError> {
-    decode_instance_full(&read_all(path)?)
-}
-
-/// An instance loaded through [`load_instance_mmap`].
+/// What an artifact holds, as [`decode_instance`] hands it back.
+#[derive(Debug)]
 pub struct LoadedInstance {
     /// The preprocessed sweep instance.
     pub phast: Phast,
@@ -229,71 +165,35 @@ pub struct LoadedInstance {
     pub hierarchy: Option<Hierarchy>,
     /// Every metric stored alongside the instance, in file order.
     pub metrics: Vec<MetricWeights>,
-    /// True when all seven large arrays borrow straight out of the file
-    /// mapping; false when any fell back to a heap copy (legacy v2 file,
-    /// big-endian host, or no mmap facility at all).
+    /// True when all seven large arrays borrow straight out of a file
+    /// mapping; false when any was converted to the heap (bytes read
+    /// rather than mapped, a big-endian host, a misaligned payload).
     pub zero_copy: bool,
 }
 
-/// Loads an instance by memory-mapping the file and borrowing the large
-/// arrays (permutation + three CSRs) directly out of the mapping — no
-/// copy, and N replicas on one machine share one set of page-cache pages.
+/// Loads the instance (and the hierarchy, if bundled) saved by
+/// [`write_instance`] from bytes read to the heap.
+pub fn read_instance(path: &Path) -> Result<(Phast, Option<Hierarchy>), StoreError> {
+    let loaded = decode_instance(&fs::read(path)?, None)?;
+    Ok((loaded.phast, loaded.hierarchy))
+}
+
+/// Loads an artifact by memory-mapping the file, so that the large arrays
+/// (permutation + three CSRs) are borrowed directly out of the mapping —
+/// no copy, and N replicas on one machine share one set of page-cache
+/// pages. Where no mapping can be had (no `mmap` facility, an empty
+/// file) the bytes are read to the heap instead.
 ///
-/// Validation is not weakened: every CRC, length and structural invariant
-/// is checked exactly as in [`read_instance_full`], and every failure
-/// mode yields the *same* typed [`StoreError`]. Files that cannot be
-/// borrowed from — legacy v2 (unpadded) artifacts, big-endian hosts,
-/// platforms without `mmap` — degrade gracefully to heap decoding, per
-/// array where possible and wholesale where not.
+/// Either way it is [`decode_instance`] that reads them: every CRC,
+/// length and structural invariant is checked exactly as in
+/// [`read_instance`], and every failure yields the same [`StoreError`].
 pub fn load_instance_mmap(path: &Path) -> Result<LoadedInstance, StoreError> {
-    let map = match mmap::Mmap::open(path) {
-        Ok(m) => SharedArc::new(m),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(StoreError::Io(e)),
-        Err(_) => {
-            // No mapping facility (or an unmappable file, e.g. empty):
-            // plain heap read, preserving read_instance_full's exact
-            // error behavior — an empty file is Truncated { offset: 0 }.
-            let (phast, hierarchy, metrics) = read_instance_full(path)?;
-            return Ok(LoadedInstance {
-                phast,
-                hierarchy,
-                metrics,
-                zero_copy: false,
-            });
+    match mmap::Mmap::open(path) {
+        Ok(map) => {
+            let map = SharedArc::new(map);
+            decode_instance(&map, Some(&map))
         }
-    };
-    let owner: SegmentOwner = map.clone();
-    // SAFETY: `bytes` borrows from `map`, and `owner` is a clone of the
-    // same SharedArc, so any Segment holding a clone of `owner` keeps the
-    // mapping (and therefore `bytes`) alive and immutable.
-    let (phast, hierarchy, metrics, zero_copy) =
-        unsafe { codec::decode_instance_full_mapped(&map[..], &owner)? };
-    Ok(LoadedInstance {
-        phast,
-        hierarchy,
-        metrics,
-        zero_copy,
-    })
-}
-
-/// Saves a standalone hierarchy to `path`, crash-safely.
-pub fn write_hierarchy(path: &Path, h: &Hierarchy) -> Result<(), StoreError> {
-    write_atomic(path, &encode_hierarchy(h))
-}
-
-/// Loads a hierarchy saved by [`write_hierarchy`].
-pub fn read_hierarchy(path: &Path) -> Result<Hierarchy, StoreError> {
-    decode_hierarchy(&read_all(path)?)
-}
-
-/// True if the file at `path` starts with the `.phast` magic — format
-/// sniffing for tools that also accept legacy JSON artifacts. I/O errors
-/// map to `false` so callers can fall through to their other format's
-/// (more informative) error path.
-pub fn is_store_file(path: &Path) -> bool {
-    let mut head = [0u8; 8];
-    match File::open(path).and_then(|mut f| f.read_exact(&mut head)) {
-        Ok(()) => sniff(&head),
-        Err(_) => false,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Err(StoreError::Io(e)),
+        Err(_) => decode_instance(&fs::read(path)?, None),
     }
 }

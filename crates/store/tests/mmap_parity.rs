@@ -1,216 +1,182 @@
-//! Fault-injection parity for the zero-copy (mmap) load path.
+//! What one decoder still leaves to prove about where the bytes come from.
 //!
-//! The contract (ISSUE 8 acceptance criteria): [`load_instance_mmap`]
-//! must reject every damaged input the heap decoder rejects, with the
-//! *identical* typed [`StoreError`] — zero-copy is a performance path,
-//! never a validation downgrade. Plus: a clean v3 artifact actually
-//! borrows from the mapping, and a legacy v2 (unpadded) artifact still
-//! loads through the graceful heap fallback.
+//! [`decode_instance`] is the only reader; a mapping changes one thing in
+//! it — whether an array is borrowed or converted. So: the same bytes
+//! through a mapping, through the heap and through a misaligned slice of a
+//! mapping give the same instance, only the first of them borrowed; and
+//! damage of every class is refused with the same [`StoreError`] whichever
+//! of [`read_instance`] and [`load_instance_mmap`] meets it.
 
-use phast_ch::{contract_graph, ContractionConfig};
-use phast_core::{Phast, PhastBuilder};
-use phast_graph::gen::{Metric, RoadNetworkConfig};
-use phast_graph::Graph;
+mod common;
+
+use common::{assemble, fixture, frames, full_artifact, metrics, scratch_file};
+use phast_store::mmap::Mmap;
 use phast_store::{
-    decode_instance_full, encode_instance, encode_instance_compat_v2, load_instance_mmap,
+    codec, decode_instance, encode_instance, load_instance_mmap, read_instance, LoadedInstance,
     StoreError, FORMAT_VERSION, PAYLOAD_ALIGN,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 
-fn fixture() -> (Graph, Phast, phast_ch::Hierarchy) {
-    let net = RoadNetworkConfig::new(5, 5, 42, Metric::TravelTime).build();
-    let h = contract_graph(&net.graph, &ContractionConfig::default());
-    let p = PhastBuilder::new().build_with_hierarchy(&net.graph, &h);
-    (net.graph, p, h)
-}
-
-fn scratch_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("phast-mmap-parity-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
-/// Loads `bytes` through the mmap path by way of a real file.
-fn mmap_load(bytes: &[u8], path: &Path) -> Result<phast_store::LoadedInstance, StoreError> {
+/// Asserts both file-level sources refuse `bytes`, and for the same
+/// reason (variant and message).
+fn assert_same_rejection(bytes: &[u8], path: &Path, context: &str) -> StoreError {
     std::fs::write(path, bytes).unwrap();
-    load_instance_mmap(path)
+    let heap = read_instance(path).expect_err(context);
+    let mapped = load_instance_mmap(path).expect_err(context);
+    assert_eq!(format!("{heap:?}"), format!("{mapped:?}"), "{context}");
+    mapped
 }
 
-/// The parity assertion: the mmap loader and the heap decoder must agree
-/// on *exactly* how a given byte string fails (variant and message).
-fn assert_same_rejection(bytes: &[u8], path: &Path, context: &str) {
-    let heap = decode_instance_full(bytes);
-    let mapped = mmap_load(bytes, path);
-    match (heap, mapped) {
-        (Err(h), Err(m)) => {
-            assert_eq!(
-                format!("{h:?}"),
-                format!("{m:?}"),
-                "error mismatch for {context}"
-            );
-        }
-        (Ok(_), Ok(_)) => panic!("{context}: expected both loaders to reject"),
-        (h, m) => panic!(
-            "{context}: loaders disagree (heap ok={}, mmap ok={})",
-            h.is_ok(),
-            m.is_ok()
-        ),
-    }
-}
-
-/// Byte ranges of each section's payload (same frame walk as the heap
-/// fault-injection suite — pads use ordinary framing, so it still works).
-fn section_payloads(bytes: &[u8]) -> Vec<(u32, std::ops::Range<usize>)> {
-    let mut out = Vec::new();
-    let mut pos = 16;
-    let body_end = bytes.len() - 4;
-    while pos < body_end {
-        let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-        out.push((tag, pos + 12..pos + 12 + len));
-        pos += 12 + len + 4;
-    }
-    out
-}
-
-#[test]
-fn clean_v3_artifact_loads_zero_copy_with_identical_trees() {
-    let (_, p, h) = fixture();
-    let bytes = encode_instance(&p, Some(&h));
-    let path = scratch_file("clean.phast");
-    let loaded = mmap_load(&bytes, &path).expect("clean artifact loads via mmap");
-    assert!(
-        loaded.zero_copy,
-        "a current-version artifact must borrow all big arrays from the mapping"
-    );
-    assert!(loaded.hierarchy.is_some());
-    let mut e1 = p.engine();
-    let mut e2 = loaded.phast.engine();
+fn assert_same_instance(a: &LoadedInstance, b: &LoadedInstance, context: &str) {
+    let (p, q) = (&a.phast, &b.phast);
+    assert_eq!(p.permutation().as_slice(), q.permutation().as_slice(), "{context}");
+    assert_eq!(p.levels(), q.levels(), "{context}");
+    assert_eq!((p.up(), p.up_middles()), (q.up(), q.up_middles()), "{context}");
+    assert_eq!((p.down(), p.down_middles()), (q.down(), q.down_middles()), "{context}");
+    assert_eq!(p.orig_incoming(), q.orig_incoming(), "{context}");
+    assert_eq!(a.hierarchy, b.hierarchy, "{context}");
+    assert_eq!(a.metrics, b.metrics, "{context}");
+    let (mut e1, mut e2) = (p.engine(), q.engine());
     for s in 0..p.num_vertices() as u32 {
-        assert_eq!(e1.distances(s), e2.distances(s), "tree from {s} differs");
+        assert_eq!(e1.distances(s), e2.distances(s), "{context}: tree from {s}");
     }
 }
 
 #[test]
-fn v3_payloads_are_cache_line_aligned_in_the_file() {
-    let (_, p, h) = fixture();
-    let bytes = encode_instance(&p, Some(&h));
-    for (tag, range) in section_payloads(&bytes) {
-        if tag != 0x00 {
+fn mapped_heap_and_misaligned_sources_give_one_instance() {
+    let (g, p, h) = fixture();
+    let bytes = full_artifact();
+    let heap = decode_instance(&bytes, None).expect("heap decode");
+    assert!(!heap.zero_copy, "nothing to borrow from");
+    assert_eq!(heap.hierarchy.as_ref(), Some(&h));
+    assert_eq!(heap.metrics, metrics(&g));
+    assert_eq!(p.engine().distances(3), heap.phast.engine().distances(3));
+
+    let path = scratch_file("clean.phast");
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = load_instance_mmap(&path).expect("clean artifact loads via mmap");
+    assert!(mapped.zero_copy, "an aligned artifact in a mapping borrows all big arrays");
+    assert_same_instance(&heap, &mapped, "mapped vs heap");
+
+    // One junk byte in front: every payload of the slice behind it sits
+    // one off its alignment, so the same decoder converts every array.
+    let shifted = scratch_file("shifted.phast");
+    std::fs::write(&shifted, [&[0xAA][..], &bytes[..]].concat()).unwrap();
+    let map = Arc::new(Mmap::open(&shifted).expect("map"));
+    let misaligned = decode_instance(&map[1..], Some(&map)).expect("misaligned slice decodes");
+    assert!(!misaligned.zero_copy, "a misaligned payload must not be borrowed");
+    assert_same_instance(&heap, &misaligned, "misaligned vs heap");
+
+    // An owner that does not hold the bytes lends nothing.
+    let foreign = decode_instance(&bytes, Some(&map)).expect("foreign owner decodes");
+    assert!(!foreign.zero_copy, "bytes outside the mapping must not be borrowed");
+    assert_same_instance(&heap, &foreign, "foreign owner vs heap");
+
+    // The borrowed arrays outlive every handle but their own.
+    drop(map);
+    drop(heap);
+    assert_eq!(p.engine().distances(7), mapped.phast.engine().distances(7));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&shifted).ok();
+}
+
+#[test]
+fn payloads_are_cache_line_aligned_in_the_file() {
+    let bytes = full_artifact();
+    for s in codec::sections(&bytes).expect("clean header") {
+        let s = s.expect("clean frame");
+        assert!(s.crc_ok);
+        if s.tag != 0x00 {
             assert_eq!(
-                range.start % PAYLOAD_ALIGN,
+                s.offset % PAYLOAD_ALIGN,
                 0,
-                "section 0x{tag:02X} payload starts at unaligned offset {}",
-                range.start
+                "section 0x{:02X} payload starts at unaligned offset {}",
+                s.tag,
+                s.offset
             );
         }
     }
 }
 
 #[test]
-fn legacy_v2_artifact_falls_back_to_heap_copies() {
-    let (g, p, h) = fixture();
-    let m = phast_metrics::MetricWeights::perturbed(&g, "m", 1, 3);
-    let v2 = encode_instance_compat_v2(&p, Some(&h), std::slice::from_ref(&m));
-    // Sanity: the compat encoder really writes the previous version.
-    assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), FORMAT_VERSION - 1);
-    let path = scratch_file("legacy.phast");
-    let loaded = mmap_load(&v2, &path).expect("legacy v2 artifact still loads");
-    assert!(
-        !loaded.zero_copy,
-        "unpadded v2 payloads are unaligned, so the loader must copy"
-    );
-    assert!(loaded.hierarchy.is_some());
-    assert_eq!(loaded.metrics, vec![m]);
-    assert_eq!(p.engine().distances(3), loaded.phast.engine().distances(3));
-}
-
-#[test]
-fn every_section_bit_flip_rejected_identically() {
-    let (_, p, h) = fixture();
-    let bytes = encode_instance(&p, Some(&h));
+fn every_bit_flip_rejected_identically() {
+    let bytes = full_artifact();
     let path = scratch_file("flip.phast");
-    for (tag, range) in section_payloads(&bytes) {
-        if range.is_empty() {
-            continue;
-        }
-        for at in [range.start, range.start + range.len() / 2, range.end - 1] {
-            let mut evil = bytes.clone();
-            evil[at] ^= 0x40;
-            assert_same_rejection(&evil, &path, &format!("flip at {at} in section 0x{tag:02X}"));
-        }
+    for at in 0..bytes.len() {
+        let mut evil = bytes.clone();
+        evil[at] ^= 1 << (at % 8);
+        assert_same_rejection(&evil, &path, &format!("flip at byte {at}"));
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn every_truncation_point_rejected_identically() {
-    let (_, p, _) = fixture();
-    let bytes = encode_instance(&p, None);
+    let bytes = full_artifact();
     let path = scratch_file("trunc.phast");
     for cut in 0..bytes.len() {
         assert_same_rejection(&bytes[..cut], &path, &format!("truncation to {cut} bytes"));
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn header_skew_rejected_identically() {
     let (_, p, _) = fixture();
-    let base = encode_instance(&p, None);
+    let base = encode_instance(&p, None, &[]);
     let path = scratch_file("skew.phast");
 
-    let mut version = base.clone();
-    version[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    assert_same_rejection(&version, &path, "future version");
-    match mmap_load(&version, &path) {
-        Err(StoreError::UnsupportedVersion { found }) => assert_eq!(found, FORMAT_VERSION + 1),
-        other => panic!("expected UnsupportedVersion, got ok={}", other.is_ok()),
+    for found in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+        let mut version = base.clone();
+        version[8..12].copy_from_slice(&found.to_le_bytes());
+        let e = assert_same_rejection(&version, &path, "version skew");
+        assert!(matches!(e, StoreError::UnsupportedVersion { found: f } if f == found), "{e:?}");
     }
 
     let mut magic = base.clone();
     magic[0] = b'X';
-    assert_same_rejection(&magic, &path, "bad magic");
+    let e = assert_same_rejection(&magic, &path, "bad magic");
+    assert!(matches!(e, StoreError::NotAStore), "{e:?}");
 
     let mut kind = base.clone();
-    kind[12..16].copy_from_slice(&99u32.to_le_bytes());
-    assert_same_rejection(&kind, &path, "unknown kind");
+    kind[12..16].copy_from_slice(&2u32.to_le_bytes());
+    let e = assert_same_rejection(&kind, &path, "the retired hierarchy kind");
+    assert!(matches!(e, StoreError::UnknownKind(2)), "{e:?}");
+
+    let mut file_crc = base.clone();
+    *file_crc.last_mut().unwrap() ^= 0x80;
+    let e = assert_same_rejection(&file_crc, &path, "bad file CRC");
+    assert!(matches!(e, StoreError::FileChecksum), "{e:?}");
+    std::fs::remove_file(&path).ok();
 }
 
+/// CRC-clean damage: the checks behind the checksums fire on data
+/// borrowed from the mapping exactly as on data read to the heap.
 #[test]
-fn structural_corruption_with_valid_crcs_rejected_identically() {
-    // CRC-clean but structurally invalid: the mmap path must run the same
-    // structural validators as the heap path (the permutation check fires
-    // on data borrowed straight from the mapping).
-    let (_, p, _) = fixture();
-    let bytes = encode_instance(&p, None);
-    let (_, perm_range) = section_payloads(&bytes)
-        .into_iter()
-        .find(|(tag, _)| *tag == 0x02)
-        .expect("permutation section present");
-    let mut evil = bytes.clone();
-    evil[perm_range.start..perm_range.start + 4].copy_from_slice(&0u32.to_le_bytes());
-    evil[perm_range.start + 4..perm_range.start + 8].copy_from_slice(&0u32.to_le_bytes());
-    let payload_crc = phast_store::crc::crc32(&evil[perm_range.clone()]);
-    evil[perm_range.end..perm_range.end + 4].copy_from_slice(&payload_crc.to_le_bytes());
-    let body_end = evil.len() - 4;
-    let file_crc = phast_store::crc::crc32(&evil[..body_end]);
-    evil[body_end..].copy_from_slice(&file_crc.to_le_bytes());
+fn crc_clean_damage_rejected_identically() {
+    let clean = frames(&full_artifact());
+    let position = |tag: u32| clean.iter().position(|(t, _)| *t == tag).expect("present");
     let path = scratch_file("structural.phast");
-    assert_same_rejection(&evil, &path, "CRC-clean structural corruption");
-    match mmap_load(&evil, &path) {
-        Err(StoreError::Corrupt(m)) => assert!(m.contains("permutation"), "got: {m}"),
-        other => panic!("expected Corrupt, got ok={}", other.is_ok()),
-    }
+
+    let mut collide = clean.clone();
+    collide[position(0x02)].1[..8].fill(0);
+    let e = assert_same_rejection(&assemble(&collide), &path, "colliding permutation");
+    assert!(matches!(&e, StoreError::Corrupt(m) if m.contains("permutation")), "{e:?}");
+
+    let mut pad = clean.clone();
+    pad[position(0x00)].1[0] = 1;
+    let e = assert_same_rejection(&assemble(&pad), &path, "non-zero pad");
+    assert!(matches!(&e, StoreError::Corrupt(m) if m.contains("padding")), "{e:?}");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn empty_and_missing_files_yield_typed_errors() {
     let path = scratch_file("empty.phast");
-    std::fs::write(&path, b"").unwrap();
-    assert!(matches!(
-        load_instance_mmap(&path),
-        Err(StoreError::Truncated { offset: 0 })
-    ));
-    let missing = scratch_file("does-not-exist.phast");
-    std::fs::remove_file(&missing).ok();
-    assert!(matches!(load_instance_mmap(&missing), Err(StoreError::Io(_))));
+    let e = assert_same_rejection(b"", &path, "empty file");
+    assert!(matches!(e, StoreError::Truncated { offset: 0 }), "{e:?}");
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(load_instance_mmap(&path), Err(StoreError::Io(_))));
+    assert!(matches!(read_instance(&path), Err(StoreError::Io(_))));
 }

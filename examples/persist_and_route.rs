@@ -2,8 +2,8 @@
 //!
 //! The CH/PHAST preprocessing costs minutes on continental inputs; real
 //! deployments run it offline and ship the artifact. This example saves a
-//! `Phast` instance with serde, reloads it, and expands full shortest
-//! paths (Section VII-A's shortcut unpacking).
+//! `Phast` instance to the checksummed `.phast` store, maps it back in,
+//! and expands full shortest paths (Section VII-A's shortcut unpacking).
 //!
 //! ```text
 //! cargo run --release --example persist_and_route
@@ -11,7 +11,6 @@
 
 use phast::core::Phast;
 use phast::graph::gen::{Metric, RoadNetworkConfig};
-use std::io::Write;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = RoadNetworkConfig::europe_like(15_000, 11, Metric::TravelTime).build();
@@ -25,21 +24,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let dir = std::env::temp_dir().join("phast-example");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join("europe.phast.json");
+    let path = dir.join("europe.phast");
     let t = std::time::Instant::now();
-    let bytes = serde_json::to_vec(&solver)?;
-    std::fs::File::create(&path)?.write_all(&bytes)?;
+    phast::store::write_instance(&path, &solver, None)?;
     println!(
         "saved {} ({:.1} MB) in {:.2?}",
         path.display(),
-        bytes.len() as f64 / 1e6,
+        std::fs::metadata(&path)?.len() as f64 / 1e6,
         t.elapsed()
     );
 
-    // Reload and validate.
+    // Reload: every checksum and structural invariant is re-checked, then
+    // the big arrays are borrowed from the mapping rather than copied.
     let t = std::time::Instant::now();
-    let loaded: Phast = serde_json::from_slice(&std::fs::read(&path)?)?;
-    loaded.validate().expect("loaded artifact is structurally sound");
+    let loaded = phast::store::load_instance_mmap(&path)?.phast;
     println!("reloaded + validated in {:.2?}", t.elapsed());
 
     // Route with full path expansion.

@@ -11,7 +11,7 @@
 #     canary-smoke     the guarded-rollout (canary) gate
 #     router-chaos     the replicated-tier kill-a-backend gate
 #     edge-smoke       the TCP edge gate: one front, both tiers (release)
-#     mmap-smoke       the zero-copy artifact load gate
+#     store-smoke      the artifact store gate (release)
 #     contract-smoke   the parallel-contraction gate
 #     wire-smoke       the reply-codec gate + the benchmark's smoke suite
 #     kernel-smoke     the sweep-kernel gate (release, both feature states)
@@ -91,9 +91,8 @@ matrix_smoke() {
 # the live hot-swap differentials in release, then the CLI flow end to
 # end — customize a perturbed metric into a servable artifact, serve the
 # base graph with --watch-metric and require the watcher to publish the
-# dropped-in weights as a new epoch, run the loadgen swap actor (every
-# reply checked against its admission epoch's Dijkstra reference), and
-# prove a future-version artifact dies with the typed error, not a panic.
+# dropped-in weights as a new epoch, and run the loadgen swap actor (every
+# reply checked against its admission epoch's Dijkstra reference).
 customize_smoke() {
     step "metric customization gate (battery + hot-swap differentials, release)"
     cargo test -q --release --test metric_battery --test serve_metric_swap
@@ -121,21 +120,6 @@ customize_smoke() {
     step "loadgen swap actor (epoch-checked replies)"
     cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
         --vertices 1200 --chaos --chaos-modes swap,burst --smoke
-
-    step "future-version artifact must fail typed"
-    cp "$dir/rush.phast" "$dir/future.phast"
-    printf '\xff' | dd of="$dir/future.phast" bs=1 seek=8 count=1 \
-        conv=notrunc status=none
-    if out="$(cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
-        tree "$dir/future.phast" --source 0 2>&1)"; then
-        echo "error: future-version artifact was accepted" >&2
-        exit 1
-    fi
-    if ! grep -q 'unsupported format version' <<<"$out" \
-        || grep -q 'panicked' <<<"$out"; then
-        echo "error: version skew must be a typed error, got: $out" >&2
-        exit 1
-    fi
     echo "customize smoke ok"
 }
 
@@ -224,15 +208,24 @@ edge_smoke() {
     echo "edge smoke ok"
 }
 
-# The zero-copy artifact gate: the mmap/heap parity battery (every fault
-# injected into the mmap path must yield the same typed error as the heap
-# decoder), then the CLI flow — preprocess to a PHASTBIN v3 artifact and
-# require the `tree` load to announce the zero-copy path and still answer.
-mmap_smoke() {
-    step "mmap/heap parity battery (release)"
-    cargo test -q --release -p phast-store --test mmap_parity
-    step "cli preprocess -> zero-copy tree load"
-    local dir out
+# The artifact store gate (DESIGN.md §10), in release: the crate's three
+# test targets — the mapping's unit tests, the fault-injection battery
+# (every bit flip, every truncation, framing faults under valid CRCs,
+# racing writers) and the source parity battery (mapped, heap and
+# misaligned bytes through the one decoder) — one per run, so that each
+# must match. Then the CLI flow: a preprocessed artifact must load
+# zero-copy and answer, `dump` must show the down arcs (section 0x08) on
+# a cache-line boundary with a good CRC, and an artifact whose version
+# field says 2 or 255 must die with the typed error, not a panic.
+store_smoke() {
+    step "artifact store gate (unit + fault injection + source parity, release)"
+    local target
+    for target in --lib "--test fault_injection" "--test mmap_parity"; do
+        # shellcheck disable=SC2086
+        filtered_tests -q --release -p phast-store $target
+    done
+    step "cli preprocess -> zero-copy tree load -> dump"
+    local dir out version
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
     cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
@@ -242,11 +235,35 @@ mmap_smoke() {
     out="$(cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
         tree "$dir/inst.phast" --source 0 --top 3 2>&1)"
     if ! grep -q 'zero-copy (mmap)' <<<"$out"; then
-        echo "error: a fresh v3 artifact did not take the zero-copy path" >&2
+        echo "error: a fresh artifact did not take the zero-copy path" >&2
         printf '%s\n' "$out" >&2
         exit 1
     fi
-    echo "mmap smoke ok"
+    out="$(cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
+        dump "$dir/inst.phast")"
+    if ! grep -Eq '^0x08 down arcs .* 0 +ok$' <<<"$out"; then
+        echo "error: dump does not show the down arcs at offset % 64 == 0, CRC ok" >&2
+        printf '%s\n' "$out" >&2
+        exit 1
+    fi
+    step "version-skewed artifacts must fail typed"
+    for version in '\x02' '\xff'; do
+        cp "$dir/inst.phast" "$dir/skew.phast"
+        # shellcheck disable=SC2059
+        printf "$version" | dd of="$dir/skew.phast" bs=1 seek=8 count=1 \
+            conv=notrunc status=none
+        if out="$(cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
+            tree "$dir/skew.phast" --source 0 2>&1)"; then
+            echo "error: a version-skewed artifact was accepted" >&2
+            exit 1
+        fi
+        if ! grep -q 'unsupported format version' <<<"$out" \
+            || grep -q 'panicked' <<<"$out"; then
+            echo "error: version skew must be a typed error, got: $out" >&2
+            exit 1
+        fi
+    done
+    echo "store smoke ok"
 }
 
 # The parallel-contraction gate (DESIGN.md §17): the differential battery
@@ -325,7 +342,7 @@ kernel_smoke() {
 
 # The gates that also run alone, in the order the full run takes them.
 GATES=(bench-smoke matrix-smoke customize-smoke canary-smoke router-chaos
-    edge-smoke mmap-smoke contract-smoke wire-smoke kernel-smoke)
+    edge-smoke store-smoke contract-smoke wire-smoke kernel-smoke)
 
 PROFILE_FLAG=""
 case "${1:-}" in
@@ -356,12 +373,6 @@ cargo test -q --workspace
 
 step "tests (--features obs-counters)"
 cargo test -q --workspace --features obs-counters
-
-# The artifact-store fault-injection suite: every single-bit flip, every
-# truncation point, version/magic/kind skew — each must be a typed error,
-# never a panic or a silently wrong tree.
-step "store fault-injection gate"
-cargo test -q -p phast-store --test fault_injection
 
 # A ~2 s loopback serve+loadgen run: 16 closed-loop clients against the
 # batching scheduler; fails unless at least one sweep served >= 2
