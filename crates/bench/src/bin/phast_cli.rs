@@ -44,9 +44,10 @@
 //! point-to-point fast path. `tree`, `matrix` and `serve --instance` load
 //! it through the store's one decoder; anything else is the typed "not a
 //! .phast artifact" error. `dump` is how a human reads one: the format
-//! version, a row per section (tag, name, payload offset, bytes, offset
-//! mod 64, CRC verdict) from the decoder's own section walk, then what
-//! the instance, the bundled hierarchy and each `METRIC` section hold.
+//! version, the CRC-32 kernel this CPU runs (`pclmulqdq` or `table`), a
+//! row per section (tag, name, payload offset, bytes, offset mod 64, CRC
+//! verdict) from the decoder's own section walk, then what the instance,
+//! the bundled hierarchy and each `METRIC` section hold.
 //!
 //! `matrix` computes a many-to-many distance table with RPHAST
 //! (DESIGN.md §13): one target selection built over the comma-separated
@@ -338,6 +339,7 @@ fn cmd_dump(args: &[String]) -> CliResult {
     let sections = phast_store::codec::sections(&bytes).map_err(cannot_load)?;
     println!("artifact     : {path} ({} bytes)", bytes.len());
     println!("format       : PHASTBIN version {}", phast_store::FORMAT_VERSION);
+    println!("crc32        : {}", phast_store::crc::kernel());
     println!("{:<4} {:<15} {:>10} {:>10} {:>3}  crc", "tag", "section", "offset", "bytes", "%64");
     for section in sections {
         let s = section.map_err(cannot_load)?;

@@ -30,6 +30,7 @@
 //! | `contract_par_10e5` | round-based parallel CH contraction at 4 threads |
 //! | `store_load_heap` | PHASTBIN artifact load from bytes read to the heap (`read_instance`) |
 //! | `store_load_mmap` | the same artifact, same decoder, borrowing from a mapping (`load_instance_mmap`) |
+//! | `store_crc` | the dispatched CRC-32 (`phast_store::crc::crc32`) over that artifact's bytes; `obs` carries `bytes`, `gbps` and the byte-table twin's `table_gbps` |
 //! | `wire_encode_tree` / `wire_encode_matrix` | `protocol::encode_answer_into` a reused buffer: one full tree; a 16 × `scale/16` matrix |
 //! | `wire_decode_tree` | `protocol::decode_reply_with_epoch` of that tree line (the client's one pass) |
 //! | `wire_classify_tree` | `protocol::classify_reply` of the same line (the router's validate-only pass) |
@@ -520,7 +521,8 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
     //    (`read_instance`) vs over a mapping (`load_instance_mmap`). Same
     //    file, written once; both rows validate every CRC, the mmap row
     //    then borrows the big section slices out of the mapping instead of
-    //    converting them — replica startup cost is dominated by this.
+    //    converting them — replica startup cost is dominated by this. Then
+    //    the CRC-32 alone over that file's bytes (`store_crc`).
     {
         let dir = std::env::temp_dir().join(format!("phast-regress-{}", std::process::id()));
         std::fs::create_dir_all(&dir)
@@ -538,6 +540,25 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
             assert!(loaded.zero_copy, "a fresh artifact must take the zero-copy path");
         });
         record("store_load_mmap", s, None);
+        // The checksum both loads run, over the same bytes: the kernel
+        // `Crc32::update` dispatches to against the byte-table twin, so the
+        // artifact shows which path ran and how far it is from memory speed.
+        let bytes = std::fs::read(&file)
+            .map_err(|e| format!("cannot read bench artifact instance: {e}"))?;
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            std::hint::black_box(phast_store::crc::crc32(std::hint::black_box(&bytes)));
+        });
+        let table = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            std::hint::black_box(phast_store::crc::crc32_table(std::hint::black_box(&bytes)));
+        });
+        // Bytes per nanosecond are GB/s.
+        let gbps = |samples: &Samples| bytes.len() as f64 / samples.stats().median_ns.max(1) as f64;
+        let mut report = phast_obs::Report::new("store_crc");
+        report
+            .push_count("bytes", bytes.len() as u64)
+            .push_ratio("gbps", gbps(&s))
+            .push_ratio("table_gbps", gbps(&table));
+        record("store_crc", s, Some(&report));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -923,6 +944,7 @@ mod tests {
             "contract_par_10e5",
             "store_load_heap",
             "store_load_mmap",
+            "store_crc",
             "wire_encode_tree",
             "wire_encode_matrix",
             "wire_decode_tree",
@@ -975,6 +997,18 @@ mod tests {
                 let x = metrics[format!("phast_k4_{level}.{field}").as_str()].as_f64();
                 assert!(x.is_some_and(|x| x > 0.0 && x.is_finite()), "{level} {field}: {x:?}");
             }
+        }
+        // The CRC entry carries the artifact's size and both kernels' rates.
+        let crc_bytes = metrics["store_crc.bytes"]
+            .as_i64()
+            .expect("store_crc.bytes");
+        assert!(crc_bytes > 6_000, "store_crc.bytes {crc_bytes}");
+        for field in ["gbps", "table_gbps"] {
+            let x = metrics[format!("store_crc.{field}").as_str()].as_f64();
+            assert!(
+                x.is_some_and(|x| x > 0.0 && x.is_finite()),
+                "store_crc.{field}: {x:?}"
+            );
         }
         // The point of metric customization: producing a servable
         // instance for a new metric must be at least 10x faster than

@@ -154,6 +154,13 @@ fn cli_binary_store_pipeline() {
     let (stdout, stderr, ok) = run(bin, &["dump", custom]);
     assert!(ok, "dump failed: {stderr}");
     assert!(stdout.contains("PHASTBIN version 3"), "{stdout}");
+    // Which CRC-32 kernel the load ran, by the store's own detection.
+    let kernel = phast_store::crc::kernel();
+    assert!(["pclmulqdq", "table"].contains(&kernel), "{kernel}");
+    assert!(
+        stdout.contains(&format!("\ncrc32        : {kernel}\n")),
+        "{stdout}"
+    );
     let down_arcs = stdout
         .lines()
         .find(|l| l.starts_with("0x08 down arcs"))

@@ -72,20 +72,22 @@ impl Hierarchy {
             }
             seen[r] = true;
         }
-        for (v, w, _) in self.forward_up.iter_arcs() {
-            if self.rank[v as usize] >= self.rank[w as usize] {
-                return Err(format!("forward_up arc ({v},{w}) does not go up in rank"));
-            }
-            if self.level[v as usize] >= self.level[w as usize] {
-                return Err(format!("forward_up arc ({v},{w}) does not go up in level"));
-            }
-        }
-        for (v, u, _) in self.backward_up.iter_arcs() {
-            if self.rank[v as usize] >= self.rank[u as usize] {
-                return Err(format!("backward_up arc ({v},{u}) does not go up in rank"));
-            }
-            if self.level[v as usize] >= self.level[u as usize] {
-                return Err(format!("backward_up arc ({v},{u}) does not go up in level"));
+        for (name, graph) in [
+            ("forward_up", &self.forward_up),
+            ("backward_up", &self.backward_up),
+        ] {
+            // Per tail vertex, so its rank and level are read once.
+            for (v, span) in graph.first().windows(2).enumerate() {
+                let (rank, level) = (self.rank[v], self.level[v]);
+                for a in &graph.arcs()[span[0] as usize..span[1] as usize] {
+                    let w = a.head as usize;
+                    if rank >= self.rank[w] {
+                        return Err(format!("{name} arc ({v},{w}) does not go up in rank"));
+                    }
+                    if level >= self.level[w] {
+                        return Err(format!("{name} arc ({v},{w}) does not go up in level"));
+                    }
+                }
             }
         }
         if self.forward_middle.len() != self.forward_up.num_arcs()

@@ -32,7 +32,7 @@
 //! checksums happen to pass but whose arrays are inconsistent is still
 //! rejected instead of producing a silently-wrong tree.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::mmap::Mmap;
 use crate::{LoadedInstance, StoreError};
 use phast_ch::hierarchy::Hierarchy;
@@ -243,6 +243,10 @@ fn decode<T: LeWords>(
 
 struct Encoder {
     buf: Vec<u8>,
+    /// The whole-file CRC of `buf[..hashed]`: each payload enters it by
+    /// [`Crc32::combine`] of its own CRC, so every byte is hashed once.
+    file: Crc32,
+    hashed: usize,
 }
 
 impl Encoder {
@@ -251,7 +255,11 @@ impl Encoder {
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&KIND_INSTANCE.to_le_bytes());
-        Encoder { buf }
+        Encoder {
+            buf,
+            file: Crc32::new(),
+            hashed: 0,
+        }
     }
 
     /// Appends one data section whose payload `fill` writes straight into
@@ -280,6 +288,9 @@ impl Encoder {
         let len = (self.buf.len() - start) as u64;
         self.buf[len_at..start].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&self.buf[start..]);
+        self.file.update(&self.buf[self.hashed..start]);
+        self.file.combine(crc, len);
+        self.hashed = self.buf.len();
         self.buf.extend_from_slice(&crc.to_le_bytes());
     }
 
@@ -289,7 +300,8 @@ impl Encoder {
     }
 
     fn finish(mut self) -> Vec<u8> {
-        let crc = crc32(&self.buf);
+        self.file.update(&self.buf[self.hashed..]);
+        let crc = self.file.finish();
         self.buf.extend_from_slice(&crc.to_le_bytes());
         self.buf
     }
@@ -356,7 +368,9 @@ pub struct Section<'a> {
     pub offset: usize,
     /// The payload bytes.
     pub payload: &'a [u8],
-    /// Whether the payload matches the CRC-32 stored after it.
+    /// The CRC-32 of the payload as read.
+    pub crc: u32,
+    /// Whether that matches the CRC-32 stored after the payload.
     pub crc_ok: bool,
 }
 
@@ -406,11 +420,13 @@ pub fn sections(
         let end = offset + len as usize;
         next = end + 4;
         let payload = &bytes[offset..end];
+        let crc = crc32(payload);
         Some(Ok(Section {
             tag: word(pos),
             offset,
             payload,
-            crc_ok: crc32(payload) == word(end),
+            crc,
+            crc_ok: crc == word(end),
         }))
     }))
 }
@@ -447,13 +463,20 @@ impl<'a> Parsed<'a> {
 
 /// Walks [`sections`] and verifies what they hold: known tags only,
 /// per-section CRCs, zero-only pads, no duplicates, the whole-file CRC.
+/// Every byte is hashed once: the whole-file CRC takes each payload in by
+/// [`Crc32::combine`] of the CRC the walk computed for it.
 fn parse_sections(bytes: &[u8]) -> Result<Parsed<'_>, StoreError> {
     let mut parsed = Parsed {
         by_tag: BTreeMap::new(),
         metrics: Vec::new(),
     };
+    // The whole-file CRC of `bytes[..hashed]`.
+    let (mut file, mut hashed) = (Crc32::new(), 0);
     for section in sections(bytes)? {
         let section = section?;
+        file.update(&bytes[hashed..section.offset]);
+        file.combine(section.crc, section.payload.len() as u64);
+        hashed = section.offset + section.payload.len();
         let tag = section.tag;
         // Unknown tags are rejected rather than skipped: the version-bump
         // policy (DESIGN.md §10) says any new section implies a new format
@@ -481,7 +504,8 @@ fn parse_sections(bytes: &[u8]) -> Result<Parsed<'_>, StoreError> {
         }
     }
     let body_end = bytes.len() - 4;
-    if crc32(&bytes[..body_end]) != u32::get(&bytes[body_end..]) {
+    file.update(&bytes[hashed..body_end]);
+    if file.finish() != u32::get(&bytes[body_end..]) {
         return Err(StoreError::FileChecksum);
     }
     Ok(parsed)

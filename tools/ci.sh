@@ -213,10 +213,13 @@ edge_smoke() {
 # (every bit flip, every truncation, framing faults under valid CRCs,
 # racing writers) and the source parity battery (mapped, heap and
 # misaligned bytes through the one decoder) — one per run, so that each
-# must match. Then the CLI flow: a preprocessed artifact must load
-# zero-copy and answer, `dump` must show the down arcs (section 0x08) on
-# a cache-line boundary with a good CRC, and an artifact whose version
-# field says 2 or 255 must die with the typed error, not a panic.
+# must match, and the CRC-32 module's own tests once more by name (the
+# fold kernel pinned to the byte table). Then the CLI flow: a preprocessed
+# artifact must load zero-copy and answer, `dump` must show the down arcs
+# (section 0x08) on a cache-line boundary with a good CRC, the artifact's
+# whole-file CRC must equal the one gzip computes over the same bytes,
+# and an artifact whose version field says 2 or 255 must die with the
+# typed error, not a panic.
 store_smoke() {
     step "artifact store gate (unit + fault injection + source parity, release)"
     local target
@@ -224,6 +227,8 @@ store_smoke() {
         # shellcheck disable=SC2086
         filtered_tests -q --release -p phast-store $target
     done
+    step "CRC-32 kernels: dispatched == byte table, combine, fold constants (release)"
+    filtered_tests -q --release -p phast-store --lib crc::
     step "cli preprocess -> zero-copy tree load -> dump"
     local dir out version
     dir="$(mktemp -d)"
@@ -244,6 +249,21 @@ store_smoke() {
     if ! grep -Eq '^0x08 down arcs .* 0 +ok$' <<<"$out"; then
         echo "error: dump does not show the down arcs at offset % 64 == 0, CRC ok" >&2
         printf '%s\n' "$out" >&2
+        exit 1
+    fi
+    step "whole-file CRC == gzip's trailer CRC (an outside CRC-32)"
+    # gzip's 8-byte trailer starts with the CRC-32 (IEEE) of its input,
+    # little-endian like the artifact's last four bytes.
+    trailer_crc() { gzip -c | tail -c 8 | head -c 4 | od -An -tx1; }
+    if [[ "$(printf 123456789 | trailer_crc)" != "$(printf '\x26\x39\xf4\xcb' | od -An -tx1)" ]]; then
+        echo "error: gzip does not compute the IEEE CRC-32 here" >&2
+        exit 1
+    fi
+    local want got
+    want="$(head -c -4 "$dir/inst.phast" | trailer_crc)"
+    got="$(tail -c 4 "$dir/inst.phast" | od -An -tx1)"
+    if [[ "$want" != "$got" ]]; then
+        echo "error: the artifact's file CRC is$got, gzip computes$want" >&2
         exit 1
     fi
     step "version-skewed artifacts must fail typed"
