@@ -448,39 +448,70 @@ fn cli_bench_artifact_baseline_and_injected_regression() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `loadgen --smoke` is the acceptance check that batching engages under
-/// concurrent load: it self-hosts a loopback server, drives it with 16
-/// closed-loop clients, and fails unless some batch served >= 2 requests.
-#[test]
-fn loadgen_smoke_batches_under_concurrency() {
-    let bin = env!("CARGO_BIN_EXE_loadgen");
-    let (stdout, stderr, ok) = run(
-        bin,
-        &[
-            "--vertices", "800", "--clients", "8", "--k", "8", "--window-ms", "2",
-            "--duration-ms", "700", "--smoke", "--json",
-        ],
-    );
-    assert!(ok, "loadgen smoke failed: {stderr}");
-    assert!(stdout.contains("\"multi_batches\""), "{stdout}");
-    assert!(stderr.contains("smoke ok"), "{stderr}");
+/// A `loadgen` run with `--json`: the stderr, the report's metrics, and
+/// whether it passed.
+fn loadgen_json(args: &[&str]) -> (String, serde_json::Value, bool) {
+    let (stdout, stderr, ok) = run(env!("CARGO_BIN_EXE_loadgen"), args);
+    let line = stdout.lines().last().unwrap_or_default();
+    let v: serde_json::Value = serde_json::from_str(line)
+        .unwrap_or_else(|e| panic!("no JSON report ({e}): {stdout}\n{stderr}"));
+    (stderr, v["metrics"].clone(), ok)
 }
 
-/// `loadgen --inject-panic` is the supervision soak: a poisoned request is
-/// fired mid-run at a live, concurrently-loaded service. The run fails
-/// unless the worker restart registered and the service kept answering.
+/// `loadgen --scenario batching` is the acceptance check that batching
+/// engages under concurrent load: it self-hosts a loopback server, drives
+/// it with closed-loop clients whose every reply is checked against
+/// Dijkstra, and fails unless some batch served >= 2 requests.
+#[test]
+fn loadgen_smoke_batches_under_concurrency() {
+    let (stderr, m, ok) = loadgen_json(&[
+        "--scenario", "batching", "--vertices", "800", "--clients", "8", "--k", "8",
+        "--duration-ms", "700", "--smoke", "--json",
+    ]);
+    assert!(ok, "loadgen batching failed: {stderr}");
+    assert!(m["multi_batches"].as_i64().unwrap() >= 1, "{m:?}");
+    assert!(m["requests_ok"].as_i64().unwrap() >= 1, "{m:?}");
+    assert_eq!(m["replies_diverged"], 0, "{m:?}");
+    assert!(stderr.contains("batching ok"), "{stderr}");
+}
+
+/// `loadgen --scenario panic` is the supervision soak: a poisoned request
+/// is fired mid-run at a live, concurrently-loaded service. The run fails
+/// unless the worker restart registered, the poisoned request came back as
+/// a typed `internal` error, and every other answer stayed exact.
 #[test]
 fn loadgen_inject_panic_soak() {
+    let (stderr, m, ok) = loadgen_json(&[
+        "--scenario", "panic", "--vertices", "800", "--clients", "4", "--k", "8",
+        "--duration-ms", "700", "--json",
+    ]);
+    assert!(ok, "loadgen panic soak failed: {stderr}");
+    assert!(stderr.contains("panic ok"), "{stderr}");
+    assert!(m["worker_restarts"].as_i64().unwrap() >= 1, "{m:?}");
+    assert!(m["quarantined_requests"].as_i64().unwrap() >= 1, "{m:?}");
+    assert_eq!(m["poisoned_replies_internal"], 1, "{m:?}");
+    assert_eq!(m["replies_diverged"], 0, "{m:?}");
+}
+
+/// Bad `loadgen` input is an `error:` line and a non-zero exit, never a
+/// panic: an unknown scenario lists the valid names, and the flags the
+/// scenarios replaced are unknown flags.
+#[test]
+fn loadgen_rejects_unknown_scenarios_and_retired_flags() {
     let bin = env!("CARGO_BIN_EXE_loadgen");
-    let (stdout, stderr, ok) = run(
-        bin,
-        &[
-            "--vertices", "800", "--clients", "4", "--k", "8", "--window-ms", "2",
-            "--duration-ms", "700", "--inject-panic", "--json",
-        ],
-    );
-    assert!(ok, "loadgen inject-panic soak failed: {stderr}");
-    assert!(stderr.contains("soak ok"), "{stderr}");
-    assert!(stdout.contains("\"worker_restarts\""), "{stdout}");
-    assert!(stdout.contains("\"quarantined_requests\""), "{stdout}");
+    let (_, stderr, ok) = run(bin, &["--scenario", "nope"]);
+    assert!(!ok, "an unknown scenario must fail");
+    assert!(stderr.contains("error:") && stderr.contains("`nope`"), "{stderr}");
+    for name in ["batching", "compare", "panic", "chaos", "poison-metric", "kill-backend"] {
+        assert!(stderr.contains(name), "`{name}` missing from: {stderr}");
+    }
+    for retired in ["--chaos", "--compare", "--inject-panic", "--addr"] {
+        let (_, stderr, ok) = run(bin, &[retired]);
+        assert!(!ok, "{retired} must be rejected");
+        assert!(!stderr.contains("panicked"), "{retired} panicked: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: unknown flag `{retired}`")),
+            "{stderr}"
+        );
+    }
 }

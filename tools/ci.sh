@@ -7,10 +7,9 @@
 #   tools/ci.sh GATE          # only that gate (also spelled --GATE):
 #     bench-smoke      the perf-regression smoke gate
 #     matrix-smoke     the RPHAST matrix gate (release)
-#     customize-smoke  the metric-customization gate
-#     canary-smoke     the guarded-rollout (canary) gate
+#     rollout-smoke    the metric customization + guarded rollout gate
 #     router-chaos     the replicated-tier kill-a-backend gate
-#     edge-smoke       the TCP edge gate: one front, both tiers (release)
+#     edge-smoke       the TCP edge gate: one front, both tiers, chaos
 #     store-smoke      the artifact store gate (release)
 #     contract-smoke   the parallel-contraction gate
 #     wire-smoke       the reply-codec gate + the benchmark's smoke suite
@@ -20,7 +19,12 @@
 # Mirrors the checks the repo treats as tier-1: a release build, the full
 # test suite in the default build AND with the hot-path observability
 # counters compiled in (--features obs-counters), and a warning-free
-# clippy pass over all targets.
+# clippy pass over all targets. Each flow runs once: every `loadgen
+# --scenario` in exactly one place (batching and panic in the main run,
+# chaos in edge-smoke, poison-metric in rollout-smoke, kill-backend in
+# router-chaos), three `phast_cli bench` suite runs (all in bench-smoke),
+# and no release test target twice except where a gate reruns a module by
+# name so that the filter must match.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,14 +54,22 @@ filtered_tests() {
 # it must pass (generous threshold — the gate tests the plumbing, not
 # this machine's jitter), and an injected 10x slowdown against the same
 # baseline must flip the exit code. If the injected regression escapes,
-# the perf gate is decorative and CI fails loudly.
+# the perf gate is decorative and CI fails loudly. The artifact must also
+# carry both contraction entries (DESIGN.md §17), keeping the
+# parallel-vs-sequential trend on the perf trajectory.
 bench_smoke() {
     step "perf-regression smoke (phast_cli bench)"
-    local dir
+    local dir name
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
     PHAST_SCALE=2000 cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
         bench --samples 5 --warmup 1 --k 8 --out "$dir/BENCH_base.json"
+    for name in contract_10e5 contract_par_10e5; do
+        if ! grep -q "\"$name\"" "$dir/BENCH_base.json"; then
+            echo "error: bench artifact is missing the $name entry" >&2
+            exit 1
+        fi
+    done
     step "bench self-compare must pass"
     PHAST_SCALE=2000 cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
         bench --samples 5 --warmup 1 --k 8 --out "$dir/BENCH_cur.json" \
@@ -86,18 +98,21 @@ matrix_smoke() {
     echo "matrix smoke ok"
 }
 
-# The metric-customization gate (DESIGN.md §14): the exactness battery
-# (customized == recontracted == Dijkstra on >= 3 perturbed metrics) and
-# the live hot-swap differentials in release, then the CLI flow end to
-# end — customize a perturbed metric into a servable artifact, serve the
-# base graph with --watch-metric and require the watcher to publish the
-# dropped-in weights as a new epoch, and run the loadgen swap actor (every
-# reply checked against its admission epoch's Dijkstra reference).
-customize_smoke() {
-    step "metric customization gate (battery + hot-swap differentials, release)"
+# The metric rollout gate (DESIGN.md §14, §16): in release, the exactness
+# battery (customized == recontracted == Dijkstra on >= 3 perturbed
+# metrics), the live hot-swap differentials and the canary/guard/rollback
+# tests; then the CLI flow once — customize a perturbed metric into a
+# servable artifact, serve the base graph with --watch-metric and require
+# the watcher to publish the dropped-in weights, then the same serve with
+# PHAST_CANARY_FAULT armed, which must canary-reject them (publishing is a
+# CI failure) — and the poison-metric scenario: a poisoned drop between two
+# honest ones behind the live TCP server, every reply checked against its
+# epoch's Dijkstra reference.
+rollout_smoke() {
+    step "metric rollout gate (battery, hot-swap, canary/guard, release)"
     cargo test -q --release --test metric_battery --test serve_metric_swap
-
-    step "cli customize -> serve --watch-metric smoke"
+    cargo test -q --release -p phast-serve -p phast-metrics
+    step "cli customize -> serve --watch-metric, honest and with the fault armed"
     local dir out
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
@@ -108,87 +123,43 @@ customize_smoke() {
         --out "$dir/rush.phast" --emit-metric "$dir/rush.json"
     cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
         tree "$dir/rush.phast" --source 0 --top 3 >/dev/null
-    out="$(cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
-        serve "$dir/net.gr" --addr 127.0.0.1:0 --duration-ms 2500 \
-        --watch-metric "$dir/rush.json" --watch-interval-ms 100 2>&1)"
+    watch_serve() {
+        cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
+            serve "$dir/net.gr" --addr 127.0.0.1:0 --duration-ms 2500 \
+            --watch-metric "$dir/rush.json" --watch-interval-ms 100 2>&1
+    }
+    out="$(watch_serve)"
     if ! grep -q 'metric watcher: published `rush` v2' <<<"$out"; then
         echo "error: --watch-metric never published the dropped-in metric" >&2
         printf '%s\n' "$out" >&2
         exit 1
     fi
-
-    step "loadgen swap actor (epoch-checked replies)"
+    out="$(PHAST_CANARY_FAULT=rush watch_serve)"
+    if grep -q 'metric watcher: published `rush`' <<<"$out" \
+        || ! grep -q 'metric watcher: canary rejected `rush` v2' <<<"$out"; then
+        echo "error: the armed fault was not canary-rejected (or was published)" >&2
+        printf '%s\n' "$out" >&2
+        exit 1
+    fi
+    step "poison-metric scenario (live TCP, epoch-checked replies)"
     cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
-        --vertices 1200 --chaos --chaos-modes swap,burst --smoke
-    echo "customize smoke ok"
+        --scenario poison-metric --vertices 1200 --smoke
+    echo "rollout smoke ok"
 }
 
-# The guarded-rollout gate (DESIGN.md §16): the canary/guard/rollback
-# unit and e2e tests in release, then the CLI flow with the fault seam —
-# an honest metric must roll out cleanly through `serve --watch-metric`,
-# and the *same* flow with PHAST_CANARY_FAULT armed must end with the
-# poisoned metric canary-rejected and never published (CI fails loudly if
-# it publishes). Finally the poison-metric chaos mode: a poisoned drop
-# mid-burst behind the live TCP server, zero wrong well-behaved replies.
-canary_smoke() {
-    step "guarded rollout gate (epoch ring + watcher canary/guard, release)"
-    cargo test -q --release --test serve_metric_swap
-    cargo test -q --release -p phast-serve -p phast-metrics
-
-    step "cli serve --watch-metric: honest metric publishes"
-    local dir out
-    dir="$(mktemp -d)"
-    trap 'rm -rf "$dir"' RETURN
-    cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
-        generate --vertices 2000 --metric time --seed 7 -o "$dir/net.gr"
-    cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
-        customize "$dir/net.gr" --perturb 42 --name rush --version 2 \
-        --out "$dir/rush.phast" --emit-metric "$dir/rush.json"
-    out="$(cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
-        serve "$dir/net.gr" --addr 127.0.0.1:0 --duration-ms 2500 \
-        --watch-metric "$dir/rush.json" --watch-interval-ms 100 2>&1)"
-    if ! grep -q 'metric watcher: published `rush` v2' <<<"$out"; then
-        echo "error: the honest metric never published" >&2
-        printf '%s\n' "$out" >&2
-        exit 1
-    fi
-
-    step "cli serve --watch-metric: injected fault must be canary-caught"
-    out="$(PHAST_CANARY_FAULT=rush \
-        cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
-        serve "$dir/net.gr" --addr 127.0.0.1:0 --duration-ms 2500 \
-        --watch-metric "$dir/rush.json" --watch-interval-ms 100 2>&1)"
-    if grep -q 'metric watcher: published `rush`' <<<"$out"; then
-        echo "error: a poisoned metric was published live" >&2
-        printf '%s\n' "$out" >&2
-        exit 1
-    fi
-    if ! grep -q 'metric watcher: canary rejected `rush` v2' <<<"$out"; then
-        echo "error: the canary never rejected the poisoned metric" >&2
-        printf '%s\n' "$out" >&2
-        exit 1
-    fi
-
-    step "poison-metric chaos gate (live TCP, epoch-checked replies)"
-    cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
-        --vertices 1200 --chaos --chaos-modes poison-metric --smoke
-    echo "canary smoke ok"
-}
-
-# The replicated-tier chaos gate (DESIGN.md §15): two real `phast_cli
-# serve` replicas behind the `phast-router` failover front, driven by
-# well-behaved loadgen clients while one replica is SIGKILLed and later
-# restarted on its old port. Fails unless every well-behaved reply stayed
-# exact against the Dijkstra reference, the kill forced at least one
+# The replicated-tier chaos gate (DESIGN.md §15): the kill-backend
+# scenario — two real `phast_cli serve` replicas behind the `phast-router`
+# failover front, driven by clients that check every reply against
+# Dijkstra while one replica is SIGKILLed and later restarted on its old
+# port. Fails unless every reply stayed exact, the kill forced at least one
 # failover and an ejection, and the restart rejoined rotation through the
-# half-open door. The router unit/differential tests run first so a gate
-# failure points at the tier, not the router internals.
+# half-open door. The router's own tests run in edge-smoke.
 router_chaos() {
-    step "router failover differentials (release)"
-    cargo test -q --release -p phast-router
-    step "replicated-tier kill-a-backend chaos gate"
+    step "replicated-tier kill-backend scenario"
+    # The replicas run the `phast_cli` beside `loadgen`; `cargo run` skips it.
+    cargo build -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli
     cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
-        --vertices 1200 --chaos --chaos-modes kill-backend --smoke
+        --scenario kill-backend --vertices 1200 --smoke
     echo "router chaos ok"
 }
 
@@ -199,12 +170,20 @@ router_chaos() {
 # `Router` in front of one; the router's own tests cover failover over
 # pooled `LineConn`s and the dropped-router leak; phast-serve's `conn::`
 # unit tests cover `LineConn` (one write, poisoning, buffer reuse) and the
-# front behind a fake service.
+# front behind a fake service. Then the chaos scenario: slowloris writers,
+# mid-request disconnects, garbage floods, oversized lines, burst storms
+# and live metric swaps against a server, beside clients that check every
+# reply against the Dijkstra reference of its epoch; fails unless every
+# reply stayed exact, each abuse registered in its hardening counter and
+# live connections stayed under --max-conns.
 edge_smoke() {
     step "TCP edge gate (both fronts + router + conn unit tests, release)"
     cargo test -q --release --test serve_robustness
     cargo test -q --release -p phast-router
     filtered_tests -q --release -p phast-serve --lib conn::
+    step "chaos scenario (hostile actors + metric swaps, epoch-checked replies)"
+    cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
+        --scenario chaos --vertices 1200 --smoke
     echo "edge smoke ok"
 }
 
@@ -290,25 +269,12 @@ store_smoke() {
 # (parallel == sequential == Dijkstra, bit-identical hierarchies across
 # thread counts) in release at two *ambient* thread counts — PHAST_THREADS
 # reaches the contractor through the `threads: 0` resolution path, so this
-# also proves the env knob is live — then a reduced bench run that must
-# land both contraction entries in the BENCH artifact, keeping the
-# parallel-vs-sequential trend on the perf trajectory.
+# also proves the env knob is live. (bench-smoke checks that both
+# contraction entries land in the BENCH artifact.)
 contract_smoke() {
     step "parallel contraction gate (differential battery, release)"
     PHAST_THREADS=1 cargo test -q --release --test contract_battery
     PHAST_THREADS=4 cargo test -q --release --test contract_battery
-    step "contraction regress entries land in the BENCH artifact"
-    local dir
-    dir="$(mktemp -d)"
-    trap 'rm -rf "$dir"' RETURN
-    PHAST_SCALE=1500 cargo run -q ${PROFILE_FLAG} -p phast-bench --bin phast_cli -- \
-        bench --samples 5 --warmup 1 --k 8 --out "$dir/BENCH_contract.json"
-    for name in contract_10e5 contract_par_10e5; do
-        if ! grep -q "\"$name\"" "$dir/BENCH_contract.json"; then
-            echo "error: bench artifact is missing the $name entry" >&2
-            exit 1
-        fi
-    done
     echo "contract smoke ok"
 }
 
@@ -361,8 +327,8 @@ kernel_smoke() {
 }
 
 # The gates that also run alone, in the order the full run takes them.
-GATES=(bench-smoke matrix-smoke customize-smoke canary-smoke router-chaos
-    edge-smoke store-smoke contract-smoke wire-smoke kernel-smoke)
+GATES=(bench-smoke matrix-smoke rollout-smoke router-chaos edge-smoke
+    store-smoke contract-smoke wire-smoke kernel-smoke)
 
 PROFILE_FLAG=""
 case "${1:-}" in
@@ -394,32 +360,21 @@ cargo test -q --workspace
 step "tests (--features obs-counters)"
 cargo test -q --workspace --features obs-counters
 
-# A ~2 s loopback serve+loadgen run: 16 closed-loop clients against the
-# batching scheduler; fails unless at least one sweep served >= 2
-# requests (mean batch occupancy > 1), i.e. batching actually engages.
-step "serve + loadgen batching smoke"
+# A ~2 s loopback run of the batching scenario: 16 closed-loop clients
+# against the batching scheduler, every reply checked against Dijkstra;
+# fails unless at least one sweep served >= 2 requests (mean batch
+# occupancy > 1), i.e. batching actually engages.
+step "batching scenario"
 cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
-    --vertices 1200 --clients 16 --k 16 --window-ms 2 \
-    --duration-ms 2000 --smoke
+    --scenario batching --vertices 1200 --clients 16 --k 16 --smoke
 
 # The supervision soak: a poisoned request panics a worker mid-run under
 # concurrent load; the run fails unless the worker restart registered,
-# the poisoned request came back as a typed error, and the service kept
-# answering afterwards.
-step "serve supervision soak (--inject-panic)"
+# the poisoned request came back as a typed error, and every other reply
+# stayed exact.
+step "panic scenario (supervision soak)"
 cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
-    --vertices 1200 --clients 8 --k 8 --window-ms 2 \
-    --duration-ms 1500 --inject-panic
-
-# The chaos gate: slowloris writers, mid-request disconnects, garbage
-# floods, oversized lines and burst storms against a live server, with
-# well-behaved clients checking every answer against the scalar Dijkstra
-# reference. Fails unless the well-behaved traffic stayed 100% exact, the
-# hardening counters registered the abuse, and live connections stayed
-# under --max-conns throughout.
-step "serve chaos gate (--chaos --smoke)"
-cargo run -q ${PROFILE_FLAG} -p phast-bench --bin loadgen -- \
-    --vertices 1200 --chaos --smoke
+    --scenario panic --vertices 1200 --clients 8 --k 8 --duration-ms 1500
 
 for gate in "${GATES[@]}"; do
     "${gate//-/_}"
