@@ -9,11 +9,12 @@
 //! Options: `--sources N` (trees measured per data point, default 20),
 //! `--quick` (tiny instance + few sources, for CI smoke tests),
 //! `--stats` (observability report of the setup preprocessing and one
-//! sample query; counters need the `obs-counters` cargo feature).
+//! sample query). Every time is a mean over individually timed runs
+//! (`Samples`) without warm-up.
 //! `EXPERIMENTS.md` records the measured-vs-paper comparison.
 
 use phast_bench::report::{fmt_days, fmt_duration, Table};
-use phast_bench::{energy, hostinfo, lower_bound, time_per, InstanceConfig, Samples};
+use phast_bench::{energy, hostinfo, lower_bound, InstanceConfig, Samples};
 use phast_core::simd::SimdLevel;
 use phast_ch::{contract_graph, ContractionConfig, Hierarchy};
 use phast_core::{par_multi_trees, Direction, Phast, PhastBuilder, SweepOrder};
@@ -43,12 +44,13 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--sources" => {
-                opts.sources = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--sources needs a number");
-            }
+            "--sources" => match args.next().and_then(|s| s.parse().ok()) {
+                Some(n) if n > 0 => opts.sources = n,
+                _ => {
+                    eprintln!("error: --sources needs a positive number");
+                    std::process::exit(2);
+                }
+            },
             "--quick" => opts.quick = true,
             "--stats" => opts.stats = true,
             other => experiments.push(other.to_string()),
@@ -98,8 +100,7 @@ fn main() {
 }
 
 /// `--stats`: observability report of the setup's CH preprocessing plus
-/// one sample tree query (see DESIGN.md "Observability"). The gated
-/// counters are nonzero only in `obs-counters` builds.
+/// one sample tree query (see DESIGN.md "Observability").
 fn obs_report(ctx: &Context) {
     let c = phast_obs::prep::counters();
     let mut r = phast_obs::Report::new("setup: CH preprocessing");
@@ -168,6 +169,12 @@ impl Context {
             .take(count)
             .collect()
     }
+}
+
+/// Mean milliseconds per call over `runs` calls of `f` (given the call
+/// index), each call timed on its own, no warm-up.
+fn mean_ms(runs: usize, f: impl FnMut(usize)) -> f64 {
+    Samples::collect(0, runs, f).stats().mean_ns as f64 / 1e6
 }
 
 /// Figure 1: vertices per level.
@@ -242,41 +249,36 @@ fn tab1(ctx: &Context, opts: &Opts) {
         let mut d_bin = Dijkstra::<IndexedBinaryHeap>::new(fwd);
         rows[0].push(format!(
             "{:.2}",
-            time_per(srcs.len(), |i| {
+            mean_ms(srcs.len(), |i| {
                 d_bin.run_in_place(srcs[i]);
             })
-            .ms()
         ));
         let mut d_dial = Dijkstra::<DialQueue>::new(fwd);
         rows[1].push(format!(
             "{:.2}",
-            time_per(srcs.len(), |i| {
+            mean_ms(srcs.len(), |i| {
                 d_dial.run_in_place(srcs[i]);
             })
-            .ms()
         ));
         let mut d_mlb = Dijkstra::<TwoLevelBuckets>::new(fwd);
         rows[2].push(format!(
             "{:.2}",
-            time_per(srcs.len(), |i| {
+            mean_ms(srcs.len(), |i| {
                 d_mlb.run_in_place(srcs[i]);
             })
-            .ms()
         ));
         let mut d_rad = Dijkstra::<RadixHeap>::new(fwd);
         rows[3].push(format!(
             "{:.2}",
-            time_per(srcs.len(), |i| {
+            mean_ms(srcs.len(), |i| {
                 d_rad.run_in_place(srcs[i]);
             })
-            .ms()
         ));
         rows[4].push(format!(
             "{:.2}",
-            time_per(srcs.len(), |i| {
+            mean_ms(srcs.len(), |i| {
                 bfs(fwd, srcs[i]);
             })
-            .ms()
         ));
 
         // PHAST variants: preprocessing per layout (the within-level order
@@ -296,19 +298,17 @@ fn tab1(ctx: &Context, opts: &Opts) {
             let mut e = p.engine();
             rows[row].push(format!(
                 "{:.2}",
-                time_per(srcs.len(), |i| {
+                mean_ms(srcs.len(), |i| {
                     e.distances_sweep(srcs[i]);
                 })
-                .ms()
             ));
         }
         let mut e = p_tiled.engine();
         rows[8].push(format!(
             "{:.2}",
-            time_per(srcs.len(), |i| {
+            mean_ms(srcs.len(), |i| {
                 e.distances_par_sweep(srcs[i]);
             })
-            .ms()
         ));
     }
     for r in rows {
@@ -461,18 +461,18 @@ fn tab5(ctx: &Context, opts: &Opts) {
 
     // Single thread.
     let mut dij = Dijkstra::<DialQueue>::new(fwd);
-    let d1 = time_per(sources.len(), |i| {
+    let d1 = mean_ms(sources.len(), |i| {
         dij.run_in_place(sources[i]);
     });
     let mut e = ctx.phast.engine();
-    let p1 = time_per(sources.len(), |i| {
+    let p1 = mean_ms(sources.len(), |i| {
         e.distances_sweep(sources[i]);
     });
     t.row(&[
         "single thread".into(),
-        format!("{:.2}", d1.ms()),
-        format!("{:.2}", p1.ms()),
-        format!("{:.1}x", d1.ms() / p1.ms()),
+        format!("{d1:.2}"),
+        format!("{p1:.2}"),
+        format!("{:.1}x", d1 / p1),
     ]);
 
     // One tree per core, free vs pinned.
@@ -572,11 +572,11 @@ fn graphclass(opts: &Opts) {
         let avg_up: usize = sources.iter().map(|&s| up.run(s).len()).sum::<usize>()
             / sources.len();
         let mut dij = Dijkstra::<DialQueue>::new(g.forward());
-        let d = time_per(sources.len(), |i| {
+        let d = mean_ms(sources.len(), |i| {
             dij.run_in_place(sources[i]);
         });
         let mut e = p.engine();
-        let ph = time_per(sources.len(), |i| {
+        let ph = mean_ms(sources.len(), |i| {
             e.distances_sweep(sources[i]);
         });
         t.row(&[
@@ -587,8 +587,8 @@ fn graphclass(opts: &Opts) {
             p.num_shortcuts().to_string(),
             p.num_levels().to_string(),
             avg_up.to_string(),
-            format!("{:.2}", d.ms()),
-            format!("{:.2}", ph.ms()),
+            format!("{d:.2}"),
+            format!("{ph:.2}"),
         ]);
     }
     t.print();
@@ -804,11 +804,11 @@ fn tab7(opts: &Opts) {
             .take(opts.sources.min(8))
             .collect();
         let mut dij = Dijkstra::<DialQueue>::new(g.forward());
-        let d = time_per(sources.len(), |i| {
+        let d = mean_ms(sources.len(), |i| {
             dij.run_in_place(sources[i]);
         });
         let mut e = p.engine();
-        let ph = time_per(sources.len(), |i| {
+        let ph = mean_ms(sources.len(), |i| {
             e.distances_sweep(sources[i]);
         });
         let gp_ms = match Gphast::new(&p, DeviceProfile::gtx_580(), 1) {
@@ -829,8 +829,8 @@ fn tab7(opts: &Opts) {
             n.to_string(),
             g.num_arcs().to_string(),
             p.num_levels().to_string(),
-            format!("{:.2}", d.ms()),
-            format!("{:.2}", ph.ms()),
+            format!("{d:.2}"),
+            format!("{ph:.2}"),
             gp_ms,
         ]);
     }
@@ -849,25 +849,24 @@ fn lb(ctx: &Context) {
     let lbr = lower_bound::measure(&ctx.phast, &mut dist);
     let mut e = ctx.phast.engine();
     let srcs = ctx.sources(5);
-    let ph = time_per(srcs.len(), |i| {
+    let ph = mean_ms(srcs.len(), |i| {
         e.distances_sweep(srcs[i]);
     });
     let mut t = Table::new(
         "Lower bound (Section VIII-B)",
         &["measurement", "time [ms]", "vs PHAST"],
     );
-    let phms = ph.ms();
     t.row(&[
         "sequential array scan".into(),
         format!("{:.2}", lbr.sequential_scan.as_secs_f64() * 1e3),
-        format!("{:.2}x", phms / (lbr.sequential_scan.as_secs_f64() * 1e3)),
+        format!("{:.2}x", ph / (lbr.sequential_scan.as_secs_f64() * 1e3)),
     ]);
     t.row(&[
         "graph traversal (sum of arc lengths)".into(),
         format!("{:.2}", lbr.traversal_sum.as_secs_f64() * 1e3),
-        format!("{:.2}x", phms / (lbr.traversal_sum.as_secs_f64() * 1e3)),
+        format!("{:.2}x", ph / (lbr.traversal_sum.as_secs_f64() * 1e3)),
     ]);
-    t.row(&["PHAST sweep".into(), format!("{phms:.2}"), "1.00x".into()]);
+    t.row(&["PHAST sweep".into(), format!("{ph:.2}"), "1.00x".into()]);
     t.print();
     println!(
         "effective scan bandwidth: {:.1} GB/s\n\
@@ -980,18 +979,18 @@ fn ablations(ctx: &Context, opts: &Opts) {
         .order(SweepOrder::ByRank)
         .build(&ctx.graph);
     let mut e = p_rank.engine();
-    let a = time_per(sources.len(), |i| {
+    let a = mean_ms(sources.len(), |i| {
         e.distances_sweep(sources[i]);
     });
-    t.row(&["by rank (basic PHAST)".into(), format!("{:.2}", a.ms())]);
+    t.row(&["by rank (basic PHAST)".into(), format!("{a:.2}")]);
     let mut e = ctx.phast.engine();
-    let b = time_per(sources.len(), |i| {
+    let b = mean_ms(sources.len(), |i| {
         e.distances_sweep(sources[i]);
     });
     // The paper's level order is the first row of the tile table, (d).
     t.row(&[
         "by level, degree-tiled (default)".into(),
-        format!("{:.2}", b.ms()),
+        format!("{b:.2}"),
     ]);
     t.print();
 
@@ -1006,12 +1005,12 @@ fn ablations(ctx: &Context, opts: &Opts) {
         if engine.simd_level() != level {
             continue; // CPU lacks the feature
         }
-        let timed = time_per(batches, |bi| {
+        let per_batch = mean_ms(batches, |bi| {
             engine.run(&srcs[bi * k..(bi + 1) * k]);
         });
         t.row(&[
             format!("{level:?}"),
-            format!("{:.3}", timed.total.as_secs_f64() * 1e3 / srcs.len() as f64),
+            format!("{:.3}", per_batch / k as f64),
         ]);
     }
     t.print();
@@ -1020,7 +1019,7 @@ fn ablations(ctx: &Context, opts: &Opts) {
     // analogue of GPHAST's execution model).
     {
         let mut engine = ctx.phast.multi_engine(k);
-        let timed = time_per(batches, |bi| {
+        let per_batch = mean_ms(batches, |bi| {
             engine.run_par(&srcs[bi * k..(bi + 1) * k]);
         });
         let mut t = Table::new(
@@ -1029,7 +1028,7 @@ fn ablations(ctx: &Context, opts: &Opts) {
         );
         t.row(&[
             "k=16 simd + intra-level blocks".into(),
-            format!("{:.3}", timed.total.as_secs_f64() * 1e3 / srcs.len() as f64),
+            format!("{:.3}", per_batch / k as f64),
         ]);
         t.print();
     }
@@ -1072,7 +1071,7 @@ fn ablations(ctx: &Context, opts: &Opts) {
             PhastBuilder::new().ch_config(cfg).build(&abl_graph)
         });
         let mut e = p.engine();
-        let sw = time_per(abl_sources.len(), |i| {
+        let sw = mean_ms(abl_sources.len(), |i| {
             e.distances_sweep(abl_sources[i]);
         });
         t.row(&[
@@ -1080,7 +1079,7 @@ fn ablations(ctx: &Context, opts: &Opts) {
             format!("{:.2}", prep.as_secs_f64()),
             p.num_shortcuts().to_string(),
             p.num_levels().to_string(),
-            format!("{:.2}", sw.ms()),
+            format!("{sw:.2}"),
         ]);
     }
     t.print();

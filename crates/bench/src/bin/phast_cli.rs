@@ -29,7 +29,7 @@
 //!                     [--connect-timeout-ms 2000] [--io-timeout-ms 10000]
 //!                     [--max-conns 256] [--max-line-bytes 1048576]
 //!                     [--duration-ms 0] [--stats[=json]]
-//! phast-cli bench     [--out BENCH_phast.json] [--baseline BENCH_old.json]
+//! phast-cli bench     [--out target/BENCH_phast.json] [--baseline BENCH_old.json]
 //!                     [--samples 7] [--warmup 2] [--k 16]
 //!                     [--threshold-pct 10] [--mad-k 4]
 //! ```
@@ -91,17 +91,16 @@
 //! `bench` runs the deterministic perf-regression suite over every hot
 //! path (scalar Dijkstra, single-tree sweep, k-tree SIMD sweeps, the
 //! parallel sweep, the GPHAST simulator, and the serve batch path) at
-//! `PHAST_SCALE` vertices and writes a versioned `BENCH_phast.json`
-//! artifact. With `--baseline` it compares against a previous artifact
-//! using noise-aware thresholds and exits non-zero on any regression —
-//! see `DESIGN.md` §12 for the schema and the comparison policy.
+//! `PHAST_SCALE` vertices and writes a versioned artifact to `--out`, by
+//! default `target/BENCH_phast.json` (the repository root's
+//! `BENCH_phast.json` is the committed trajectory, not a scratch file).
+//! With `--baseline` it compares against a previous artifact using
+//! noise-aware thresholds and exits non-zero on any regression — see
+//! `DESIGN.md` §12 for the schema and the comparison policy.
 //!
 //! `--stats` prints the observability report of the command (a table, or
 //! one JSON object with `--stats=json`; see `DESIGN.md` "Observability").
-//! The report always includes phase times and the settled count; the
-//! remaining counters are nonzero only in builds with the `obs-counters`
-//! cargo feature, and the report's `counters_enabled` field says which
-//! build produced it.
+//! The report includes phase times and every counter of the engine.
 //!
 //! Every failure — a missing or unreadable file, a malformed graph, an
 //! unknown flag, an out-of-range vertex — prints `error: ...` to stderr
@@ -605,7 +604,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
         runs: parse_num(f.get("--samples").unwrap_or("7"), "--samples")?,
         k: parse_num(f.get("--k").unwrap_or("16"), "--k")?,
     };
-    let out = f.get("--out").unwrap_or("BENCH_phast.json");
+    let out = f.get("--out").unwrap_or("target/BENCH_phast.json");
     eprintln!(
         "bench suite: {} vertices (PHAST_SCALE), k={}, {} warmup + {} samples per benchmark",
         cfg.scale, cfg.k, cfg.warmup, cfg.runs

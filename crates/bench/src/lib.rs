@@ -1,5 +1,5 @@
-//! The experiment harness: everything the `experiments` binary and the
-//! Criterion benches share.
+//! The experiment harness: everything the `experiments`, `phast_cli` and
+//! `loadgen` binaries share.
 //!
 //! Each table/figure of the paper has a generator in the `experiments`
 //! binary (see `DESIGN.md` for the experiment index); this library hosts
@@ -18,5 +18,5 @@ pub mod timing;
 pub mod workload;
 
 pub use report::Table;
-pub use timing::{time_once, time_per, SampleStats, Samples, Timed};
+pub use timing::{time_once, SampleStats, Samples};
 pub use workload::{Instance, InstanceConfig};

@@ -34,6 +34,11 @@
 //! | `wire_encode_tree` / `wire_encode_matrix` | `protocol::encode_answer_into` a reused buffer: one full tree; a 16 × `scale/16` matrix |
 //! | `wire_decode_tree` | `protocol::decode_reply_with_epoch` of that tree line (the client's one pass) |
 //! | `wire_classify_tree` | `protocol::classify_reply` of the same line (the router's validate-only pass) |
+//! | `phast_upward` | the upward CH search alone (PHAST's first phase) |
+//! | `ch_p2p` / `ch_p2p_path` | the bidirectional CH point-to-point query, distance only / with the unpacked path |
+//! | `diameter_s32` / `reach_s32` / `betweenness_s32` | the §VII applications over 32 PHAST trees (`phast-apps`) |
+//! | `arcflags_preprocess_16cells` | arc-flag preprocessing from reverse PHAST trees on a 4 × 4 grid partition |
+//! | `arcflags_query` / `arcflags_bi_query` | one flagged Dijkstra query, unidirectional / bidirectional |
 //!
 //! ## Comparison policy
 //!
@@ -55,7 +60,7 @@ use crate::report::Table;
 use crate::timing::{SampleStats, Samples};
 use crate::workload::{scale_from_env, InstanceConfig};
 use phast_core::simd::{best_simd_for, SimdLevel, MAX_K};
-use phast_core::{HeteroQuery, PhastBuilder, RestrictedEngine, SelectionBuilder};
+use phast_core::{Direction, HeteroQuery, PhastBuilder, RestrictedEngine, SelectionBuilder};
 use phast_dijkstra::dijkstra::Dijkstra;
 use phast_gpu::{DeviceProfile, Gphast};
 use phast_graph::Vertex;
@@ -100,8 +105,6 @@ pub struct BenchArtifact {
     pub scale: usize,
     /// Batch width of the k-tree benchmarks.
     pub k: usize,
-    /// Whether the producing build compiled hot-path obs counters.
-    pub counters_enabled: bool,
     /// One entry per benchmark, in suite order.
     pub benchmarks: Vec<BenchResult>,
     /// Merged observability report of the suite run (per-benchmark
@@ -137,10 +140,15 @@ impl BenchArtifact {
     }
 }
 
-/// Writes an artifact as JSON, naming the path in the error.
+/// Writes an artifact as JSON, creating its directory if need be, naming
+/// the path in the error.
 pub fn write_artifact(path: &Path, artifact: &BenchArtifact) -> Result<(), String> {
     let json = serde_json::to_string(artifact)
         .map_err(|e| format!("cannot serialize bench artifact: {e}"))?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create `{}`: {e}", dir.display()))?;
+    }
     std::fs::write(path, json)
         .map_err(|e| format!("cannot write `{}`: {e}", path.display()))
 }
@@ -187,7 +195,7 @@ pub struct SuiteConfig {
     pub scale: usize,
     /// Untimed warmup iterations per benchmark.
     pub warmup: usize,
-    /// Timed samples per benchmark (the acceptance floor is 5).
+    /// Samples timed per benchmark (the acceptance floor is 5).
     pub runs: usize,
     /// Batch width of the k-tree benchmarks (multiple of 4, `<= MAX_K`).
     pub k: usize,
@@ -596,6 +604,60 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         record("wire_classify_tree", s, None);
     }
 
+    // 12. Around the sweep: PHAST's first phase alone, the CH
+    //    point-to-point query the hierarchy also answers, and the §VII
+    //    applications the paper builds from many trees.
+    {
+        use phast_apps::{ArcFlags, BidirectionalArcFlags, Partition};
+        use std::hint::black_box;
+        let mut e = phast.engine();
+        let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
+            black_box(e.upward_search(src(i)).len());
+        });
+        record("phast_upward", s, None);
+        let mut q = phast_ch::ChQuery::new(&hierarchy);
+        let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
+            black_box(q.query(src(i), src(i + 1)));
+        });
+        record("ch_p2p", s, None);
+        let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
+            black_box(q.query_path(src(i), src(i + 1)));
+        });
+        record("ch_p2p_path", s, None);
+        let sources: Vec<Vertex> = (0..32).map(src).collect();
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            black_box(phast_apps::diameter_phast(&phast, &sources));
+        });
+        record("diameter_s32", s, None);
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            black_box(phast_apps::reaches_phast(&phast, &sources));
+        });
+        record("reach_s32", s, None);
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            black_box(phast_apps::betweenness_phast(&phast, &sources));
+        });
+        record("betweenness_s32", s, None);
+        let reverse = PhastBuilder::new()
+            .direction(Direction::Reverse)
+            .build_with_hierarchy(graph, &hierarchy);
+        let cells = Partition::grid(&instance.network.coords, 4, 4);
+        let mut flags = None;
+        let s = Samples::collect(cfg.warmup, cfg.runs, |_| {
+            flags = Some(ArcFlags::preprocess_phast(graph, cells.clone(), &reverse));
+        });
+        record("arcflags_preprocess_16cells", s, None);
+        let flags = flags.expect("runs >= 5");
+        let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
+            black_box(flags.query(graph, src(i), src(i + 1)));
+        });
+        record("arcflags_query", s, None);
+        let bi = BidirectionalArcFlags::preprocess_phast(graph, cells, &reverse, &phast);
+        let s = Samples::collect(cfg.warmup, cfg.runs, |i| {
+            black_box(bi.query(graph, src(i), src(i + 1)));
+        });
+        record("arcflags_bi_query", s, None);
+    }
+
     Ok(BenchArtifact {
         schema_version: SCHEMA_VERSION,
         suite: SUITE_NAME.to_string(),
@@ -605,7 +667,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
         host: HostInfo::detect(),
         scale: cfg.scale,
         k,
-        counters_enabled: phast_obs::COUNTERS_ENABLED,
         benchmarks,
         obs: serde_json::to_value(&suite_report)
             .map_err(|e| format!("cannot serialize obs report: {e}"))?,
@@ -796,7 +857,6 @@ mod tests {
             host: HostInfo::detect(),
             scale: 1000,
             k: 16,
-            counters_enabled: phast_obs::COUNTERS_ENABLED,
             benchmarks,
             obs: serde::Value::Null,
         }
@@ -880,6 +940,12 @@ mod tests {
         assert_eq!(b.get("x").unwrap().stats, a.benchmarks[0].stats);
         assert_eq!(b.get("x").unwrap().samples_ns, a.benchmarks[0].samples_ns);
 
+        // A field this reader does not know — one an older writer still
+        // emitted — is ignored, so such artifacts keep loading as baselines.
+        let json = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, json.replacen('{', "{\"retired_flag\":false,", 1)).unwrap();
+        assert_eq!(load_artifact(&path).unwrap().benchmarks.len(), 1);
+
         // A bumped schema version is refused with a regenerate hint.
         let mut skewed = a.clone();
         skewed.schema_version = SCHEMA_VERSION + 1;
@@ -949,6 +1015,15 @@ mod tests {
             "wire_encode_matrix",
             "wire_decode_tree",
             "wire_classify_tree",
+            "phast_upward",
+            "ch_p2p",
+            "ch_p2p_path",
+            "diameter_s32",
+            "reach_s32",
+            "betweenness_s32",
+            "arcflags_preprocess_16cells",
+            "arcflags_query",
+            "arcflags_bi_query",
         ] {
             let b = a.get(name).unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(b.stats.runs, 5, "{name}");

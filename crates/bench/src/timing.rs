@@ -1,55 +1,17 @@
-//! Wall-clock measurement helpers.
-//!
-//! Two tiers: [`Timed`] (one total over `runs` repetitions — fine for
-//! table generation, but it hides variance entirely) and [`Samples`] /
-//! [`SampleStats`] (per-iteration durations after explicit warmup,
-//! summarized as median/MAD/p95 — what the perf-regression harness in
-//! [`crate::regress`] stores and compares).
+//! Wall-clock measurement: [`Samples`] (per-iteration durations after
+//! explicit warmup) and their [`SampleStats`] summary (median/MAD/p95/
+//! min/max/mean) — what the perf-regression harness in [`crate::regress`]
+//! stores and compares and what `experiments` prints (per-run means) —
+//! plus [`time_once`], a one-shot stopwatch that hands back the closure's
+//! value.
 
 use std::time::{Duration, Instant};
-
-/// A measured quantity: total wall time over `runs` repetitions.
-#[derive(Clone, Copy, Debug)]
-pub struct Timed {
-    /// Total elapsed time.
-    pub total: Duration,
-    /// Repetitions measured.
-    pub runs: usize,
-}
-
-impl Timed {
-    /// Average time per repetition.
-    pub fn per_run(&self) -> Duration {
-        if self.runs == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.runs as u32
-        }
-    }
-
-    /// Average milliseconds per repetition.
-    pub fn ms(&self) -> f64 {
-        self.per_run().as_secs_f64() * 1e3
-    }
-}
 
 /// Times one execution of `f`.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
-}
-
-/// Times `runs` executions of `f` (called with the repetition index).
-pub fn time_per(runs: usize, mut f: impl FnMut(usize)) -> Timed {
-    let start = Instant::now();
-    for i in 0..runs {
-        f(i);
-    }
-    Timed {
-        total: start.elapsed(),
-        runs,
-    }
 }
 
 /// Per-iteration measurements of one benchmark: `samples.len()` timed
@@ -70,7 +32,7 @@ pub struct Samples {
 /// construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SampleStats {
-    /// Timed iterations summarized.
+    /// Iterations timed and summarized.
     pub runs: usize,
     /// Median duration, ns.
     pub median_ns: u64,
@@ -159,25 +121,6 @@ impl Samples {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn per_run_divides() {
-        let t = Timed {
-            total: Duration::from_millis(100),
-            runs: 4,
-        };
-        assert_eq!(t.per_run(), Duration::from_millis(25));
-        assert!((t.ms() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_runs_is_zero() {
-        let t = Timed {
-            total: Duration::from_millis(100),
-            runs: 0,
-        };
-        assert_eq!(t.per_run(), Duration::ZERO);
-    }
 
     #[test]
     fn time_once_returns_value() {

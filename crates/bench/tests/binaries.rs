@@ -9,17 +9,21 @@ fn run(bin: &str, args: &[&str]) -> (String, String, bool) {
 }
 
 fn run_env(bin: &str, args: &[&str], env: &[(&str, &str)]) -> (String, String, bool) {
-    let mut cmd = Command::new(bin);
-    cmd.args(args).env("PHAST_SCALE", "2000"); // keep the harness's instance tiny
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("binary should execute");
+    let out = command(bin, args, env).output().expect("binary should execute");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.success(),
     )
+}
+
+fn command(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Command {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).env("PHAST_SCALE", "2000"); // keep the harness's instance tiny
+    for (k, v) in env {
+        cmd.env(k, v);
+    }
+    cmd
 }
 
 #[test]
@@ -38,6 +42,20 @@ fn experiments_rejects_unknown_experiment_gracefully() {
     let (_, stderr, ok) = run(bin, &["--quick", "nonsense"]);
     assert!(ok, "unknown experiments are skipped, not fatal");
     assert!(stderr.contains("unknown experiment"));
+}
+
+/// A missing, non-numeric or zero `--sources` is a usage error (exit 2),
+/// not a panic — zero would leave every timed cell without a sample.
+#[test]
+fn experiments_rejects_a_bad_source_count() {
+    let bin = env!("CARGO_BIN_EXE_experiments");
+    for args in [&["lb", "--sources"][..], &["--sources", "many", "lb"], &["--sources", "0", "lb"]] {
+        let out = command(bin, args, &[]).output().expect("binary should execute");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`{args:?}`: {stderr}");
+        assert!(stderr.contains("error:") && stderr.contains("--sources"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "`{args:?}` panicked: {stderr}");
+    }
 }
 
 #[test]
@@ -315,7 +333,8 @@ fn cli_error_paths_fail_cleanly() {
 
 /// The perf-regression workflow end-to-end through the real binary:
 /// `bench` emits a schema-versioned artifact covering all six engines
-/// with full sample sets; a self-compare against that artifact passes;
+/// with full sample sets, under `target/` when no `--out` is given; a
+/// self-compare against that artifact passes;
 /// and an injected slowdown (`PHAST_BENCH_SLOWDOWN`) flips the exit code
 /// to failure, proving the CI gate can actually fire.
 #[test]
@@ -323,17 +342,23 @@ fn cli_bench_artifact_baseline_and_injected_regression() {
     let bin = env!("CARGO_BIN_EXE_phast_cli");
     let dir = std::env::temp_dir().join(format!("phast-cli-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("BENCH_base.json");
+    let base = dir.join("target").join("BENCH_phast.json");
     let base_str = base.to_str().unwrap();
     let cur = dir.join("BENCH_cur.json");
     let cur_str = cur.to_str().unwrap();
 
-    // 1. Emit the artifact and check the schema essentials.
-    let (stdout, stderr, ok) = run(
-        bin,
-        &["bench", "--samples", "5", "--warmup", "1", "--k", "8", "--out", base_str],
+    // 1. Emit the artifact at the default path, relative to the working
+    //    directory, and check the schema essentials.
+    let out = command(bin, &["bench", "--samples", "5", "--warmup", "1", "--k", "8"], &[])
+        .current_dir(&dir)
+        .output()
+        .expect("binary should execute");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
     );
-    assert!(ok, "bench failed: {stderr}");
+    assert!(out.status.success(), "bench failed: {stderr}");
+    assert!(stderr.contains("wrote target/BENCH_phast.json"), "{stderr}");
     assert!(stdout.contains("dijkstra_scalar"), "{stdout}");
     let v: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&base).unwrap()).unwrap();

@@ -1,9 +1,9 @@
 //! Property tests for the harness's measurement primitives: the duration
-//! formatters' unit boundaries and the `Timed`/`SampleStats` invariants
-//! the `BENCH_*.json` schema leans on.
+//! formatters' unit boundaries, `Samples::collect`'s shape and the
+//! `SampleStats` invariants the `BENCH_*.json` schema leans on.
 
 use phast_bench::report::{fmt_days, fmt_duration};
-use phast_bench::timing::{time_per, Samples};
+use phast_bench::timing::Samples;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -45,18 +45,20 @@ proptest! {
         prop_assert_eq!((days * 24 + hours) * 60 + mins, secs / 60, "`{}`", s);
     }
 
-    /// `time_per` reports exactly `runs` runs and a per-run time that
-    /// divides the total (within integer-division truncation).
+    /// `Samples::collect` calls the closure `warmup` times untimed, then
+    /// exactly `runs` timed times, with the global call index in order,
+    /// and its summary counts exactly `runs` samples with
+    /// `min <= mean <= max`.
     #[test]
-    fn timed_per_run_divides_total(runs in 1usize..20) {
-        let mut n = 0u64;
-        let t = time_per(runs, |i| n += i as u64);
-        prop_assert_eq!(t.runs, runs);
-        let per = t.per_run();
-        let recombined = per * (runs as u32);
-        prop_assert!(per <= t.total);
-        prop_assert!(recombined <= t.total);
-        prop_assert!(t.total - recombined < Duration::from_nanos(runs as u64));
+    fn collect_times_exactly_runs_calls_after_warmup(warmup in 0usize..5, runs in 1usize..20) {
+        let mut calls = Vec::new();
+        let samples = Samples::collect(warmup, runs, |i| calls.push(i));
+        prop_assert_eq!(calls, (0..warmup + runs).collect::<Vec<_>>());
+        prop_assert_eq!(samples.warmup, warmup);
+        prop_assert_eq!(samples.samples.len(), runs);
+        let s = samples.stats();
+        prop_assert_eq!(s.runs, runs);
+        prop_assert!(s.min_ns <= s.mean_ns && s.mean_ns <= s.max_ns);
     }
 
     /// `SampleStats` invariants over arbitrary sample vectors:

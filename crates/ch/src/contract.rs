@@ -316,7 +316,7 @@ impl DynGraph {
         hop_limit: u32,
         settle_cap: usize,
     ) -> usize {
-        phast_obs::prep::add_witness_searches(1);
+        scratch.searches += 1;
         scratch.dist.begin(self.out.len());
         scratch.heap.clear();
         scratch.dist.set(from, 0);
@@ -408,9 +408,14 @@ const WITNESS_HEAP_BOUND: usize = 4096;
 
 /// Reusable scratch space for witness searches: flat timestamped distance
 /// labels (`O(1)` reset, no hashing) and a bounded, buffer-reusing heap.
+///
+/// It also counts its witness searches and adds them to
+/// [`phast_obs::prep`] once, when dropped: the parallel workers each own
+/// a scratch, so they never contend for the shared atomic per search.
 struct WitnessScratch {
     dist: TimestampedDist,
     heap: LocalHeap,
+    searches: u64,
 }
 
 impl Default for WitnessScratch {
@@ -418,7 +423,14 @@ impl Default for WitnessScratch {
         Self {
             dist: TimestampedDist::new(),
             heap: LocalHeap::with_bound(WITNESS_HEAP_BOUND),
+            searches: 0,
         }
+    }
+}
+
+impl Drop for WitnessScratch {
+    fn drop(&mut self) {
+        phast_obs::prep::add_witness_searches(self.searches);
     }
 }
 

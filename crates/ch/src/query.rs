@@ -6,8 +6,8 @@ use phast_graph::{Vertex, Weight, INF};
 use phast_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
 
 /// The forward CH search of PHAST's first phase: Dijkstra from `s` in `G↑`
-/// run until the queue is empty ("even with this loose stopping criterion,
-/// the upward search only visits about 500 vertices on average").
+/// run until the queue is empty — no stopping rule at all, and the paper
+/// still counts only about 500 visited vertices on average.
 ///
 /// Reusable: internal arrays are `n`-sized but reset in `O(touched)`.
 pub struct UpwardSearch<'h> {

@@ -91,9 +91,8 @@ impl<'p> MultiTreeEngine<'p> {
     }
 
     /// Statistics of the most recent run (for [`Self::matrix`], the sum
-    /// over its chunks): phase times, the always-on settled count (summed
-    /// over the `k` upward searches), and — when built with the
-    /// `obs-counters` feature — the arc/mark/level counters (see
+    /// over its chunks): phase times, the settled count (summed over the
+    /// `k` upward searches) and the arc/mark/level counters (see
     /// [`phast_obs`]). A restricted run scans its selection as one flat
     /// block, so `levels_swept` stays 0 and `blocks_executed` counts
     /// sweeps.

@@ -209,10 +209,7 @@ mod tests {
         let mut e = p.engine();
         for s in [0u32, 99, 200] {
             let planned = four.install(|| e.distances_par_sweep(s).to_vec());
-            if phast_obs::COUNTERS_ENABLED {
-                let c = e.stats().counters;
-                assert!(c.blocks_executed >= p.num_levels() as u64);
-            }
+            assert!(e.stats().counters.blocks_executed >= p.num_levels() as u64);
             let adhoc = e.distances_par_sweep(s).to_vec();
             assert_eq!(planned, adhoc, "source {s}");
             assert_eq!(

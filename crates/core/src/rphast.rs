@@ -391,10 +391,8 @@ mod tests {
         let _ = m.matrix(&sel, &[0, 1, 2, 3]);
         // Two chunks ran: settled counts from all four upward searches.
         assert!(m.stats().counters.upward_settled >= 4);
-        if phast_obs::COUNTERS_ENABLED {
-            assert_eq!(m.stats().counters.blocks_executed, 2);
-            assert_eq!(m.stats().counters.restricted_scans, 2 * sel.len() as u64);
-        }
+        assert_eq!(m.stats().counters.blocks_executed, 2);
+        assert_eq!(m.stats().counters.restricted_scans, 2 * sel.len() as u64);
     }
 
     // The single-source face over one selection.

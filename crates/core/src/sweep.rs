@@ -24,9 +24,8 @@ impl<'p> PhastEngine<'p> {
         self.inner.phast()
     }
 
-    /// Statistics of the most recent query: phase times, the always-on
-    /// settled count, and — when built with the `obs-counters` feature —
-    /// the arc/mark/level counters (see [`phast_obs`]).
+    /// Statistics of the most recent query: phase times, the settled
+    /// count and the arc/mark/level counters (see [`phast_obs`]).
     pub fn stats(&self) -> &QueryStats {
         self.inner.stats()
     }

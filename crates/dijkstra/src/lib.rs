@@ -1,5 +1,5 @@
-//! Baseline NSSP algorithms: Dijkstra's algorithm (generic over the queue),
-//! breadth-first search, and bidirectional Dijkstra.
+//! Baseline NSSP algorithms: Dijkstra's algorithm (generic over the queue)
+//! and breadth-first search.
 //!
 //! These are the algorithms PHAST is measured against in Tables I, V, VI
 //! and VII of the paper. Dijkstra is implemented exactly as Section II-A
@@ -8,15 +8,11 @@
 //! until the queue empties.
 
 pub mod bfs;
-pub mod bidirectional;
 pub mod dijkstra;
-pub mod lazy;
 pub mod multi;
 pub mod tree;
 
 pub use bfs::bfs;
-pub use bidirectional::BidirectionalDijkstra;
 pub use dijkstra::{Dijkstra, DijkstraResult};
-pub use lazy::LazyDijkstra;
 pub use multi::many_trees;
 pub use tree::ShortestPathTree;

@@ -5,30 +5,21 @@
 //! engine in this workspace doubles as a measurement instrument. This crate
 //! is the shared substrate:
 //!
-//! * [`Counters`] — the event counts the paper's tables are built from.
-//!   Hot-path counts (per-arc, per-mark, per-block events) are compiled in
-//!   only under the `obs-counters` cargo feature; without it every gated
-//!   increment is an `#[inline(always)]` empty function, so the sweep and
-//!   the witness searches are byte-identical to the uninstrumented code.
-//!   The *settled-vertices* count and the phase timers are always on: they
-//!   cost O(1) per query and pre-date this crate.
+//! * [`Counters`] — the event counts the paper's tables are built from,
+//!   always on in every build. The engines add once per settled vertex,
+//!   per sweep or per contraction worker, never per arc (the sweep's arc
+//!   count is analytic); DESIGN.md §7b has the A/B that found no cost.
 //! * [`QueryStats`] — per-query counters plus upward/sweep phase times.
 //! * [`Report`] — named metrics serializable to JSON (see the module docs
 //!   of [`report`]) and convertible to the bench crate's text tables.
 //! * [`prep`] — process-global atomic counters for CH preprocessing, which
 //!   contracts vertices from parallel workers.
-//!
-//! Enable the feature through the umbrella crate or any engine crate
-//! (each forwards it here): `cargo test --features obs-counters`.
 
 use std::time::{Duration, Instant};
 
 pub mod report;
 
 pub use report::{MetricValue, Report};
-
-/// `true` when this build counts hot-path events (`obs-counters` feature).
-pub const COUNTERS_ENABLED: bool = cfg!(feature = "obs-counters");
 
 /// Event counts of one query (or one preprocessing run).
 ///
@@ -38,57 +29,46 @@ pub const COUNTERS_ENABLED: bool = cfg!(feature = "obs-counters");
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Counters {
     /// Vertices settled (popped with a final label) by upward CH searches.
-    /// Always counted, even without `obs-counters`.
     pub upward_settled: u64,
-    /// Arcs scanned by upward CH searches (gated).
+    /// Arcs scanned by upward CH searches.
     pub upward_relaxed: u64,
-    /// Arcs relaxed by the linear sweep over `G↓` (gated). The sweep is
-    /// oblivious — it touches every downward arc once per tree — so batched
-    /// and parallel engines report `|A↓| · k` without instrumenting the
-    /// SIMD kernels.
+    /// Arcs relaxed by the linear sweep over `G↓`. The sweep is oblivious —
+    /// it touches every downward arc once per tree — so batched and
+    /// parallel engines report `|A↓| · k` without instrumenting the SIMD
+    /// kernels.
     pub sweep_arcs_relaxed: u64,
-    /// Levels the sweep phase processed (gated).
+    /// Levels the sweep phase processed.
     pub levels_swept: u64,
-    /// Blocks executed by intra-level parallel sweeps (gated); sequential
-    /// sweeps count one block per level.
+    /// Blocks executed by intra-level parallel sweeps; sequential sweeps
+    /// count one block per level.
     pub blocks_executed: u64,
     /// Visited marks cleared by the sweep phase — equivalently, the size of
     /// the upward search space whose implicit initialization the sweep
-    /// undoes (gated).
+    /// undoes.
     pub marks_cleared: u64,
-    /// Shortcut arcs added by CH contraction (gated).
+    /// Shortcut arcs added by CH contraction.
     pub shortcuts_added: u64,
-    /// Witness searches run by CH contraction (gated).
+    /// Witness searches run by CH contraction.
     pub witness_searches: u64,
     /// Restricted vertices scanned by RPHAST sweeps — one per selected
-    /// vertex per restricted sweep, regardless of lane count (gated).
+    /// vertex per restricted sweep, regardless of lane count.
     pub restricted_scans: u64,
 }
 
-macro_rules! gated_adders {
+macro_rules! adders {
     ($($(#[$doc:meta])* $name:ident => $field:ident),* $(,)?) => {$(
         $(#[$doc])*
-        ///
-        /// Compiled to an empty inline function without `obs-counters`.
         #[inline(always)]
-        #[allow(unused_variables)]
         pub fn $name(&mut self, n: u64) {
-            #[cfg(feature = "obs-counters")]
-            {
-                self.$field += n;
-            }
+            self.$field += n;
         }
     )*};
 }
 
 impl Counters {
-    /// Adds to the always-on settled-vertices counter.
-    #[inline(always)]
-    pub fn add_upward_settled(&mut self, n: u64) {
-        self.upward_settled += n;
-    }
-
-    gated_adders! {
+    adders! {
+        /// Adds settled vertices.
+        add_upward_settled => upward_settled,
         /// Adds upward-search arc scans.
         add_upward_relaxed => upward_relaxed,
         /// Adds sweep arc relaxations.
@@ -140,7 +120,7 @@ impl Counters {
 /// next to a sweep over the whole graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct QueryStats {
-    /// Event counts (see [`Counters`] for per-field gating).
+    /// Event counts (see [`Counters`]).
     pub counters: Counters,
     /// Wall time of the upward CH search phase.
     pub upward_time: Duration,
@@ -238,11 +218,12 @@ impl PhaseTimer {
 /// Process-global counters for CH preprocessing.
 ///
 /// Contraction evaluates priorities and witness searches from parallel
-/// rayon workers, so these counters are atomics rather than fields of a
-/// scratch struct. [`contract_graph`]-style entry points call
-/// [`prep::reset`] on entry; read the totals with [`prep::counters`]
-/// afterwards. Concurrent preprocessing runs in one process would share
-/// them — acceptable for a measurement aid.
+/// rayon workers, so the totals live in atomics. Workers add per-worker
+/// sums, not one event at a time, so they do not pass one cache line back
+/// and forth once per witness search. [`contract_graph`]-style entry
+/// points call [`prep::reset`] on entry; read the totals with
+/// [`prep::counters`] afterwards. Concurrent preprocessing runs in one
+/// process would share them — acceptable for a measurement aid.
 ///
 /// [`contract_graph`]: https://docs.rs/phast-ch
 pub mod prep {
@@ -257,21 +238,15 @@ pub mod prep {
         SHORTCUTS_ADDED.store(0, Ordering::Relaxed);
     }
 
-    /// Counts witness searches (gated; inline no-op without
-    /// `obs-counters`).
+    /// Counts witness searches.
     #[inline(always)]
-    #[allow(unused_variables)]
     pub fn add_witness_searches(n: u64) {
-        #[cfg(feature = "obs-counters")]
         WITNESS_SEARCHES.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts added shortcuts (gated; inline no-op without
-    /// `obs-counters`).
+    /// Counts added shortcuts.
     #[inline(always)]
-    #[allow(unused_variables)]
     pub fn add_shortcuts_added(n: u64) {
-        #[cfg(feature = "obs-counters")]
         SHORTCUTS_ADDED.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -298,25 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn settled_counter_is_always_on() {
+    fn adders_add_to_their_field() {
         let mut c = Counters::default();
         c.add_upward_settled(7);
         c.add_upward_settled(3);
-        assert_eq!(c.upward_settled, 10);
-    }
-
-    #[test]
-    fn gated_counters_match_the_feature() {
-        let mut c = Counters::default();
         c.add_sweep_arcs(42);
         c.add_witness_searches(1);
-        if COUNTERS_ENABLED {
-            assert_eq!(c.sweep_arcs_relaxed, 42);
-            assert_eq!(c.witness_searches, 1);
-        } else {
-            assert_eq!(c.sweep_arcs_relaxed, 0);
-            assert_eq!(c.witness_searches, 0);
-        }
+        assert_eq!(c.upward_settled, 10);
+        assert_eq!(c.sweep_arcs_relaxed, 42);
+        assert_eq!(c.witness_searches, 1);
     }
 
     #[test]
@@ -359,13 +324,8 @@ mod tests {
         prep::add_witness_searches(4);
         prep::add_shortcuts_added(2);
         let c = prep::counters();
-        if COUNTERS_ENABLED {
-            assert_eq!(c.witness_searches, 4);
-            assert_eq!(c.shortcuts_added, 2);
-        } else {
-            assert_eq!(c.witness_searches, 0);
-            assert_eq!(c.shortcuts_added, 0);
-        }
+        assert_eq!(c.witness_searches, 4);
+        assert_eq!(c.shortcuts_added, 2);
         prep::reset();
         assert_eq!(prep::counters(), Counters::default());
     }

@@ -6,7 +6,6 @@
 //! ```json
 //! {
 //!   "title": "phast tree query",
-//!   "counters_enabled": true,
 //!   "metrics": {
 //!     "upward_settled": 412,
 //!     "sweep_arcs_relaxed": 1903442,
@@ -18,9 +17,7 @@
 //! ```
 //!
 //! Counts serialize as integers, durations as **integer nanoseconds**,
-//! ratios as floats, and text as strings. `counters_enabled` records
-//! whether the producing build had the `obs-counters` feature, so a reader
-//! can tell a genuine zero from a disabled counter.
+//! ratios as floats, and text as strings.
 
 use std::time::Duration;
 
@@ -147,10 +144,6 @@ impl serde::Serialize for Report {
             .collect();
         serde::Value::Object(vec![
             ("title".to_string(), serde::Value::String(self.title.clone())),
-            (
-                "counters_enabled".to_string(),
-                serde::Value::Bool(crate::COUNTERS_ENABLED),
-            ),
             ("metrics".to_string(), serde::Value::Object(metrics)),
         ])
     }
@@ -180,7 +173,6 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["title"], "demo");
-        assert_eq!(v["counters_enabled"], crate::COUNTERS_ENABLED);
         assert_eq!(v["metrics"]["settled"], 42);
         assert_eq!(v["metrics"]["sweep_time"], 1500);
         assert_eq!(v["metrics"]["eff"], 0.25);

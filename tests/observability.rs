@@ -1,10 +1,8 @@
 //! The observability layer end to end: per-query [`QueryStats`], the
 //! preprocessing counters, GPU cost-model reports, and the JSON schema.
 //!
-//! Always-on behaviour (settled counts, phase timers, reports) is asserted
-//! unconditionally; hot-path counters are asserted through
-//! [`obs::COUNTERS_ENABLED`] so the same tests pin down both build states
-//! (`cargo test` and `cargo test --features obs-counters`).
+//! Every counter is on in every build, so each is asserted against the
+//! work it counts.
 //!
 //! [`QueryStats`]: phast::obs::QueryStats
 
@@ -36,7 +34,7 @@ fn query_stats_report_upward_settled() {
     e.distances(0);
     assert!(
         e.stats().counters.upward_settled > 0,
-        "the always-on settled counter must be maintained"
+        "the settled counter must be maintained"
     );
 }
 
@@ -65,28 +63,20 @@ fn phase_timers_cover_both_phases() {
 }
 
 #[test]
-fn gated_counters_follow_the_feature_state() {
+fn sweep_counters_count_the_work() {
     let (_, p, _) = instance();
     let mut e = p.engine();
     e.distances(3);
     let c = e.stats().counters;
-    if obs::COUNTERS_ENABLED {
-        assert!(c.upward_relaxed > 0);
-        assert!(c.levels_swept > 0);
-        assert!(c.blocks_executed > 0);
-        // The sequential sweep is oblivious: every downward arc exactly once.
-        assert_eq!(c.sweep_arcs_relaxed, p.down().num_arcs() as u64);
-        assert_eq!(c.levels_swept, p.num_levels() as u64);
-        // Every vertex the upward search marks is settled exactly once,
-        // and the sweep clears exactly the marked set.
-        assert_eq!(c.marks_cleared, c.upward_settled);
-    } else {
-        assert_eq!(c.upward_relaxed, 0);
-        assert_eq!(c.sweep_arcs_relaxed, 0);
-        assert_eq!(c.levels_swept, 0);
-        assert_eq!(c.blocks_executed, 0);
-        assert_eq!(c.marks_cleared, 0);
-    }
+    assert!(c.upward_relaxed > 0);
+    assert!(c.levels_swept > 0);
+    assert!(c.blocks_executed > 0);
+    // The sequential sweep is oblivious: every downward arc exactly once.
+    assert_eq!(c.sweep_arcs_relaxed, p.down().num_arcs() as u64);
+    assert_eq!(c.levels_swept, p.num_levels() as u64);
+    // Every vertex the upward search marks is settled exactly once, and
+    // the sweep clears exactly the marked set.
+    assert_eq!(c.marks_cleared, c.upward_settled);
 }
 
 #[test]
@@ -96,12 +86,9 @@ fn parallel_sweep_reports_its_blocks() {
     e.distances_par(11);
     let c = e.stats().counters;
     assert!(c.upward_settled > 0);
-    if obs::COUNTERS_ENABLED {
-        assert_eq!(c.sweep_arcs_relaxed, p.down().num_arcs() as u64);
-        // Splitting levels into blocks never executes fewer blocks than
-        // levels.
-        assert!(c.blocks_executed >= c.levels_swept);
-    }
+    assert_eq!(c.sweep_arcs_relaxed, p.down().num_arcs() as u64);
+    // Splitting levels into blocks never executes fewer blocks than levels.
+    assert!(c.blocks_executed >= c.levels_swept);
 }
 
 #[test]
@@ -111,10 +98,8 @@ fn multi_tree_stats_aggregate_over_the_batch() {
     m.run(&[0, 5, 9, 13]);
     let c = m.stats().counters;
     assert!(c.upward_settled > 0, "summed over the k upward searches");
-    if obs::COUNTERS_ENABLED {
-        // The batched sweep relaxes every downward arc once per tree.
-        assert_eq!(c.sweep_arcs_relaxed, p.down().num_arcs() as u64 * 4);
-    }
+    // The batched sweep relaxes every downward arc once per tree.
+    assert_eq!(c.sweep_arcs_relaxed, p.down().num_arcs() as u64 * 4);
 }
 
 #[test]
@@ -125,28 +110,21 @@ fn one_to_many_stats_cover_the_restricted_sweep() {
     e.distances(&sel, 0);
     let c = e.stats().counters;
     assert!(c.upward_settled > 0);
-    if obs::COUNTERS_ENABLED {
-        assert!(c.upward_relaxed > 0);
-        // The restricted sweep runs the target closure as one flat block.
-        assert_eq!(c.blocks_executed, 1);
-        assert!(c.sweep_arcs_relaxed <= p.down().num_arcs() as u64);
-    }
+    assert!(c.upward_relaxed > 0);
+    // The restricted sweep runs the target closure as one flat block.
+    assert_eq!(c.blocks_executed, 1);
+    assert!(c.sweep_arcs_relaxed <= p.down().num_arcs() as u64);
 }
 
 #[test]
-fn preprocessing_counters_follow_the_feature_state() {
+fn preprocessing_counters_count_the_work() {
     let (_, p, prep) = instance();
-    if obs::COUNTERS_ENABLED {
-        assert!(prep.witness_searches > 0);
-        assert_eq!(
-            prep.shortcuts_added,
-            p.num_shortcuts() as u64,
-            "the prep counter and the hierarchy count the same shortcuts"
-        );
-    } else {
-        assert_eq!(prep.witness_searches, 0);
-        assert_eq!(prep.shortcuts_added, 0);
-    }
+    assert!(prep.witness_searches > 0);
+    assert_eq!(
+        prep.shortcuts_added,
+        p.num_shortcuts() as u64,
+        "the prep counter and the hierarchy count the same shortcuts"
+    );
 }
 
 #[test]
@@ -177,7 +155,10 @@ fn report_serializes_with_the_documented_schema() {
     let json = serde_json::to_string(&report).unwrap();
     let v: serde_json::Value = serde_json::from_str(&json).unwrap();
     assert_eq!(v["title"].as_str(), Some("phast tree query"));
-    assert_eq!(v["counters_enabled"].as_bool(), Some(obs::COUNTERS_ENABLED));
+    assert!(
+        matches!(&v, serde_json::Value::Object(fields) if fields.len() == 2),
+        "title and metrics only: {json}"
+    );
     let metrics = &v["metrics"];
     assert!(!metrics.is_null(), "metrics is an object");
     assert_eq!(
@@ -187,9 +168,8 @@ fn report_serializes_with_the_documented_schema() {
     // Durations serialize as integer nanoseconds.
     assert!(metrics["upward_time"].as_i64().is_some());
     assert!(metrics["sweep_time"].as_i64().is_some());
-    if obs::COUNTERS_ENABLED {
-        assert!(metrics["sweep_arcs_relaxed"].as_i64().unwrap() > 0);
-    } else {
-        assert_eq!(metrics["sweep_arcs_relaxed"].as_i64(), Some(0));
-    }
+    assert_eq!(
+        metrics["sweep_arcs_relaxed"].as_i64(),
+        Some(p.down().num_arcs() as i64)
+    );
 }

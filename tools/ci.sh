@@ -2,7 +2,7 @@
 # Offline CI gate: everything runs against the vendored stand-in crates
 # (see vendor/README.md) — no network, no registry.
 #
-#   tools/ci.sh               # build + tests + clippy, both feature states
+#   tools/ci.sh               # build + tests + clippy
 #   tools/ci.sh quick         # skip the release build (debug tests + clippy)
 #   tools/ci.sh GATE          # only that gate (also spelled --GATE):
 #     bench-smoke      the perf-regression smoke gate
@@ -13,15 +13,15 @@
 #     store-smoke      the artifact store gate (release)
 #     contract-smoke   the parallel-contraction gate
 #     wire-smoke       the reply-codec gate + the benchmark's smoke suite
-#     kernel-smoke     the sweep-kernel gate (release, both feature states)
+#     kernel-smoke     the sweep-kernel gate (release)
 #   tools/ci.sh help          # this header
 #
 # Mirrors the checks the repo treats as tier-1: a release build, the full
-# test suite in the default build AND with the hot-path observability
-# counters compiled in (--features obs-counters), and a warning-free
-# clippy pass over all targets. Each flow runs once: every `loadgen
-# --scenario` in exactly one place (batching and panic in the main run,
-# chaos in edge-smoke, poison-metric in rollout-smoke, kill-backend in
+# test suite and a warning-free clippy pass over all targets. There is one
+# build — the observability counters are always on — so each of those
+# runs once, as does every other flow: every `loadgen --scenario` in
+# exactly one place (batching and panic in the main run, chaos in
+# edge-smoke, poison-metric in rollout-smoke, kill-backend in
 # router-chaos), three `phast_cli bench` suite runs (all in bench-smoke),
 # and no release test target twice except where a gate reruns a module by
 # name so that the filter must match.
@@ -307,22 +307,16 @@ wire_smoke() {
 # `tests` module: the filter `tests::` matches every module's tests, the
 # skip leaves the ones whose path starts with it), and the public-API
 # battery — in release, because the optimised instantiations are what
-# ships and debug builds keep the accumulators on the stack; once more
-# with the obs counters compiled in, which changes the code around the
-# `sweep_range` call. One module per run, so that each filter must match.
+# ships and debug builds keep the accumulators on the stack. One module
+# per run, so that each filter must match.
 kernel_smoke() {
-    step "sweep kernel gate (raw kernels + engine + battery, release, both feature states)"
-    local features module
-    for features in "" "--features obs-counters"; do
-        # shellcheck disable=SC2086
-        cargo test -q --release $features --test kernel_battery
-        for module in simd multi_tree rphast parallel sweep tree; do
-            # shellcheck disable=SC2086
-            filtered_tests -q --release $features -p phast-core --lib "$module::"
-        done
-        # shellcheck disable=SC2086
-        filtered_tests -q --release $features -p phast-core --lib tests:: -- --skip ::tests::
+    step "sweep kernel gate (raw kernels + engine + battery, release)"
+    local module
+    cargo test -q --release --test kernel_battery
+    for module in simd multi_tree rphast parallel sweep tree; do
+        filtered_tests -q --release -p phast-core --lib "$module::"
     done
+    filtered_tests -q --release -p phast-core --lib tests:: -- --skip ::tests::
     echo "kernel smoke ok"
 }
 
@@ -354,11 +348,8 @@ if [[ "${1:-}" != "quick" ]]; then
     PROFILE_FLAG="--release"
 fi
 
-step "tests (default features)"
+step "tests"
 cargo test -q --workspace
-
-step "tests (--features obs-counters)"
-cargo test -q --workspace --features obs-counters
 
 # A ~2 s loopback run of the batching scenario: 16 closed-loop clients
 # against the batching scheduler, every reply checked against Dijkstra;
@@ -380,10 +371,7 @@ for gate in "${GATES[@]}"; do
     "${gate//-/_}"
 done
 
-step "clippy (default features)"
+step "clippy"
 cargo clippy --workspace --all-targets -- -D warnings
-
-step "clippy (--features obs-counters)"
-cargo clippy --workspace --all-targets --features obs-counters -- -D warnings
 
 step "ci green"
