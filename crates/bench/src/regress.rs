@@ -24,7 +24,7 @@
 //! | `rphast_select_r100` | RPHAST selection build at `\|T\| = scale/100` |
 //! | `rphast_sweep_r{10,100,1000}` | RPHAST restricted single-tree sweep at `\|T\| = scale/ratio` (r100/r1000 are the paper's "beats the full sweep" regime) |
 //! | `freeze_10e6` | `phast-metrics` topology freeze (`MetricCustomizer::new`): elimination order, closure, by-middle triangle layout |
-//! | `customize_10e6` | `phast-metrics` customization: perturbed metric → servable `(Phast, Hierarchy)` on the frozen topology; `obs` carries the pass's size and per-triangle cost: `closure_arcs`, `triangles`, `ns_per_triangle`, `frozen_bytes` |
+//! | `customize_10e6` | `phast-metrics` customization (`MetricCustomizer::build`): the customization pass on a perturbed metric, then one gather per sweep array into the layout frozen at `new` → servable `(Phast, Hierarchy)`; `obs` carries the pass's size and per-triangle cost: `closure_arcs`, `triangles`, `ns_per_triangle`, `frozen_bytes` |
 //! | `recontract_10e6` | the path customization replaces: full witness-search recontraction + instance build |
 //! | `contract_10e5` | sequential lazy-heap CH contraction (reference ordering) |
 //! | `contract_par_10e5` | round-based parallel CH contraction at 4 threads |
@@ -479,8 +479,8 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchArtifact, String> {
                 .expect("customizing a valid perturbed metric cannot fail");
         });
         // What the frozen layout moves is the pass alone (the entry's
-        // median also assembles the engines): its own median over the
-        // triangle count is the per-triangle cost.
+        // median also gathers it into the frozen sweep layout): its own
+        // median over the triangle count is the per-triangle cost.
         let frozen = customizer.frozen();
         let pass = Samples::collect(cfg.warmup, cfg.runs, |i| {
             frozen

@@ -14,9 +14,9 @@ use std::ops::Range;
 /// depend on weights, and this structure must serve them all), laid out
 /// by **middle vertex** for the per-metric pass.
 ///
-/// Closure arcs are numbered the way [`apply`](FrozenTopology::apply)
-/// emits them: the forward-up CSR first (arcs leaving their lower-ranked
-/// endpoint, grouped by it), then the backward-up CSR (arcs entering it).
+/// Closure arcs are numbered in the customized [`Hierarchy`]'s CSR order:
+/// the forward-up CSR first (arcs leaving their lower-ranked endpoint,
+/// grouped by it), then the backward-up CSR (arcs entering it).
 /// So the legs of every lower triangle through `m` are two contiguous id
 /// ranges — `m`'s row of each CSR — and all that is stored per triangle
 /// is the id of the arc it can shorten.
@@ -58,8 +58,8 @@ pub struct FrozenTopology {
     num_triangles: usize,
 }
 
-/// One metric's customized closure weights, ready to
-/// [`apply`](FrozenTopology::apply).
+/// One metric's customized closure weights, ready for
+/// [`MetricCustomizer::assemble`](crate::MetricCustomizer::assemble).
 pub struct CustomizedMetric {
     /// Customized weight per closure arc ([`INF`] = no finite path).
     weight: Vec<Weight>,
@@ -71,6 +71,12 @@ impl CustomizedMetric {
     /// Customized weight per closure arc.
     pub fn weights(&self) -> &[Weight] {
         &self.weight
+    }
+
+    /// Winning middle vertex per closure arc ([`NO_MIDDLE`] when a base
+    /// arc won).
+    pub fn middles(&self) -> &[Vertex] {
+        &self.middle
     }
 }
 
@@ -240,7 +246,7 @@ impl FrozenTopology {
         // Freed before the renumbering allocates: 15–85 MiB of the peak.
         drop((out, inn, arc_ids, heap));
 
-        // Renumber the arcs from creation order to `apply`'s output order.
+        // Renumber the arcs from creation order to the hierarchy's CSR order.
         // The counting sort is stable, so a vertex's row keeps creation
         // order — the order its legs were paired in above.
         let num_arcs = arc_tail.len();
@@ -391,30 +397,12 @@ impl FrozenTopology {
         Ok(CustomizedMetric { weight, middle })
     }
 
-    /// Materializes a customization as a reweighted base graph plus a
-    /// valid [`Hierarchy`] carrying the customized closure — the inputs
-    /// `phast_core::PhastBuilder::build_with_hierarchy` assembles sweep
-    /// engines from, unchanged.
-    pub fn apply(
-        &self,
-        base: &Graph,
-        metric: &MetricWeights,
-        custom: &CustomizedMetric,
-    ) -> Result<(Graph, Hierarchy), String> {
-        metric.validate(self.num_base_arcs)?;
-        if base.num_arcs() != self.num_base_arcs {
-            return Err(format!(
-                "graph has {} arcs but the topology was frozen over {}",
-                base.num_arcs(),
-                self.num_base_arcs
-            ));
-        }
+    /// The customized closure as a valid [`Hierarchy`], winning middles
+    /// included (for path unpacking and the CH point-to-point query).
+    pub(crate) fn hierarchy(&self, custom: &CustomizedMetric) -> Result<Hierarchy, String> {
         if custom.weight.len() != self.num_arcs() {
             return Err("customized metric is for a different topology".into());
         }
-
-        let reweighted = metric.reweighted(base);
-
         // Each closure arc lives at its lower endpoint: tail side in the
         // forward (upward) search graph, head side in the backward one —
         // the exact layout `contract_graph` emits, and the one the arcs
@@ -440,7 +428,17 @@ impl FrozenTopology {
         };
         h.validate()
             .map_err(|e| format!("customized hierarchy failed validation: {e}"))?;
-        Ok((reweighted, h))
+        Ok(h)
+    }
+
+    /// The closure with every arc weighted by its own id (and no
+    /// middles): assembled into a `Phast`, its arc weights name the
+    /// closure arc behind each sweep slot.
+    pub(crate) fn id_hierarchy(&self) -> Result<Hierarchy, String> {
+        self.hierarchy(&CustomizedMetric {
+            weight: (0..self.num_arcs() as u32).collect(),
+            middle: vec![NO_MIDDLE; self.num_arcs()],
+        })
     }
 }
 
@@ -495,8 +493,8 @@ fn bucket_by_key<T: Copy>(buckets: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricCustomizer;
     use phast_ch::{contract_graph, ContractionConfig};
-    use phast_core::PhastBuilder;
     use phast_dijkstra::dijkstra::shortest_paths;
     use phast_graph::gen::random::gnm;
     use phast_graph::gen::{Metric, RoadNetworkConfig};
@@ -686,11 +684,11 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let g = gnm(180, 900, 1000, seed);
             let h = contract_graph(&g, &ContractionConfig::default());
-            let f = FrozenTopology::freeze(&g, &h).unwrap();
+            let c = MetricCustomizer::new(g.clone(), &h).unwrap();
             let m = MetricWeights::perturbed(&g, "p", 1, seed.wrapping_mul(77));
-            let c = assert_matches_twin(&f, &m);
-            let (g2, h2) = f.apply(&g, &m, &c).unwrap();
-            let p = PhastBuilder::new().build_with_hierarchy(&g2, &h2);
+            assert_matches_twin(c.frozen(), &m);
+            let (p, _) = c.build(&m).unwrap();
+            let g2 = m.reweighted(&g);
             for s in [0u32, 50, 179] {
                 assert_eq!(
                     p.engine().distances(s),
@@ -713,13 +711,13 @@ mod tests {
         ) {
             let g = gnm(n, n + extra, 1000, seed);
             let h = contract_graph(&g, &ContractionConfig::default());
-            let f = FrozenTopology::freeze(&g, &h).unwrap();
+            let c = MetricCustomizer::new(g.clone(), &h).unwrap();
             let m = MetricWeights::perturbed(&g, "prop", 1, seed ^ 0xABCD);
-            let c = assert_matches_twin(&f, &m);
-            let (g2, h2) = f.apply(&g, &m, &c).unwrap();
-            let p = PhastBuilder::new().build_with_hierarchy(&g2, &h2);
+            assert_matches_twin(c.frozen(), &m);
+            let (p, _) = c.build(&m).unwrap();
             let s = (seed % n as u64) as u32;
-            prop_assert_eq!(p.engine().distances(s), shortest_paths(g2.forward(), s).dist);
+            let want = shortest_paths(m.reweighted(&g).forward(), s).dist;
+            prop_assert_eq!(p.engine().distances(s), want);
         }
     }
 }

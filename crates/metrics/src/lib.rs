@@ -28,13 +28,15 @@
 //!   `m`'s in-legs × out-legs. Both legs were last written by middles
 //!   eliminated before `m`, so they are final when `m` is reached; the
 //!   pass is one sequential loop and bit-deterministic.
-//! * [`FrozenTopology::apply`] materializes the customized weights as a
-//!   fresh [`Hierarchy`] + reweighted base graph, from which the existing
-//!   sweep/RPHAST kernels are assembled **unchanged** (they only ever see
-//!   a valid hierarchy; they neither know nor care that no witness search
-//!   ran).
 //! * [`MetricCustomizer`] bundles graph + frozen topology into the
 //!   one-call `metric in, engines out` handle `phast-serve` hot-swaps on.
+//!   The sweep layout (level order, permutation, CSR shapes) does not
+//!   depend on the weights, so it is built once, at freeze, into a
+//!   template [`Phast`]; [`MetricCustomizer::assemble`] then gathers each
+//!   customization into that layout and hands it to [`Phast::from_parts`],
+//!   which re-checks every invariant. The sweep/RPHAST kernels run on it
+//!   **unchanged** (they neither know nor care that no witness search
+//!   ran).
 //!
 //! Exactness: the elimination closure is a superset of the witness-pruned
 //! CH arc set, and basic customization makes every closure arc an upper
@@ -50,9 +52,11 @@ mod weights;
 pub use frozen::{CustomizedMetric, FrozenTopology};
 pub use weights::MetricWeights;
 
+use phast_ch::hierarchy::NO_MIDDLE;
 use phast_ch::Hierarchy;
-use phast_core::{Phast, PhastBuilder};
-use phast_graph::Graph;
+use phast_core::{Direction, Phast, PhastBuilder, PhastParts};
+use phast_graph::csr::ReverseArc;
+use phast_graph::{Arc, Csr, Graph};
 
 /// A base graph plus its frozen contraction topology: everything needed to
 /// turn a [`MetricWeights`] into ready-to-serve engines, repeatedly and
@@ -60,12 +64,19 @@ use phast_graph::Graph;
 ///
 /// Freeze once (roughly the cost of a contraction, minus the witness
 /// searches), then [`build`](MetricCustomizer::build) per metric — the
-/// per-metric cost is the customization pass plus engine assembly, which
-/// the `customize_10e6` regress benchmark pins at an order of magnitude
-/// below recontraction.
+/// per-metric cost is the customization pass plus one gather per sweep
+/// array, which the `customize_10e6` regress benchmark pins at an order
+/// of magnitude below recontraction.
 pub struct MetricCustomizer {
     graph: Graph,
     frozen: FrozenTopology,
+    /// The forward instance over the frozen closure with every closure arc
+    /// weighted by its closure id and every base arc by its base index:
+    /// every slot's place in the level order and in the CSRs' stable
+    /// counting sorts is weight-independent, so its `up` and `down`
+    /// weights are the closure arc per slot, its `orig_incoming` weights
+    /// the base arc per slot, and the rest of it is every epoch's layout.
+    template: Phast,
 }
 
 /// **Fault-injection seam** (tests, chaos gates and CI only): when this
@@ -111,7 +122,20 @@ impl MetricCustomizer {
     /// when replayed without witnesses (see [`FrozenTopology::freeze`]).
     pub fn new(graph: Graph, hierarchy: &Hierarchy) -> Result<MetricCustomizer, String> {
         let frozen = FrozenTopology::freeze(&graph, hierarchy)?;
-        Ok(MetricCustomizer { graph, frozen })
+        // The base graph with every arc weighted by its own index.
+        let forward = graph.forward();
+        let ids = (0..)
+            .zip(forward.arcs())
+            .map(|(i, a)| Arc::new(a.head, i))
+            .collect();
+        let base_ids = Graph::from_csr(Csr::from_raw(forward.first().to_vec(), ids));
+        let closure_ids = frozen.id_hierarchy()?;
+        let template = PhastBuilder::new().build_with_hierarchy(&base_ids, &closure_ids);
+        Ok(MetricCustomizer {
+            graph,
+            frozen,
+            template,
+        })
     }
 
     /// The base graph (canonical arc order for [`MetricWeights`]).
@@ -156,9 +180,57 @@ impl MetricCustomizer {
             std::borrow::Cow::Borrowed(metric)
         };
         let custom = self.frozen.customize(&effective)?;
-        let (g2, h2) = self.frozen.apply(&self.graph, &effective, &custom)?;
-        let phast = PhastBuilder::new().build_with_hierarchy(&g2, &h2);
-        Ok((phast, h2))
+        self.assemble(&effective, &custom)
+    }
+
+    /// The engines for a customization of `metric`: the customized
+    /// [`Hierarchy`] (two linear side copies), and the sweep instance as
+    /// one gather per array into the frozen layout — shortcut middles
+    /// mapped through the permutation — checked by [`Phast::from_parts`].
+    /// Equal, array for array, to `PhastBuilder::build_with_hierarchy`
+    /// over `metric.reweighted(graph)` and that hierarchy.
+    pub fn assemble(
+        &self,
+        metric: &MetricWeights,
+        custom: &CustomizedMetric,
+    ) -> Result<(Phast, Hierarchy), String> {
+        metric.validate(self.frozen.num_base_arcs())?;
+        let hierarchy = self.frozen.hierarchy(custom)?;
+        let t = &self.template;
+        let perm = t.permutation();
+        let (weight, middle) = (custom.weights(), custom.middles());
+        // A template slot's weight names the closure arc (`up`, `down`) or
+        // the base arc (`orig_incoming`) that lands in it.
+        let w = |slot: u32| weight[slot as usize];
+        let mid = |slot: u32| match middle[slot as usize] {
+            NO_MIDDLE => NO_MIDDLE,
+            m => perm.map(m),
+        };
+        let (up, down, orig) = (t.up().arcs(), t.down().arcs(), t.orig_incoming().arcs());
+        let up_arcs: Vec<Arc> = up.iter().map(|a| Arc::new(a.head, w(a.weight))).collect();
+        let down_arcs: Vec<ReverseArc> = down
+            .iter()
+            .map(|a| ReverseArc::new(a.tail, w(a.weight)))
+            .collect();
+        let orig_arcs: Vec<ReverseArc> = orig
+            .iter()
+            .map(|a| ReverseArc::new(a.tail, metric.weights[a.weight as usize]))
+            .collect();
+        let phast = Phast::from_parts(PhastParts {
+            new_of_old: perm.as_slice().to_vec().into(),
+            level_of_sweep: t.levels().to_vec(),
+            up_first: t.up().first().to_vec().into(),
+            up_arcs: up_arcs.into(),
+            up_middle: up.iter().map(|a| mid(a.weight)).collect(),
+            down_first: t.down().first().to_vec().into(),
+            down_arcs: down_arcs.into(),
+            down_middle: down.iter().map(|a| mid(a.weight)).collect(),
+            orig_first: t.orig_incoming().first().to_vec().into(),
+            orig_arcs: orig_arcs.into(),
+            direction: Direction::Forward,
+            num_shortcuts: t.num_shortcuts(),
+        })?;
+        Ok((phast, hierarchy))
     }
 }
 

@@ -6,6 +6,7 @@
 //! (~1 min, ~1 GiB at the largest size).
 
 use phast_ch::{contract_graph, ContractionConfig};
+use phast_dijkstra::dijkstra::shortest_paths;
 use phast_graph::gen::{Metric, RoadNetworkConfig};
 use phast_metrics::{MetricCustomizer, MetricWeights};
 use std::time::Instant;
@@ -77,10 +78,20 @@ fn probe_scaling() {
         let m = MetricWeights::perturbed(&g, "p", 1, 7);
         let customize = median_ms(7, || f.customize(&m).unwrap());
         let cm = f.customize(&m).unwrap();
-        let apply = median_ms(7, || f.apply(&g, &m, &cm).unwrap());
+        let assemble = median_ms(7, || c.assemble(&m, &cm).unwrap());
+        // What the serve canary computes beside the customization: the
+        // reweighted graph and 8 reference Dijkstra trees.
+        let n = g.num_vertices();
+        let canary_reference = median_ms(7, || {
+            let g2 = m.reweighted(&g);
+            let sources = (0..8).map(|i| (i * n / 8) as u32);
+            sources
+                .map(|s| shortest_paths(g2.forward(), s).dist)
+                .collect::<Vec<_>>()
+        });
         // FNV-1a over the customized hierarchy: equal across two builds
         // means equal weights and middles in equal CSR order.
-        let (_, h2) = f.apply(&g, &m, &cm).unwrap();
+        let (_, h2) = c.assemble(&m, &cm).unwrap();
         let mut sum = 0xcbf29ce484222325u64;
         let arcs = h2.forward_up.iter_arcs().chain(h2.backward_up.iter_arcs());
         let middles = h2.forward_middle.iter().chain(&h2.backward_middle);
@@ -90,7 +101,8 @@ fn probe_scaling() {
             }
         }
         eprintln!(
-            "  customize={customize:.1}ms ({:.2} ns/triangle) apply={apply:.1}ms checksum={sum:016x}",
+            "  customize={customize:.1}ms ({:.2} ns/triangle) assemble={assemble:.1}ms \
+             canary_reference={canary_reference:.1}ms checksum={sum:016x}",
             customize * 1e6 / f.num_triangles() as f64
         );
     }

@@ -5,9 +5,10 @@
 //! [`MetricEpoch`](crate::MetricEpoch) snapshots. This module produces
 //! those snapshots from the outside world: a [`MetricWatcher`] polls a
 //! JSON weights file (the [`MetricWeights`] serde schema), and when the
-//! file changes it runs the `phast-metrics` customization pass — seconds
-//! of CPU, but all of it on the watcher thread — and publishes the result
-//! through [`Service::swap_epoch`], a microsecond pointer store. Queries
+//! file changes it runs the `phast-metrics` customization pass — tens of
+//! milliseconds of CPU, on the watcher thread, with the canary's reference
+//! trees on a scoped thread beside it — and publishes the result through
+//! [`Service::swap_epoch`], a microsecond pointer store. Queries
 //! admitted before the publication finish on the old metric; queries
 //! admitted after it run on the new one; none are ever answered on a mix.
 //!
@@ -18,7 +19,8 @@
 //! * **Canary** ([`WatchConfig::canary_queries`]): before the swap, N
 //!   deterministic sampled trees on the candidate `(Phast, Hierarchy)`
 //!   are compared bit-exactly against reference Dijkstra on the same
-//!   [`MetricWeights`] over the base graph. A mismatch means the
+//!   [`MetricWeights`] over the base graph (computed while the candidate
+//!   is customized: it depends on the metric alone). A mismatch means the
 //!   customization pipeline lied — the candidate is rejected with
 //!   [`WatchReport::CanaryFailed`], the `(name, version)` is quarantined
 //!   (never retried), and no live query ever ran on it.
@@ -45,7 +47,10 @@
 //! does not trigger a re-customize.
 
 use crate::scheduler::Service;
+use phast_ch::Hierarchy;
+use phast_core::Phast;
 use phast_dijkstra::dijkstra::shortest_paths;
+use phast_graph::Weight;
 use phast_metrics::{MetricCustomizer, MetricWeights};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -184,28 +189,62 @@ impl WatchState {
     }
 }
 
-/// Runs the canary: `n_queries` sources spread deterministically over the
-/// vertex range, each answered as a full tree on the candidate instance
-/// and compared bit-exactly against reference Dijkstra over the base
-/// graph reweighted with the same metric. Returns the first divergence.
-fn canary_check(
-    candidate: &phast_core::Phast,
+/// The canary's sources: `n_queries` spread evenly and deterministically
+/// over `0..n` (duplicates on tiny graphs are merely redundant), and none
+/// on an instance without vertices.
+fn canary_sources(n: usize, n_queries: usize) -> Vec<u32> {
+    if n == 0 {
+        return Vec::new();
+    }
+    (0..n_queries).map(|i| (i * n / n_queries) as u32).collect()
+}
+
+/// One reference tree per canary source: reference Dijkstra over the base
+/// graph reweighted with the declared metric. It depends on the metric
+/// alone, never on the customizer's output.
+type CanaryReference = Vec<(u32, Vec<Weight>)>;
+
+/// Customizes `metric` and, on a scoped thread beside it, computes the
+/// canary's reference trees. The reference is `None` exactly when no
+/// thread ran: the canary is off, the instance has no vertices, or the
+/// metric fails validation (`build` rejects it, and `reweighted` would
+/// panic on it).
+fn build_beside_reference(
     customizer: &MetricCustomizer,
     metric: &MetricWeights,
     n_queries: usize,
-) -> Result<(), String> {
-    let reference = metric.reweighted(customizer.graph());
-    let n = candidate.num_vertices();
+) -> (Result<(Phast, Hierarchy), String>, Option<CanaryReference>) {
+    let graph = customizer.graph();
+    let sources = match metric.validate(graph.num_arcs()) {
+        Ok(()) => canary_sources(graph.num_vertices(), n_queries),
+        Err(_) => Vec::new(),
+    };
+    if sources.is_empty() {
+        return (customizer.build(metric), None);
+    }
+    std::thread::scope(|scope| {
+        let reference = scope.spawn(|| {
+            let g = metric.reweighted(graph);
+            sources
+                .iter()
+                .map(|&s| (s, shortest_paths(g.forward(), s).dist))
+                .collect()
+        });
+        let built = customizer.build(metric);
+        let reference = reference.join().expect("canary reference thread panicked");
+        (built, Some(reference))
+    })
+}
+
+/// The canary's comparison: each reference source answered as a full tree
+/// on the candidate instance, compared bit-exactly. Returns the first
+/// divergence.
+fn canary_check(candidate: &Phast, reference: &CanaryReference) -> Result<(), String> {
     let mut engine = candidate.engine();
-    for i in 0..n_queries {
-        // Evenly spread, deterministic, and independent of n_queries
-        // duplicates collapsing on tiny graphs (re-checking a source is
-        // merely redundant, never wrong).
-        let source = ((i * n) / n_queries.max(1)).min(n - 1) as u32;
-        let got = engine.distances(source);
-        let want = shortest_paths(reference.forward(), source).dist;
-        if got != want {
-            let v = (0..n).find(|&v| got[v] != want[v]).unwrap_or(0);
+    for (source, want) in reference {
+        let got = engine.distances(*source);
+        if got != *want {
+            let v = (0..got.len()).find(|&v| got[v] != want[v]).unwrap_or(0);
             return Err(format!(
                 "canary query diverged from reference Dijkstra: \
                  source {source}, vertex {v}: candidate {} != reference {}",
@@ -288,18 +327,20 @@ pub fn poll_metric_file(
         );
         return rejected(service, why);
     }
-    // Customize off the serving path (this thread), then publish. Any
-    // failure — wrong arity, weight over the cap, hierarchy validation —
-    // leaves the current epoch serving.
-    let (phast, hierarchy) = match customizer.build(&metric) {
+    // Customize off the serving path (this thread, the canary's reference
+    // beside it), then publish. Any failure — wrong arity, weight over the
+    // cap, hierarchy or instance validation — leaves the current epoch
+    // serving.
+    let (built, reference) = build_beside_reference(customizer, &metric, cfg.canary_queries);
+    let (phast, hierarchy) = match built {
         Ok(built) => built,
         Err(e) => {
             state.last_rejected = Some(hash);
             return rejected(service, format!("customizing {}: {e}", path.display()));
         }
     };
-    if cfg.canary_queries > 0 {
-        if let Err(detail) = canary_check(&phast, customizer, &metric, cfg.canary_queries) {
+    if let Some(reference) = reference {
+        if let Err(detail) = canary_check(&phast, &reference) {
             state.quarantined.insert(identity.clone());
             state.last_rejected = Some(hash);
             service.stats().add_watch_errors(1);
@@ -718,6 +759,120 @@ mod tests {
         }
         let _ = std::fs::remove_file(&path);
         svc.shutdown();
+    }
+
+    #[test]
+    fn invalid_metrics_are_typed_rejections_and_spawn_no_reference() {
+        let net = RoadNetworkConfig::new(6, 6, 3, Metric::TravelTime).build();
+        let g = net.graph;
+        let h = contract_graph(&g, &ContractionConfig::default());
+        let customizer = MetricCustomizer::new(g.clone(), &h).unwrap();
+        let svc = Service::for_graph(
+            &g,
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let cfg = WatchConfig::default();
+        let path = temp_path("invalid");
+        let mut state = WatchState::default();
+        let mut over_cap = MetricWeights::perturbed(&g, "over-cap", 1, 3);
+        over_cap.weights[4] = phast_graph::MAX_WEIGHT + 1;
+        let wrong_arity = MetricWeights {
+            name: "short".into(),
+            version: 1,
+            weights: vec![1; 5],
+        };
+        for (metric, why) in [
+            (over_cap, "exceeds MAX_WEIGHT"),
+            (wrong_arity, "weights but the graph has"),
+        ] {
+            // `reweighted` panics on these metrics: no reference thread may
+            // run for them, and a panic in one would surface here.
+            let (built, reference) =
+                build_beside_reference(&customizer, &metric, cfg.canary_queries);
+            assert!(built.is_err_and(|e| e.contains(why)), "`{}`", metric.name);
+            assert!(
+                reference.is_none(),
+                "`{}` spawned a reference thread",
+                metric.name
+            );
+            std::fs::write(&path, serde_json::to_string(&metric).unwrap()).unwrap();
+            match poll_metric_file(&svc, &customizer, &path, &cfg, &mut state) {
+                WatchReport::Rejected(e) => {
+                    assert!(e.contains("customizing") && e.contains(why), "{e}")
+                }
+                other => panic!("expected a typed rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(svc.epoch_id(), 1);
+        assert_eq!(svc.stats().watch_errors(), 2);
+        assert_eq!(svc.stats().canary_failures(), 0);
+        let _ = std::fs::remove_file(&path);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn the_reference_runs_only_when_the_canary_checks_a_source() {
+        let net = RoadNetworkConfig::new(6, 6, 3, Metric::TravelTime).build();
+        let g = net.graph;
+        let h = contract_graph(&g, &ContractionConfig::default());
+        let customizer = MetricCustomizer::new(g.clone(), &h).unwrap();
+        let metric = MetricWeights::perturbed(&g, "reference", 1, 4);
+        let (built, reference) = build_beside_reference(&customizer, &metric, 0);
+        assert!(built.is_ok());
+        assert!(
+            reference.is_none(),
+            "canary_queries = 0 must spawn no thread"
+        );
+        let (built, reference) = build_beside_reference(&customizer, &metric, 8);
+        let reference = reference.expect("a valid metric with 8 canary queries");
+        let sources: Vec<u32> = reference.iter().map(|(s, _)| *s).collect();
+        assert_eq!(sources, canary_sources(g.num_vertices(), 8));
+        assert_eq!(canary_check(&built.unwrap().0, &reference), Ok(()));
+        assert_eq!(canary_sources(0, 8), Vec::<u32>::new());
+        assert_eq!(canary_sources(1, 8), vec![0; 8]);
+    }
+
+    #[test]
+    fn instances_of_one_and_zero_vertices_publish_a_metric() {
+        for n in [1, 0] {
+            let mut b = phast_graph::GraphBuilder::new(n);
+            if n == 1 {
+                b = b.keep_self_loops(true);
+                b.add_arc(0, 0, 3);
+            }
+            let g = b.build();
+            let h = contract_graph(&g, &ContractionConfig::default());
+            let customizer = MetricCustomizer::new(g.clone(), &h).unwrap();
+            let svc = Service::for_graph(
+                &g,
+                ServeConfig {
+                    workers: 1,
+                    ..ServeConfig::default()
+                },
+            );
+            let path = temp_path(&format!("tiny-{n}"));
+            let metric = MetricWeights::new("tiny", 1, vec![5; g.num_arcs()]).unwrap();
+            std::fs::write(&path, serde_json::to_string(&metric).unwrap()).unwrap();
+            let mut state = WatchState::default();
+            match poll_metric_file(
+                &svc,
+                &customizer,
+                &path,
+                &WatchConfig::default(),
+                &mut state,
+            ) {
+                WatchReport::Swapped { epoch: 2, .. } => {}
+                other => panic!("{n} vertices: expected a swap to epoch 2, got {other:?}"),
+            }
+            if n == 1 {
+                assert_eq!(tree(&svc, 0), vec![0]);
+            }
+            let _ = std::fs::remove_file(&path);
+            svc.shutdown();
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use phast::ch::{contract_graph, ChQuery, ContractionConfig};
 use phast::core::PhastBuilder;
 use phast::dijkstra::dijkstra::shortest_paths;
+use phast::graph::gen::random::gnm;
 use phast::graph::gen::{adversarial, Metric, RoadNetworkConfig};
 use phast::graph::{INF, MAX_WEIGHT};
 use phast::metrics::{MetricCustomizer, MetricWeights};
@@ -140,6 +141,78 @@ fn customization_is_exact_on_the_adversarial_corpus() {
                     .sum();
                 assert_eq!(sum, u64::from(d), "{tag}: unpacked weight");
             }
+        }
+    }
+}
+
+#[test]
+fn customized_layout_equals_the_rebuilt_one_array_for_array() {
+    // `build` gathers each customization into the sweep layout frozen at
+    // `MetricCustomizer::new`. Rebuilding that layout from the reweighted
+    // graph and the customized hierarchy must give the same instance,
+    // array for array; the hierarchy itself must be the customization in
+    // closure order over one metric-independent topology.
+    let road = RoadNetworkConfig::new(12, 12, 31, Metric::TravelTime)
+        .build()
+        .graph;
+    let graphs = [
+        ("road", road.clone()),
+        ("gnm", gnm(300, 1500, 1000, 5)),
+        ("adversarial", adversarial(&road)),
+    ];
+    for (graph, g) in graphs {
+        let h = contract_graph(&g, &ContractionConfig::default());
+        let customizer = MetricCustomizer::new(g.clone(), &h).expect("freeze");
+        let flat =
+            |name: &str, w| MetricWeights::new(name, 1, vec![w; g.num_arcs()]).expect("metric");
+        let metrics = [
+            MetricWeights::perturbed(&g, "perturbed", 1, 0x5107),
+            flat("all-zero", 0),
+            flat("uniform", 7),
+            flat("all-max", MAX_WEIGHT),
+        ];
+        let mut topology = None;
+        for m in &metrics {
+            let tag = format!("{graph}, metric `{}`", m.name);
+            let (p, h2) = customizer.build(m).expect("customize");
+            let want = PhastBuilder::new().build_with_hierarchy(&m.reweighted(&g), &h2);
+            assert_eq!(p.permutation(), want.permutation(), "{tag}: permutation");
+            assert_eq!(p.levels(), want.levels(), "{tag}: levels");
+            assert_eq!(p.level_ranges(), want.level_ranges(), "{tag}: level ranges");
+            assert_eq!(p.up(), want.up(), "{tag}: up");
+            assert_eq!(p.up_middles(), want.up_middles(), "{tag}: up middles");
+            assert_eq!(p.down(), want.down(), "{tag}: down");
+            assert_eq!(p.down_middles(), want.down_middles(), "{tag}: down middles");
+            assert_eq!(
+                p.orig_incoming(),
+                want.orig_incoming(),
+                "{tag}: orig_incoming"
+            );
+            assert_eq!(p.num_shortcuts(), want.num_shortcuts(), "{tag}: shortcuts");
+
+            h2.validate().expect("customized hierarchy validates");
+            let custom = customizer.frozen().customize(m).expect("customize");
+            let sides = || h2.forward_up.arcs().iter().chain(h2.backward_up.arcs());
+            assert!(
+                sides()
+                    .map(|a| a.weight)
+                    .eq(custom.weights().iter().copied()),
+                "{tag}: weights"
+            );
+            let middles = h2.forward_middle.iter().chain(&h2.backward_middle);
+            assert!(middles.eq(custom.middles()), "{tag}: hierarchy middles");
+            let shape = (
+                h2.rank.clone(),
+                h2.level.clone(),
+                h2.forward_up.first().to_vec(),
+                h2.backward_up.first().to_vec(),
+                sides().map(|a| a.head).collect::<Vec<_>>(),
+            );
+            assert_eq!(
+                topology.get_or_insert_with(|| shape.clone()),
+                &shape,
+                "{tag}: topology"
+            );
         }
     }
 }
