@@ -27,10 +27,13 @@
 //! Entry point: [`Phast::preprocess`] (or [`PhastBuilder`]), then
 //! [`Phast::engine`] for repeated tree computations.
 
+#![deny(unsafe_code)]
+
 pub mod batch;
 pub mod multi_tree;
 pub mod parallel;
 pub mod rphast;
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod sweep;
 pub mod tree;
@@ -38,7 +41,7 @@ mod upward;
 
 use phast_ch::hierarchy::NO_MIDDLE;
 use phast_ch::{contract_graph, ContractionConfig, Hierarchy};
-use phast_graph::csr::ReverseCsr;
+use phast_graph::csr::{ReverseArc, ReverseCsr};
 use phast_graph::{Arc, Csr, Graph, Permutation, Vertex, Weight, INF};
 
 pub use batch::{run_hetero_batch, HeteroAnswer, HeteroQuery};
@@ -270,55 +273,31 @@ impl Phast {
             .collect();
         let level_ranges = level_ranges_of(&level_of_sweep);
 
+        // A hierarchy graph relabeled to sweep IDs as `(v, (u, weight),
+        // middle)` per arc `(v, u)`, shortcut middles riding along.
         let map_mid = |m: Vertex| if m == NO_MIDDLE { NO_MIDDLE } else { perm.map(m) };
-        let up_list: Vec<(Vertex, phast_graph::Arc, Vertex)> = up_src
-            .iter_arcs()
-            .zip(up_mid_src)
-            .map(|((v, w_head, w), &m)| {
-                (
-                    perm.map(v),
-                    phast_graph::Arc::new(perm.map(w_head), w),
-                    map_mid(m),
-                )
-            })
-            .collect();
+        let relabel = |src: &Csr, mids: &[Vertex]| -> Vec<(Vertex, Arc, Vertex)> {
+            let arcs = src.iter_arcs().zip(mids);
+            arcs.map(|((v, u, w), &m)| (perm.map(v), Arc::new(perm.map(u), w), map_mid(m)))
+                .collect()
+        };
+        let up_list = relabel(up_src, up_mid_src);
         let up = Csr::from_arc_list(n, up_list.iter().map(|&(t, a, _)| (t, a)).collect());
         let up_middle = replay_middles(up.first(), &up_list);
         // `down_src.out(v)` lists (v, u) with u above v; as *incoming* arcs
-        // of v they are (tail u, weight). Relabel and key by head v.
-        let down_list: Vec<(Vertex, phast_graph::Arc, Vertex)> = down_src
-            .iter_arcs()
-            .zip(down_mid_src)
-            .map(|((v, u, w), &m)| {
-                (perm.map(v), phast_graph::Arc::new(perm.map(u), w), map_mid(m))
-            })
-            .collect();
-        let down = ReverseCsr::from_arc_list(
-            n,
-            down_list
-                .iter()
-                .map(|&(t, a, _)| (t, phast_graph::csr::ReverseArc::new(a.head, a.weight)))
-                .collect(),
-        );
+        // of v they are (tail u, weight), keyed by head v.
+        let down_list = relabel(down_src, down_mid_src);
+        let incoming = |&(v, a, _): &(Vertex, Arc, Vertex)| (v, ReverseArc::new(a.head, a.weight));
+        let down = ReverseCsr::from_arc_list(n, down_list.iter().map(incoming).collect());
         let down_middle = replay_middles(down.first(), &down_list);
 
         // Original-graph incoming arcs (flipped for the reverse solver),
         // relabeled to sweep IDs.
-        let orig_list: Vec<(Vertex, phast_graph::csr::ReverseArc)> = g
-            .forward()
-            .iter_arcs()
-            .map(|(u, v, w)| match direction {
-                Direction::Forward => (
-                    perm.map(v),
-                    phast_graph::csr::ReverseArc::new(perm.map(u), w),
-                ),
-                Direction::Reverse => (
-                    perm.map(u),
-                    phast_graph::csr::ReverseArc::new(perm.map(v), w),
-                ),
-            })
-            .collect();
-        let orig_incoming = ReverseCsr::from_arc_list(n, orig_list);
+        let orig_list = g.forward().iter_arcs().map(|(u, v, w)| match direction {
+            Direction::Forward => (perm.map(v), ReverseArc::new(perm.map(u), w)),
+            Direction::Reverse => (perm.map(u), ReverseArc::new(perm.map(v), w)),
+        });
+        let orig_incoming = ReverseCsr::from_arc_list(n, orig_list.collect());
 
         let p = Phast {
             perm,
@@ -333,7 +312,7 @@ impl Phast {
             direction,
             num_shortcuts: h.num_shortcuts,
         };
-        debug_assert_eq!(p.validate(), Ok(()));
+        assert_eq!(p.validate(), Ok(()), "assembled an invalid instance");
         p
     }
 
@@ -436,38 +415,36 @@ impl Phast {
         out
     }
 
-    /// Structural invariants: the sweep order is topological for `G↓`
-    /// (every downward arc's tail precedes its head) and for `G↑` every
-    /// arc's head precedes its tail; level ranges tile `0..n`.
+    /// Structural invariants: level ranges tile `0..n`; the sweep order
+    /// is topological for `G↓` with every downward arc's tail in a level
+    /// before its head's — a tail precedes its head (Section IV-A) and no
+    /// arc joins two vertices of one level (Lemma 4.1), the two facts the
+    /// sweep kernels read tails on; and for `G↑` every arc's head precedes
+    /// its tail.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices();
         let mut covered = 0u32;
         for r in &self.level_ranges {
-            if r.start != covered {
+            if r.start != covered || r.end as usize > n {
                 return Err("level ranges do not tile 0..n".into());
             }
             covered = r.end;
+            for v in r.clone() {
+                if let Some(a) = self.down.incoming(v).iter().find(|a| a.tail >= r.start) {
+                    return Err(format!("arc tail {} not in a level before {v}'s", a.tail));
+                }
+                for a in self.up.out(v) {
+                    if a.head >= v {
+                        return Err(format!(
+                            "upward arc head {} does not precede tail {v}",
+                            a.head
+                        ));
+                    }
+                }
+            }
         }
         if covered as usize != n {
             return Err("level ranges do not cover all vertices".into());
-        }
-        for v in 0..n as Vertex {
-            for a in self.down.incoming(v) {
-                if a.tail >= v {
-                    return Err(format!(
-                        "downward arc tail {} does not precede head {v}",
-                        a.tail
-                    ));
-                }
-            }
-            for a in self.up.out(v) {
-                if a.head >= v {
-                    return Err(format!(
-                        "upward arc head {} does not precede tail {v}",
-                        a.head
-                    ));
-                }
-            }
         }
         Ok(())
     }
@@ -847,17 +824,9 @@ mod tests {
         assert_ne!(default.permutation(), by_level.permutation());
     }
 
-    /// Two builds give the same tiled instance, and `from_parts` — the
-    /// store's way in — takes its arrays back.
-    #[test]
-    fn tiled_order_is_deterministic_and_reassembles() {
-        let (g, h) = tiled_network();
-        let p = PhastBuilder::new().build_with_hierarchy(&g, &h);
-        let again = PhastBuilder::new().build(&g);
-        assert_eq!(p.permutation(), again.permutation());
-        assert_eq!(p.down().arcs(), again.down().arcs());
-
-        let rebuilt = Phast::from_parts(PhastParts {
+    /// The arrays of `p`, for `from_parts`.
+    fn parts_of(p: &Phast) -> PhastParts {
+        PhastParts {
             new_of_old: p.permutation().as_slice().to_vec().into(),
             level_of_sweep: p.levels().to_vec(),
             up_first: p.up().first().to_vec().into(),
@@ -870,8 +839,34 @@ mod tests {
             orig_arcs: p.orig_incoming().arcs().to_vec().into(),
             direction: p.direction(),
             num_shortcuts: p.num_shortcuts(),
-        })
-        .expect("a tiled instance reassembles");
+        }
+    }
+
+    /// Lemma 4.1 is checked: a real instance whose levels are flattened
+    /// into one still has every tail before its head, but its one level
+    /// holds arcs, which an intra-level block would race on — so
+    /// `from_parts` refuses it.
+    #[test]
+    fn from_parts_rejects_arcs_inside_one_level() {
+        let net = RoadNetworkConfig::new(20, 20, 7, Metric::TravelTime).build();
+        let p = Phast::preprocess(&net.graph);
+        let mut parts = parts_of(&p);
+        parts.level_of_sweep.fill(0);
+        let err = Phast::from_parts(parts).expect_err("one level holding arcs is refused");
+        assert!(err.contains("not in a level before"), "{err}");
+    }
+
+    /// Two builds give the same tiled instance, and `from_parts` — the
+    /// store's way in — takes its arrays back.
+    #[test]
+    fn tiled_order_is_deterministic_and_reassembles() {
+        let (g, h) = tiled_network();
+        let p = PhastBuilder::new().build_with_hierarchy(&g, &h);
+        let again = PhastBuilder::new().build(&g);
+        assert_eq!(p.permutation(), again.permutation());
+        assert_eq!(p.down().arcs(), again.down().arcs());
+
+        let rebuilt = Phast::from_parts(parts_of(&p)).expect("a tiled instance reassembles");
         assert_eq!(rebuilt.permutation(), p.permutation());
         assert_eq!(rebuilt.level_ranges(), p.level_ranges());
         assert_eq!(rebuilt.engine().distances(17), p.engine().distances(17));

@@ -24,7 +24,7 @@
 
 use crate::parallel::sweep_levels;
 use crate::rphast::TargetSelection;
-use crate::simd::{best_simd_for, sweep_range, SimdLevel, SweepParams, MAX_K};
+use crate::simd::{best_simd_for, sweep_range, InOrder, SimdLevel, SweepParams, MAX_K};
 use crate::upward::{UpwardSearch, NO_PARENT};
 use crate::Phast;
 use phast_graph::{Vertex, Weight, INF};
@@ -171,16 +171,10 @@ impl<'p> MultiTreeEngine<'p> {
     fn sweep_view(&mut self, sel: Option<&TargetSelection<'p>>, sources: &[Vertex], par: bool) {
         let (p, k, level) = (self.p, self.k, self.simd_level());
         assert_eq!(sources.len(), k, "batch must contain exactly k sources");
-        let (first, arcs, rows) = match sel {
-            None => (p.down().first(), p.down().arcs(), p.num_vertices()),
-            Some(sel) => {
-                assert!(
-                    std::ptr::eq(p, sel.phast()),
-                    "selection was built on a different instance"
-                );
-                (&sel.first[..], &sel.arcs[..], sel.len())
-            }
-        };
+        let same = sel.is_none_or(|sel| std::ptr::eq(p, sel.phast()));
+        assert!(same, "selection was built on a different instance");
+        let full = (p.num_vertices(), p.down().num_arcs());
+        let (rows, arcs) = sel.map_or(full, |sel| (sel.len(), sel.num_arcs()));
         self.view = sel.map_or(FULL_VIEW, |sel| sel.id);
         self.sources.clear();
         self.sources.extend_from_slice(sources);
@@ -230,41 +224,27 @@ impl<'p> MultiTreeEngine<'p> {
         stats.upward_time += timer.elapsed();
 
         let timer = PhaseTimer::start();
-        let params = SweepParams {
-            first,
-            arcs,
-            k,
-            dist: self.dist.as_mut_ptr(),
-            marked: self.marked.as_mut_ptr(),
-            parent: if self.parent.is_empty() {
-                std::ptr::null_mut()
-            } else {
-                self.parent.as_mut_ptr()
-            },
-        };
-        // SAFETY: `dist` holds at least `rows * k` labels, `marked` (and
-        // `parent`, if any, with `k = 1`) `rows` entries, all exclusively
-        // borrowed here; ascending row order is topological for the view
-        // (`Phast::validate` for the full CSR, the postorder construction
-        // for a selection) and `level_ranges` are the full view's levels;
-        // `level` is clamped to what the CPU has at this `k`.
-        let blocks = unsafe {
-            if par && sel.is_none() {
-                sweep_levels(level, &params, p.level_ranges())
-            } else {
-                sweep_range(level, &params, 0..rows);
-                // One block per level, or the selection as one flat block.
-                sel.map_or(p.num_levels() as u64, |_| 1)
+        let dist = &mut self.dist[..rows * k];
+        let (marked, parent) = (&mut self.marked[..rows], &mut self.parent);
+        let counters = &mut stats.counters;
+        match sel {
+            None => {
+                let blocks = sweep_levels(level, (p, k), (dist, marked, parent), par);
+                counters.add_blocks_executed(blocks);
+                counters.add_levels_swept(p.num_levels() as u64);
             }
-        };
+            // The selection as one flat block.
+            Some(sel) => {
+                let parent = parent.get_mut(..rows).unwrap_or_default();
+                let params = SweepParams::selection(sel, k);
+                sweep_range(level, &params, InOrder(dist, 0), marked, parent);
+                counters.add_blocks_executed(1);
+                counters.add_restricted_scans(rows as u64);
+            }
+        }
         // The sweep is oblivious: every arc of the view is relaxed once
         // per tree.
-        stats.counters.add_sweep_arcs(arcs.len() as u64 * k as u64);
-        stats.counters.add_blocks_executed(blocks);
-        match sel {
-            None => stats.counters.add_levels_swept(p.num_levels() as u64),
-            Some(_) => stats.counters.add_restricted_scans(rows as u64),
-        }
+        counters.add_sweep_arcs(arcs as u64 * k as u64);
         stats.sweep_time += timer.elapsed();
     }
 

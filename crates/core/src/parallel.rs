@@ -11,12 +11,11 @@
 //!   [`PhastEngine::distances_par`]): [`sweep_levels`], the one
 //!   level-block loop.
 
-use crate::simd::{sweep_range, SimdLevel, SweepParams};
+use crate::simd::{sweep_range, Block, InOrder, SimdLevel, SweepParams};
 use crate::sweep::PhastEngine;
 use crate::{MultiTreeEngine, Phast};
 use phast_graph::Vertex;
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Minimum labels a parallel block is worth; smaller levels are swept
 /// sequentially (the top of the hierarchy is tiny).
@@ -33,42 +32,60 @@ fn block_len(len: usize, k: usize, threads: usize) -> usize {
     }
 }
 
-/// The intra-level parallel sweep: `levels` one after the other, each
-/// split into blocks across the current rayon pool where [`block_len`]
-/// says so, every block through the `level` kernel. Returns the number of
-/// blocks executed.
+/// Labels below which a level is not worth a kernel call of its own in a
+/// sequential sweep: it joins the next big level's in-order run (the rank
+/// order's "levels" are runs of a few rows).
+const MIN_LEVEL: usize = 512;
+
+/// The sweep of a full view, level by level (Section V). `dist`, `marked`
+/// and `parent` (empty, or one per row at `k = 1`) are the view's.
+/// Sequentially, every level of [`MIN_LEVEL`] labels or more is one block,
+/// after the smaller levels before it in one in-order run. With `par`
+/// (and no parents) every level is split into blocks across the current
+/// rayon pool where [`block_len`] says so. Every call runs the `level`
+/// kernel. Returns the blocks executed: one per level when sequential.
 ///
-/// # Safety
-///
-/// See [`sweep_range`], with `levels` as the range: consecutive, in sweep
-/// order, and no arc of `params` joining two vertices of one level.
-pub(crate) unsafe fn sweep_levels(
+/// A level splits `dist` at its start: the earlier levels' rows are
+/// shared, read-only, by every block, and the level's rows and marks go
+/// out as disjoint chunks — the borrow checker's proof of what Lemma 4.1
+/// makes true, that no arc joins two vertices of one level.
+pub(crate) fn sweep_levels(
     level: SimdLevel,
-    params: &SweepParams<'_>,
-    levels: &[Range<u32>],
+    (p, k): (&Phast, usize),
+    (dist, marked, parent): (&mut [u32], &mut [u8], &mut [u32]),
+    par: bool,
 ) -> u64 {
-    let threads = rayon::current_num_threads().max(1);
-    let mut blocks_executed: u64 = 0;
-    for range in levels {
+    assert!(!par || parent.is_empty(), "parents are swept sequentially");
+    let params = &SweepParams::full(p, k);
+    // Sequentially one block per level; with `par` counted as they go.
+    let mut blocks_executed = if par { 0 } else { p.num_levels() as u64 };
+    let mut swept = 0;
+    for (l, range) in p.level_ranges().iter().enumerate() {
         let (start, end) = (range.start as usize, range.end as usize);
-        let block = block_len(end - start, params.k, threads);
-        let count = (end - start).div_ceil(block);
-        blocks_executed += count as u64;
-        if count == 1 {
-            // SAFETY: sequential call, exclusive access to everything.
-            unsafe { sweep_range(level, params, start..end) };
+        if !par && (end - start) * k < MIN_LEVEL && end < p.num_vertices() {
             continue;
         }
-        (0..count).into_par_iter().for_each(|i| {
-            let lo = start + i * block;
-            // SAFETY: disjoint vertex blocks within one level, which no
-            // arc joins (Lemma 4.1 makes levels independent sets of `G↓`):
-            // each block writes only its own label rows and marks and
-            // reads only rows of earlier levels, which are complete
-            // because the level loop is sequential with a barrier (the
-            // parallel iterator joins) between levels.
-            unsafe { sweep_range(level, params, lo..(lo + block).min(end)) };
-        });
+        let run = parent.get_mut(swept..start).unwrap_or_default();
+        let rows = InOrder(&mut dist[..start * k], swept);
+        sweep_range(level, params, rows, &mut marked[swept..start], run);
+        swept = end;
+        let (done, rest) = dist.split_at_mut(start * k);
+        let (done, rows) = (&*done, &mut rest[..(end - start) * k]);
+        let marked = &mut marked[start..end];
+        if !par {
+            let parent = parent.get_mut(start..end).unwrap_or_default();
+            sweep_range(level, params, Block(done, rows, start, l), marked, parent);
+            continue;
+        }
+        let block = block_len(end - start, k, rayon::current_num_threads().max(1));
+        blocks_executed += (end - start).div_ceil(block) as u64;
+        rows.par_chunks_mut(block * k)
+            .zip(marked.par_chunks_mut(block))
+            .enumerate()
+            .for_each(|(i, (rows, marked))| {
+                let rows = Block(done, rows, start + i * block, l);
+                sweep_range(level, params, rows, marked, &mut []);
+            });
     }
     blocks_executed
 }
@@ -198,9 +215,11 @@ mod tests {
         }
     }
 
+    /// On a network whose lowest level is big enough to split, so that
+    /// the four workers really share levels.
     #[test]
     fn four_worker_sweep_matches_the_ambient_pool() {
-        let net = RoadNetworkConfig::new(18, 18, 15, Metric::TravelTime).build();
+        let net = RoadNetworkConfig::new(130, 130, 15, Metric::TravelTime).build();
         let p = Phast::preprocess(&net.graph);
         let four = rayon::ThreadPoolBuilder::new()
             .num_threads(4)
@@ -209,7 +228,7 @@ mod tests {
         let mut e = p.engine();
         for s in [0u32, 99, 200] {
             let planned = four.install(|| e.distances_par_sweep(s).to_vec());
-            assert!(e.stats().counters.blocks_executed >= p.num_levels() as u64);
+            assert!(e.stats().counters.blocks_executed > p.num_levels() as u64);
             let adhoc = e.distances_par_sweep(s).to_vec();
             assert_eq!(planned, adhoc, "source {s}");
             assert_eq!(

@@ -167,9 +167,9 @@ pub struct TargetSelection<'p> {
     /// Sweep id of each restricted vertex, indexed by restricted id.
     pub(crate) order: Vec<Vertex>,
     /// Restricted CSR offsets (`len() + 1` entries).
-    pub(crate) first: Vec<u32>,
+    first: Vec<u32>,
     /// Restricted arcs; `tail` is a restricted id.
-    pub(crate) arcs: Vec<ReverseArc>,
+    arcs: Vec<ReverseArc>,
     /// Restricted id of each target, in the caller's order.
     pub(crate) target_pos: Vec<u32>,
 }
@@ -210,6 +210,12 @@ impl<'p> TargetSelection<'p> {
     /// Sweep ids of the selected vertices, indexed by restricted id.
     pub fn order(&self) -> &[Vertex] {
         &self.order
+    }
+
+    /// The restricted CSR, `(first, arcs)`: every arc's tail is a row
+    /// before its head's, which the sweep kernels read tails on.
+    pub(crate) fn csr(&self) -> (&[u32], &[ReverseArc]) {
+        (&self.first, &self.arcs)
     }
 }
 

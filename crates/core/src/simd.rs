@@ -8,21 +8,31 @@
 //! the paper makes the same observation); a 256-bit AVX2 register holds
 //! eight. The `k`-wide row of the vertex being relaxed stays in registers
 //! across its arc loop, which takes a chunk count known at compile time:
-//! the body is generic over the lane type and a `const` chunk count, and
-//! there is one instantiation per admitted `k` and level (the table in
+//! the body is generic over a `const` chunk count, and there is one
+//! instantiation per admitted `k` and level (the table in
 //! `x86::kernel`). With the count a run-time value the accumulators are a
 //! stack array, reloaded and stored again for every chunk of every arc —
 //! that cost 40 % of the sweep at `k = 16` (DESIGN §4). The same holds at
 //! `k = 1` without any packing: [`sweep_single`] keeps the one label (and
 //! its parent) in a register, which the any-`k` loop cannot.
 //!
-//! All kernels share one contract, [`SweepParams`]: process the rows of a
-//! range in increasing order; for each row either take its `k` marked
+//! All kernels share one contract, [`sweep_range`]'s: process the rows of
+//! one call in increasing order; for each row either take its `k` marked
 //! labels or `∞`, relax every incoming arc for all `k` trees, clamp to
 //! `INF`, store, and clear the mark. A row is a sweep vertex of the full
 //! `G↓` or a restricted vertex of a selection — the kernels cannot tell.
+//! A row reads its arcs' tail rows from the finished rows its call holds
+//! ([`Rows`]): the rows before it in a sequential sweep, the earlier
+//! levels in an intra-level block. That every tail lies there is the
+//! paper's two facts — a tail precedes its head in sweep order (§IV-A),
+//! and no arc joins two vertices of one level (Lemma 4.1) — which
+//! [`Phast::validate`] checks for every instance and a selection's
+//! postorder numbering gives its restricted CSR; [`tail`], the one read
+//! without a bounds check, rests on them.
 
+use crate::rphast::TargetSelection;
 use crate::upward::NO_PARENT;
+use crate::Phast;
 use phast_graph::csr::ReverseArc;
 use phast_graph::INF;
 use std::ops::Range;
@@ -31,7 +41,7 @@ use std::ops::Range;
 /// offer: each level needs everything the one before it needs, so
 /// `requested.min(best_simd_for(k))` is the most a request may be granted
 /// — running a kernel the CPU lacks is undefined behaviour, not a slow
-/// path.
+/// path, and [`sweep_range`] clamps every request so.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar loop (any `k`).
@@ -53,10 +63,11 @@ pub const MAX_K: usize = 64;
 pub fn best_simd_for(k: usize) -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx2") && x86::kernel(SimdLevel::Avx2, k).is_some() {
+        let has = |level| x86::kernel::<InOrder>(level, k).is_some();
+        if is_x86_feature_detected!("avx2") && has(SimdLevel::Avx2) {
             return SimdLevel::Avx2;
         }
-        if is_x86_feature_detected!("sse4.1") && x86::kernel(SimdLevel::Sse41, k).is_some() {
+        if is_x86_feature_detected!("sse4.1") && has(SimdLevel::Sse41) {
             return SimdLevel::Sse41;
         }
     }
@@ -64,58 +75,154 @@ pub fn best_simd_for(k: usize) -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// Borrowed inputs of one sweep-range invocation.
-///
-/// `dist` points at `n * k` labels laid out row-major (the `k` labels of a
-/// row are consecutive); `marked` at `n` bytes; `parent` is null, or (at
-/// `k = 1` only) points at `n` parent slots the sweep fills with the tail
-/// of the arc that set each label.
+/// A view of `G↓` swept at `k` lanes: row `v` relaxes the arcs
+/// `arcs[first[v]..first[v + 1]]`, whose tails are rows before `v` — in an
+/// earlier one of `levels` where the view has levels. Built only from a
+/// [`Phast`] or a [`TargetSelection`], which is what [`tail`] rests on.
 pub(crate) struct SweepParams<'a> {
-    pub first: &'a [u32],
-    pub arcs: &'a [ReverseArc],
-    pub k: usize,
-    pub dist: *mut u32,
-    pub marked: *mut u8,
-    pub parent: *mut u32,
+    first: &'a [u32],
+    arcs: &'a [ReverseArc],
+    /// The full view's levels, highest first; none for a selection.
+    levels: &'a [Range<u32>],
+    k: usize,
 }
 
-// SAFETY: the pointers are dereferenced only inside `sweep_range`, whose
-// contract has every caller — so every thread sharing one `SweepParams` —
-// hold exclusive access to the rows and marks of its own range and read
-// only rows that are final; the slices are shared borrows.
-unsafe impl Sync for SweepParams<'_> {}
+impl<'a> SweepParams<'a> {
+    /// The full `G↓` of `p`.
+    pub fn full(p: &'a Phast, k: usize) -> Self {
+        let down = p.down();
+        Self {
+            first: down.first(),
+            arcs: down.arcs(),
+            levels: p.level_ranges(),
+            k,
+        }
+    }
 
-/// Runs the selected kernel over `range`.
+    /// The restricted CSR of `sel`, one flat block of rows.
+    pub fn selection(sel: &'a TargetSelection<'_>, k: usize) -> Self {
+        let (first, arcs) = sel.csr();
+        Self {
+            first,
+            arcs,
+            levels: &[],
+            k,
+        }
+    }
+
+    /// The incoming arcs of the rows `start..start + len`, one slice per
+    /// row.
+    #[inline(always)]
+    fn arcs_of(&self, start: usize, len: usize) -> impl Iterator<Item = &'a [ReverseArc]> {
+        let (first, arcs) = (&self.first[start..=start + len], self.arcs);
+        first
+            .windows(2)
+            .map(move |w| &arcs[w[0] as usize..w[1] as usize])
+    }
+}
+
+/// The label rows of one kernel call, and the finished rows their arcs'
+/// tails are read from: [`InOrder`] or [`Block`]. Every kernel is
+/// instantiated for each, so neither pays for the other.
+pub(crate) trait Rows: Sized {
+    /// Calls `f(i, arcs, done, row, mark)` for every row `i` of the call,
+    /// in order: its incoming arcs, the finished labels its tails are read
+    /// from, its `k` labels and its mark (`marked[i]`). `k` is `p.k`,
+    /// passed as a constant where the kernel knows it.
+    fn each<F: RowFn>(self, p: &SweepParams<'_>, k: usize, marked: &mut [u8], f: F);
+}
+
+/// What a kernel does with one row, called as [`Rows::each`] says.
+pub(crate) trait RowFn: FnMut(usize, &[ReverseArc], &[u32], &mut [u32], &mut u8) {}
+
+impl<F: FnMut(usize, &[ReverseArc], &[u32], &mut [u32], &mut u8)> RowFn for F {}
+
+/// `InOrder(dist, start)`: rows `start..` of a view, in order — the
+/// sequential sweep. `dist` holds the view's rows from 0 up to at least
+/// the last one swept, and a row reads its tails from the rows before it.
+pub(crate) struct InOrder<'a>(pub &'a mut [u32], pub usize);
+
+impl Rows for InOrder<'_> {
+    #[inline(always)]
+    fn each<F: RowFn>(self, p: &SweepParams<'_>, k: usize, marked: &mut [u8], mut f: F) {
+        let InOrder(dist, start) = self;
+        let arcs = p.arcs_of(start, marked.len());
+        for (i, (mark, arcs)) in marked.iter_mut().zip(arcs).enumerate() {
+            let (done, rest) = dist.split_at_mut((start + i) * k);
+            f(i, arcs, done, &mut rest[..k], mark);
+        }
+    }
+}
+
+/// `Block(done, rows, start, level)`: rows `start..` of level `level` (an
+/// index into the view's levels) of a full view — one intra-level block.
+/// `rows` holds the block's labels and `done` those of every earlier
+/// level, where all its tails lie (Lemma 4.1).
+pub(crate) struct Block<'a>(pub &'a [u32], pub &'a mut [u32], pub usize, pub usize);
+
+impl Rows for Block<'_> {
+    /// # Panics
+    ///
+    /// Panics unless the block is a run of rows of its level and `done`
+    /// exactly the rows of the earlier levels.
+    #[inline(always)]
+    fn each<F: RowFn>(self, p: &SweepParams<'_>, k: usize, marked: &mut [u8], mut f: F) {
+        let Block(done, rows, start, level) = self;
+        let (first, end) = (p.levels[level].start as usize, p.levels[level].end as usize);
+        let within = first <= start && start + marked.len() <= end && done.len() == first * k;
+        assert!(within, "a block lies in one level, after exactly the rest");
+        let arcs = p.arcs_of(start, marked.len());
+        for (i, ((row, mark), arcs)) in rows.chunks_exact_mut(k).zip(marked).zip(arcs).enumerate() {
+            f(i, arcs, done, row, mark);
+        }
+    }
+}
+
+/// Columns `at .. at + len` of the finished labels: part of an arc's tail
+/// row, `at = tail * k + col` with `col + len <= k`.
+#[inline(always)]
+fn tail(done: &[u32], at: usize, len: usize) -> &[u32] {
+    debug_assert!(at + len <= done.len(), "a tail outside the finished rows");
+    // SAFETY: every caller reads `len` labels from column `col` of a tail
+    // row (`at = tail * k + col`, `col + len <= k`) in the finished rows its
+    // row was handed, and the tail lies there. `SweepParams` comes only from a `Phast`,
+    // whose `validate` (run on every instance) checked each tail to be in
+    // a level before its head's, or from a selection, whose postorder
+    // numbers each tail before its head. `InOrder` hands a row every row
+    // before it; `Block::each` asserts that `done` is exactly the levels
+    // before the block's.
+    unsafe { done.get_unchecked(at..at + len) }
+}
+
+/// Sweeps the rows of one call with the kernel of `level`, clamped to the
+/// best one the CPU has at `p.k`. `marked` holds the marks of the call's
+/// rows; `parent` is empty or, at `k = 1` only, their parents, which the
+/// sweep fills with the tail of the arc that set each label.
 ///
-/// # Safety
+/// # Panics
 ///
-/// * `dist` must be valid for `n * k` elements, `marked` for `n` and a
-///   non-null `parent` for `n`, where `n = first.len() - 1`; `parent` must
-///   be null unless `k == 1`;
-/// * every arc tail in the range's arc slices must be `< range.start` or
-///   already finalized (the caller guarantees the topological property);
-/// * the caller must have exclusive access to the label rows and marks of
-///   `range` and shared access to all earlier rows (no other thread may
-///   write them concurrently);
-/// * a SIMD `level` must not exceed `best_simd_for(p.k)` — running a
-///   kernel the CPU lacks is undefined behaviour.
-pub(crate) unsafe fn sweep_range(level: SimdLevel, p: &SweepParams<'_>, range: Range<usize>) {
+/// Panics if [`Rows::each`] does, or unless `parent` is empty or, at
+/// `k = 1`, as long as `marked`.
+pub(crate) fn sweep_range<R: Rows>(
+    level: SimdLevel,
+    p: &SweepParams<'_>,
+    rows: R,
+    marked: &mut [u8],
+    parent: &mut [u32],
+) {
+    let parents = parent.is_empty() || (p.k == 1 && parent.len() == marked.len());
+    assert!(parents, "parents need k = 1 and one slot per row");
     #[cfg(target_arch = "x86_64")]
-    if let Some(kernel) = x86::kernel(level, p.k) {
-        // SAFETY: the caller upholds this function's contract, which is
-        // the kernel's; `kernel` is the instantiation for `p.k`, and the
-        // caller vouches for the CPU feature behind `level`.
-        return unsafe { kernel(p, range) };
+    if let Some(kernel) = x86::kernel::<R>(level.min(best_simd_for(p.k)), p.k) {
+        // SAFETY: `kernel` is compiled for the CPU features of its level,
+        // which `best_simd_for` has just found on this CPU.
+        return unsafe { kernel(p, rows, marked) };
     }
     let _ = level;
-    // SAFETY: the caller upholds this function's contract, which is that
-    // of each scalar kernel; the parent array is there when it is read.
-    unsafe {
-        match (p.k, p.parent.is_null()) {
-            (1, true) => sweep_single::<false>(p, range),
-            (1, false) => sweep_single::<true>(p, range),
-            _ => sweep_range_scalar(p, range),
-        }
+    match (p.k, parent.is_empty()) {
+        (1, true) => sweep_single::<R, false>(p, rows, marked, parent),
+        (1, false) => sweep_single::<R, true>(p, rows, marked, parent),
+        _ => sweep_range_scalar(p, rows, marked),
     }
 }
 
@@ -124,287 +231,180 @@ pub(crate) unsafe fn sweep_range(level: SimdLevel, p: &SweepParams<'_>, range: R
 /// register across the arc loop. Same order and clamp as
 /// [`sweep_range_scalar`], bit-identical labels; a row that ends at `INF`
 /// has no parent.
-///
-/// # Safety
-///
-/// See [`sweep_range`]; additionally `p.k` must be 1, and `p.parent`
-/// non-null if `PARENTS`.
-unsafe fn sweep_single<const PARENTS: bool>(p: &SweepParams<'_>, range: Range<usize>) {
-    debug_assert_eq!(p.k, 1);
-    for v in range {
-        let arcs = &p.arcs[p.first[v] as usize..p.first[v + 1] as usize];
-        // SAFETY: label, mark and parent `v` belong to this range and the
-        // caller has exclusive access to them; tails precede `v` in sweep
-        // order, so their labels are final and no thread is writing them.
-        unsafe {
-            let mark = p.marked.add(v);
-            let (mut dv, mut par) = (INF, NO_PARENT);
-            if *mark != 0 {
-                dv = *p.dist.add(v);
-                if PARENTS {
-                    par = *p.parent.add(v);
-                }
-            }
-            let mut relax = |a: &ReverseArc| {
-                let cand = *p.dist.add(a.tail as usize) + a.weight;
-                if cand < dv {
-                    dv = cand;
-                    par = a.tail;
-                }
-            };
-            // Straight-line code for the short rows that are ~90 % of a
-            // road network: the degree tiles make consecutive rows the
-            // same length, so this branch predicts, and the sweep's speed
-            // no longer hangs on whether the linker lets the 30-byte arc
-            // loop straddle a 64-byte line (DESIGN §4).
-            match arcs {
-                [] => {}
-                [a] => relax(a),
-                [a, b] => {
-                    relax(a);
-                    relax(b);
-                }
-                [a, b, c] => {
-                    relax(a);
-                    relax(b);
-                    relax(c);
-                }
-                [a, b, c, d] => {
-                    relax(a);
-                    relax(b);
-                    relax(c);
-                    relax(d);
-                }
-                _ => arcs.iter().for_each(relax),
-            }
-            *p.dist.add(v) = dv.min(INF);
+fn sweep_single<R: Rows, const PARENTS: bool>(
+    p: &SweepParams<'_>,
+    rows: R,
+    marked: &mut [u8],
+    parent: &mut [u32],
+) {
+    rows.each(p, 1, marked, |i, arcs, done, label, mark| {
+        let (mut dv, mut par) = (INF, NO_PARENT);
+        if *mark != 0 {
+            dv = label[0];
             if PARENTS {
-                *p.parent.add(v) = if dv < INF { par } else { NO_PARENT };
+                par = parent[i];
             }
-            *mark = 0;
         }
-    }
+        let mut relax = |a: &ReverseArc| {
+            let cand = tail(done, a.tail as usize, 1)[0] + a.weight;
+            if cand < dv {
+                dv = cand;
+                par = a.tail;
+            }
+        };
+        // Straight-line code for the short rows that are ~90 % of a road
+        // network: the degree tiles make consecutive rows the same length,
+        // so this branch predicts, and the sweep's speed no longer hangs on
+        // whether the linker lets the 30-byte arc loop straddle a 64-byte
+        // line (DESIGN §4).
+        match arcs {
+            [] => {}
+            [a] => relax(a),
+            [a, b] => {
+                relax(a);
+                relax(b);
+            }
+            [a, b, c] => {
+                relax(a);
+                relax(b);
+                relax(c);
+            }
+            [a, b, c, d] => {
+                relax(a);
+                relax(b);
+                relax(c);
+                relax(d);
+            }
+            _ => arcs.iter().for_each(relax),
+        }
+        label[0] = dv.min(INF);
+        if PARENTS {
+            parent[i] = if dv < INF { par } else { NO_PARENT };
+        }
+        *mark = 0;
+    });
 }
 
-/// Portable kernel for any `k` (it never fills `parent`), and the
+/// Portable kernel for any `k` (it never fills parents), and the
 /// reference the other kernels are tested against: same order, same
 /// clamp, bit-identical labels.
-///
-/// # Safety
-///
-/// See [`sweep_range`].
-pub(crate) unsafe fn sweep_range_scalar(p: &SweepParams<'_>, range: Range<usize>) {
+fn sweep_range_scalar<R: Rows>(p: &SweepParams<'_>, rows: R, marked: &mut [u8]) {
     let k = p.k;
-    for v in range {
-        // SAFETY: caller guarantees exclusive access to row v and mark v.
-        let row = unsafe { std::slice::from_raw_parts_mut(p.dist.add(v * k), k) };
-        // SAFETY: as above — mark v belongs to this range.
-        let marked = unsafe { &mut *p.marked.add(v) };
-        if *marked == 0 {
+    rows.each(p, k, marked, |_, arcs, done, row, mark| {
+        if *mark == 0 {
             row.fill(INF);
         }
-        let lo = p.first[v] as usize;
-        let hi = p.first[v + 1] as usize;
-        for a in &p.arcs[lo..hi] {
-            // SAFETY: tails precede v in sweep order, so their rows are
-            // final and no thread is writing them.
-            let base = unsafe { std::slice::from_raw_parts(p.dist.add(a.tail as usize * k), k) };
-            let w = a.weight;
-            for i in 0..k {
-                let cand = base[i] + w;
-                if cand < row[i] {
-                    row[i] = cand;
-                }
+        for a in arcs {
+            let base = tail(done, a.tail as usize * k, k);
+            for (x, &b) in row.iter_mut().zip(base) {
+                *x = (*x).min(b + a.weight);
             }
         }
-        for x in row.iter_mut() {
-            if *x > INF {
-                *x = INF;
-            }
-        }
-        *marked = 0;
-    }
+        row.iter_mut().for_each(|x| *x = (*x).min(INF));
+        *mark = 0;
+    });
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
-    use std::arch::x86_64::*;
 
-    /// One packed register of `N` 32-bit labels. The methods carry no
-    /// `#[target_feature]` of their own: they are inlined into
-    /// [`sse41`] / [`avx2`], which do.
-    ///
-    /// # Safety
-    ///
-    /// Every method requires the ISA extension of the implementing type;
-    /// `load` and `store` also `N` valid labels at `p`.
-    trait Lanes: Copy {
-        const N: usize;
-        unsafe fn splat(x: u32) -> Self;
-        unsafe fn load(p: *const u32) -> Self;
-        unsafe fn store(self, p: *mut u32);
-        unsafe fn add(self, o: Self) -> Self;
-        unsafe fn min(self, o: Self) -> Self;
-    }
+    /// One register width: a module `$name` of the five operations the
+    /// kernel body needs on `$n`-lane registers of type `$t`, each compiled
+    /// for `$feature` and so callable from a kernel compiled for it.
+    macro_rules! lanes {
+        ($name:ident: $t:ty, $n:literal, $feature:literal,
+         $splat:ident, $load:ident, $store:ident, $add:ident, $min:ident) => {
+            mod $name {
+                use std::arch::x86_64::*;
+                pub(super) use std::arch::x86_64::{$add as add, $min as min, $splat as splat};
 
-    macro_rules! impl_lanes {
-        ($t:ty, $n:literal, $splat:ident, $load:ident, $store:ident, $add:ident, $min:ident) => {
-            impl Lanes for $t {
-                const N: usize = $n;
-                #[inline(always)]
-                unsafe fn splat(x: u32) -> Self {
-                    // SAFETY: the caller guarantees the ISA extension.
-                    unsafe { $splat(x as i32) }
+                /// Lanes per register.
+                pub(super) const N: usize = $n;
+
+                /// The first `N` labels of `src`.
+                #[inline]
+                #[target_feature(enable = $feature)]
+                pub(super) fn load(src: &[u32]) -> $t {
+                    let src = &src[..N];
+                    // SAFETY: `src` is `N` readable labels; the intrinsic
+                    // takes any alignment.
+                    unsafe { $load(src.as_ptr().cast()) }
                 }
-                #[inline(always)]
-                unsafe fn load(p: *const u32) -> Self {
-                    // SAFETY: as above, and `N` readable labels at `p`;
-                    // the intrinsic takes any alignment.
-                    unsafe { $load(p.cast()) }
-                }
-                #[inline(always)]
-                unsafe fn store(self, p: *mut u32) {
-                    // SAFETY: as above, and `N` writable labels at `p`;
-                    // the intrinsic takes any alignment.
-                    unsafe { $store(p.cast(), self) }
-                }
-                #[inline(always)]
-                unsafe fn add(self, o: Self) -> Self {
-                    // SAFETY: the caller guarantees the ISA extension.
-                    unsafe { $add(self, o) }
-                }
-                #[inline(always)]
-                unsafe fn min(self, o: Self) -> Self {
-                    // SAFETY: the caller guarantees the ISA extension.
-                    unsafe { $min(self, o) }
+
+                /// Stores `x` into the first `N` labels of `dst`.
+                #[inline]
+                #[target_feature(enable = $feature)]
+                pub(super) fn store(x: $t, dst: &mut [u32]) {
+                    let dst = &mut dst[..N];
+                    // SAFETY: `dst` is `N` writable labels; the intrinsic
+                    // takes any alignment.
+                    unsafe { $store(dst.as_mut_ptr().cast(), x) }
                 }
             }
         };
     }
-    impl_lanes!(
-        __m128i,
-        4,
-        _mm_set1_epi32,
-        _mm_loadu_si128,
-        _mm_storeu_si128,
-        _mm_add_epi32,
-        _mm_min_epu32
-    );
-    impl_lanes!(
-        __m256i,
-        8,
-        _mm256_set1_epi32,
-        _mm256_loadu_si256,
-        _mm256_storeu_si256,
-        _mm256_add_epi32,
-        _mm256_min_epu32
-    );
+    lanes!(m128: __m128i, 4, "sse4.1",
+        _mm_set1_epi32, _mm_loadu_si128, _mm_storeu_si128, _mm_add_epi32, _mm_min_epu32);
+    lanes!(m256: __m256i, 8, "avx2",
+        _mm256_set1_epi32, _mm256_loadu_si256, _mm256_storeu_si256, _mm256_add_epi32,
+        _mm256_min_epu32);
 
-    /// The kernel body: relaxes the incoming arcs of sweep vertex `v` for
-    /// the `C * V::N` trees whose labels start at column `col` of each
-    /// `k`-wide row. `C` is a compile-time constant, so the accumulators
-    /// are `C` registers for the whole arc loop and every `0..C` loop is
-    /// unrolled: per arc and chunk, one packed add (with the tail row as
-    /// its memory operand) and one packed min.
-    ///
-    /// # Safety
-    ///
-    /// See [`sweep_range`]; additionally `V`'s ISA extension must be
-    /// present and `col + C * V::N <= k`.
-    #[inline(always)]
-    unsafe fn relax_columns<V: Lanes, const C: usize>(
-        dist: *mut u32,
-        k: usize,
-        col: usize,
-        v: usize,
-        reached: bool,
-        arcs: &[ReverseArc],
-    ) {
-        // SAFETY: row `v` and every tail row are `k` labels long and the
-        // columns `col .. col + C * V::N` lie inside them; the caller has
-        // exclusive access to row `v`, and tail rows are final.
-        unsafe {
-            let inf = V::splat(INF);
-            let row = dist.add(v * k + col);
-            let mut acc = [inf; C];
-            if reached {
-                for (c, a) in acc.iter_mut().enumerate() {
-                    *a = V::load(row.add(c * V::N));
-                }
-            }
-            for arc in arcs {
-                let w = V::splat(arc.weight);
-                let tail = dist.add(arc.tail as usize * k + col);
-                for (c, a) in acc.iter_mut().enumerate() {
-                    *a = a.min(V::load(tail.add(c * V::N)).add(w));
-                }
-            }
-            for (c, a) in acc.iter().enumerate() {
-                a.min(inf).store(row.add(c * V::N));
-            }
-        }
-    }
-
-    /// Sweeps `range` at `k = CA * A::N + CB * B::N`: per vertex, one
-    /// column block of `CA` chunks of lane type `A`, then (when `CB > 0`)
-    /// a second of `CB` chunks of `B` over the same arc slice, which is in
-    /// L1 by then.
-    ///
-    /// # Safety
-    ///
-    /// See [`sweep_range`]; additionally the ISA extensions of `A` and `B`
-    /// must be present and `p.k` must equal the `k` above.
-    #[inline(always)]
-    unsafe fn sweep_rows<A: Lanes, const CA: usize, B: Lanes, const CB: usize>(
-        p: &SweepParams<'_>,
-        range: Range<usize>,
-    ) {
-        let k = CA * A::N + CB * B::N;
-        debug_assert_eq!(p.k, k);
-        for v in range {
-            let arcs = &p.arcs[p.first[v] as usize..p.first[v + 1] as usize];
-            // SAFETY: mark `v` belongs to this range; the blocks cover
-            // columns `0..k` of rows the caller vouches for.
-            unsafe {
-                let mark = p.marked.add(v);
-                let reached = *mark != 0;
-                relax_columns::<A, CA>(p.dist, k, 0, v, reached, arcs);
-                if CB > 0 {
-                    relax_columns::<B, CB>(p.dist, k, CA * A::N, v, reached, arcs);
-                }
+    /// The packed kernel body: per row, one column block after the other
+    /// (a second one runs over the arc slice while it is in L1), each of
+    /// `$c` registers of module `$m`. Per block, `$c` is a compile-time
+    /// constant, so its accumulators are `$c` registers for the whole arc
+    /// loop and every `0..$c` loop is unrolled: per arc and chunk, one
+    /// packed add (with the tail row as its memory operand) and one packed
+    /// min. A macro, not a function, so that it is always inlined into the
+    /// kernel, which a `#[target_feature]` function is not.
+    macro_rules! sweep_rows {
+        ($p:ident, $rows:ident, $marked:ident, $($m:ident::<$c:ident>)+) => {{
+            let k = 0 $(+ $c * $m::N)+;
+            assert_eq!($p.k, k, "the kernel instantiated for this width");
+            $rows.each($p, k, $marked, |_, arcs, done, row, mark| {
+                $(
+                    let (cols, row) = row.split_at_mut($c * $m::N);
+                    let col = k - cols.len() - row.len();
+                    let inf = $m::splat(INF as i32);
+                    let mut acc = [inf; $c];
+                    if *mark != 0 {
+                        for (c, a) in acc.iter_mut().enumerate() {
+                            *a = $m::load(&cols[c * $m::N..]);
+                        }
+                    }
+                    for arc in arcs {
+                        let w = $m::splat(arc.weight as i32);
+                        let from = tail(done, arc.tail as usize * k + col, $c * $m::N);
+                        for (c, a) in acc.iter_mut().enumerate() {
+                            *a = $m::min(*a, $m::add($m::load(&from[c * $m::N..]), w));
+                        }
+                    }
+                    for (c, a) in acc.iter().enumerate() {
+                        $m::store($m::min(*a, inf), &mut cols[c * $m::N..]);
+                    }
+                )+
                 *mark = 0;
-            }
-        }
+            });
+        }};
     }
 
-    /// [`sweep_rows`] compiled for SSE4.1: `k = 4 * (C0 + C1)`.
-    ///
-    /// # Safety
-    ///
-    /// See [`sweep_range`]; additionally requires SSE4.1 and `p.k` equal
-    /// to the `k` above.
+    /// The packed kernel on SSE4.1: `k = 4 * (A + B)`.
     #[target_feature(enable = "sse4.1")]
-    unsafe fn sse41<const C0: usize, const C1: usize>(p: &SweepParams<'_>, range: Range<usize>) {
-        // SAFETY: forwarded contract; SSE4.1 is enabled here.
-        unsafe { sweep_rows::<__m128i, C0, __m128i, C1>(p, range) }
+    fn sse41<R: Rows, const A: usize, const B: usize>(p: &SweepParams<'_>, rows: R, m: &mut [u8]) {
+        sweep_rows!(p, rows, m, m128::<A> m128::<B>)
     }
 
-    /// [`sweep_rows`] compiled for AVX2: `k = 8 * W + 4 * T`, the odd
-    /// half-chunk (`T = 1`) being one 4-lane column block.
-    ///
-    /// # Safety
-    ///
-    /// See [`sweep_range`]; additionally requires AVX2 and `p.k` equal to
-    /// the `k` above.
+    /// The packed kernel on AVX2: `k = 8 * A + 4 * B`, the odd half-chunk
+    /// (`B = 1`) being one 4-lane column block.
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2<const W: usize, const T: usize>(p: &SweepParams<'_>, range: Range<usize>) {
-        // SAFETY: forwarded contract; AVX2 (hence SSE4.1) is enabled here.
-        unsafe { sweep_rows::<__m256i, W, __m128i, T>(p, range) }
+    fn avx2<R: Rows, const A: usize, const B: usize>(p: &SweepParams<'_>, rows: R, m: &mut [u8]) {
+        sweep_rows!(p, rows, m, m256::<A> m128::<B>)
     }
 
-    /// A kernel instantiation: [`sweep_range`]'s contract at one fixed `k`.
-    pub(super) type Kernel = unsafe fn(&SweepParams<'_>, Range<usize>);
+    /// A kernel instantiation: [`sweep_range`]'s contract at one fixed `k`,
+    /// for a CPU with the instantiation's features.
+    pub(super) type Kernel<R> = unsafe fn(&SweepParams<'_>, R, &mut [u8]);
 
     /// The instantiation of the kernel body for `level` at width `k`, and
     /// so the definition of the widths [`best_simd_for`] admits. Each entry
@@ -418,11 +418,11 @@ mod x86 {
     /// chunks on was 3-7 % slower at `k` = 36..48, 13-16 chunks in one
     /// block no faster than 8 + rest, and AVX2 `k` = 12 as three 4-lane
     /// chunks the same as 8 + 4.
-    pub(super) fn kernel(level: SimdLevel, k: usize) -> Option<Kernel> {
+    pub(super) fn kernel<R: Rows>(level: SimdLevel, k: usize) -> Option<Kernel<R>> {
         macro_rules! by_chunks {
             ($f:ident: $($chunks:literal => $a:literal + $b:literal,)*) => {
                 match k / 4 {
-                    $($chunks => Some($f::<$a, $b> as Kernel),)*
+                    $($chunks => Some($f::<R, $a, $b> as Kernel<R>),)*
                     _ => None,
                 }
             };
@@ -466,7 +466,11 @@ mod tests {
             assert!(admitted || best_simd_for(k) == SimdLevel::Scalar, "k={k}");
             #[cfg(target_arch = "x86_64")]
             for level in [SimdLevel::Sse41, SimdLevel::Avx2] {
-                assert_eq!(x86::kernel(level, k).is_some(), admitted, "{level:?} k={k}");
+                assert_eq!(
+                    x86::kernel::<InOrder>(level, k).is_some(),
+                    admitted,
+                    "{level:?} k={k}"
+                );
             }
         }
     }
@@ -510,7 +514,7 @@ mod tests {
         Reference,
         /// [`sweep_range`] at a level, without a parent array.
         Level(SimdLevel),
-        /// [`sweep_range`] with a parent array (`k = 1`).
+        /// [`sweep_range`] with parents (`k = 1`).
         Parents,
     }
 
@@ -528,12 +532,13 @@ mod tests {
         kernels
     }
 
-    /// One kernel call on copies of `dist` and `marked`. With
-    /// [`Kernel::Parents`] every vertex starts with a parent of its own
-    /// (as if an upward search had set it), and the parents the sweep
-    /// leaves are checked here: inside `range`, the tail of the first arc
-    /// that reaches the final label, else what a marked vertex started
-    /// with, and none at `INF`; outside it, untouched.
+    /// One kernel call on copies of `dist` and `marked`, lent only the
+    /// rows up to the end of `range`. With [`Kernel::Parents`] every
+    /// vertex starts with a parent of its own (as if an upward search had
+    /// set it), and the parents the sweep leaves are checked here: inside
+    /// `range`, the tail of the first arc that reaches the final label,
+    /// else what a marked vertex started with, and none at `INF`; outside
+    /// it, untouched.
     fn sweep(
         kernel: Kernel,
         (first, arcs): (&[u32], &[ReverseArc]),
@@ -548,26 +553,21 @@ mod tests {
         assert_eq!(marked.len(), n);
         let seed: Vec<u32> = (0..n as u32).map(|v| v ^ 0x5555).collect();
         let mut parent = seed.clone();
+        // Every test graph has its tails below their heads.
         let p = SweepParams {
             first,
             arcs,
+            levels: &[],
             k,
-            dist: dist.as_mut_ptr(),
-            marked: marked.as_mut_ptr(),
-            parent: match kernel {
-                Kernel::Parents => parent.as_mut_ptr(),
-                _ => std::ptr::null_mut(),
-            },
         };
-        // SAFETY: single-threaded call over arrays of n*k labels, n marks
-        // and n parents; every test graph has its tails below their
-        // heads, `kernels` offers only what the CPU has, and parents only
-        // at k = 1.
-        unsafe {
-            match kernel {
-                Kernel::Reference => sweep_range_scalar(&p, range.clone()),
-                Kernel::Level(level) => sweep_range(level, &p, range.clone()),
-                Kernel::Parents => sweep_range(SimdLevel::Scalar, &p, range.clone()),
+        let rows = InOrder(&mut dist[..range.end * k], range.start);
+        let marks = &mut marked[range.clone()];
+        match kernel {
+            Kernel::Reference => sweep_range_scalar(&p, rows, marks),
+            Kernel::Level(level) => sweep_range(level, &p, rows, marks, &mut []),
+            Kernel::Parents => {
+                let parents = &mut parent[range.clone()];
+                sweep_range(SimdLevel::Scalar, &p, rows, marks, parents)
             }
         }
         if let Kernel::Parents = kernel {
@@ -627,9 +627,10 @@ mod tests {
     /// A 48-vertex G↓ with everything a sweep meets at once: vertices
     /// without incoming arcs, parallel and zero-weight arcs, weights up to
     /// `MAX_WEIGHT`; marked rows with labels from 0 to beyond `INF` per
-    /// lane mixed with unmarked rows holding stale labels or garbage. Swept in pieces, as
-    /// `run_par` does: the rows below a piece are final, and a piece must
-    /// leave everything outside itself alone.
+    /// lane mixed with unmarked rows holding stale labels or garbage.
+    /// Swept in pieces, as `run_par` does: the rows below a piece are
+    /// final, and a piece must leave everything outside itself alone —
+    /// the rows after it are not even lent to the kernel.
     #[test]
     fn kernels_agree_with_scalar_on_every_piece_of_a_mixed_sweep() {
         const N: usize = 48;
