@@ -20,6 +20,7 @@
 //! hottest preprocessing path performs no steady-state allocation.
 
 use crate::hierarchy::{Hierarchy, NO_MIDDLE};
+use phast_graph::csr::bucket_by_key;
 use phast_graph::scratch::{LocalHeap, TimestampedDist};
 use phast_graph::{Arc, Csr, Graph, Vertex, Weight, INF};
 use rayon::prelude::*;
@@ -518,8 +519,8 @@ fn contract_rounds(g: &Graph, cfg: &ContractionConfig) -> Hierarchy {
         .collect();
 
     let mut alive: Vec<Vertex> = (0..n as Vertex).collect();
-    let mut fwd_arcs: Vec<(Vertex, Arc, Vertex)> = Vec::new();
-    let mut bwd_arcs: Vec<(Vertex, Arc, Vertex)> = Vec::new();
+    let mut fwd_arcs: Vec<(Vertex, (Arc, Vertex))> = Vec::new();
+    let mut bwd_arcs: Vec<(Vertex, (Arc, Vertex))> = Vec::new();
     let mut rank = vec![0u32; n];
     let mut next_rank = 0u32;
     let mut num_shortcuts = 0usize;
@@ -567,10 +568,10 @@ fn contract_rounds(g: &Graph, cfg: &ContractionConfig) -> Hierarchy {
             // in the backward graph). Selected vertices are non-adjacent, so
             // these lists still equal the round-start snapshot.
             for a in &dyng.out[v as usize] {
-                fwd_arcs.push((v, Arc::new(a.other, a.weight), a.middle));
+                fwd_arcs.push((v, (Arc::new(a.other, a.weight), a.middle)));
             }
             for a in &dyng.inn[v as usize] {
-                bwd_arcs.push((v, Arc::new(a.other, a.weight), a.middle));
+                bwd_arcs.push((v, (Arc::new(a.other, a.weight), a.middle)));
             }
             for sc in &shortcuts {
                 dyng.add_or_improve(sc, v);
@@ -634,9 +635,9 @@ fn contract_lazy(g: &Graph, cfg: &ContractionConfig) -> Hierarchy {
         .map(|(p, v)| Reverse((p, v)))
         .collect();
 
-    // Hierarchy arcs collected as (tail, Arc, middle) triples.
-    let mut fwd_arcs: Vec<(Vertex, Arc, Vertex)> = Vec::new();
-    let mut bwd_arcs: Vec<(Vertex, Arc, Vertex)> = Vec::new();
+    // Hierarchy arcs collected as (tail, (arc, middle)) pairs.
+    let mut fwd_arcs: Vec<(Vertex, (Arc, Vertex))> = Vec::new();
+    let mut bwd_arcs: Vec<(Vertex, (Arc, Vertex))> = Vec::new();
     let mut rank = vec![0u32; n];
     let mut next_rank = 0u32;
     let mut num_shortcuts = 0usize;
@@ -671,10 +672,10 @@ fn contract_lazy(g: &Graph, cfg: &ContractionConfig) -> Hierarchy {
         // (forward graph), in-arcs of v come down from above (stored at v in
         // the backward graph).
         for a in &dyng.out[v as usize] {
-            fwd_arcs.push((v, Arc::new(a.other, a.weight), a.middle));
+            fwd_arcs.push((v, (Arc::new(a.other, a.weight), a.middle)));
         }
         for a in &dyng.inn[v as usize] {
-            bwd_arcs.push((v, Arc::new(a.other, a.weight), a.middle));
+            bwd_arcs.push((v, (Arc::new(a.other, a.weight), a.middle)));
         }
 
         let neighbours = dyng.remove_vertex(v);
@@ -707,27 +708,23 @@ fn contract_lazy(g: &Graph, cfg: &ContractionConfig) -> Hierarchy {
     build_hierarchy(n, rank, state.level, num_shortcuts, fwd_arcs, bwd_arcs)
 }
 
-/// Sorts the collected arc triples into CSR order and assembles the
-/// [`Hierarchy`]. Middles ride along with their arcs.
+/// Sorts the collected `(tail, (arc, middle))` lists into CSR order and
+/// assembles the [`Hierarchy`]; middles ride along with their arcs.
 fn build_hierarchy(
     n: usize,
     rank: Vec<u32>,
     level: Vec<u32>,
     num_shortcuts: usize,
-    fwd_arcs: Vec<(Vertex, Arc, Vertex)>,
-    bwd_arcs: Vec<(Vertex, Arc, Vertex)>,
+    fwd_arcs: Vec<(Vertex, (Arc, Vertex))>,
+    bwd_arcs: Vec<(Vertex, (Arc, Vertex))>,
 ) -> Hierarchy {
-    let forward_up = Csr::from_arc_list(
-        n,
-        fwd_arcs.iter().map(|&(t, a, _)| (t, a)).collect(),
-    );
-    let backward_up = Csr::from_arc_list(
-        n,
-        bwd_arcs.iter().map(|&(t, a, _)| (t, a)).collect(),
-    );
-    let forward_middle = align_middles(&forward_up, &fwd_arcs);
-    let backward_middle = align_middles(&backward_up, &bwd_arcs);
-
+    let sorted = |list: Vec<(Vertex, (Arc, Vertex))>| {
+        let (first, rows) = bucket_by_key(n, &list);
+        let (arcs, middles): (Vec<Arc>, Vec<Vertex>) = rows.into_iter().unzip();
+        (Csr::from_raw(first, arcs), middles)
+    };
+    let (forward_up, forward_middle) = sorted(fwd_arcs);
+    let (backward_up, backward_middle) = sorted(bwd_arcs);
     Hierarchy {
         rank,
         level,
@@ -737,22 +734,6 @@ fn build_hierarchy(
         backward_middle,
         num_shortcuts,
     }
-}
-
-/// Rebuilds the per-arc middle array in CSR order by replaying the counting
-/// sort the CSR constructor performs (it is stable, so arcs of one tail keep
-/// their relative order).
-fn align_middles(csr: &Csr, arcs: &[(Vertex, Arc, Vertex)]) -> Vec<Vertex> {
-    let n = csr.num_vertices();
-    let mut cursor: Vec<u32> = csr.first()[..n].to_vec();
-    let mut middles = vec![NO_MIDDLE; csr.num_arcs()];
-    for &(tail, arc, middle) in arcs {
-        let slot = cursor[tail as usize] as usize;
-        cursor[tail as usize] += 1;
-        debug_assert_eq!(csr.arcs()[slot], arc, "counting sort replay diverged");
-        middles[slot] = middle;
-    }
-    middles
 }
 
 #[cfg(test)]

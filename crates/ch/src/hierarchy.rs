@@ -1,6 +1,7 @@
 //! The preprocessing output: ranks, levels, and the two upward search
 //! graphs.
 
+use crate::unpack::{self, ShortcutArcs};
 use phast_graph::{Csr, Vertex, Weight};
 
 /// Sentinel "this arc is original, not a shortcut".
@@ -112,92 +113,29 @@ impl Hierarchy {
     }
 
     /// Expands one arc of the hierarchy into the underlying original-graph
-    /// path (exclusive of `from`, inclusive of `to`), unpacking shortcut
-    /// middles with an explicit work stack — shortcut chains nest up to
-    /// `n` deep on corridor graphs, far past the call-stack budget.
-    pub fn unpack_arc(
-        &self,
-        from: Vertex,
-        to: Vertex,
-        weight: Weight,
-        out: &mut Vec<Vertex>,
-    ) {
-        let mut work = vec![(from, to, weight)];
-        while let Some((f, t, w)) = work.pop() {
-            // Find the arc in either search graph to learn its middle vertex.
-            match self.find_middle(f, t, w) {
-                None => out.push(t),
-                Some(m) => {
-                    let (w1, w2) = self.split_weights(f, m, t, w);
-                    // Right half below the left so the left pops (and thus
-                    // emits) first, preserving path order.
-                    work.push((m, t, w2));
-                    work.push((f, m, w1));
-                }
-            }
-        }
-    }
-
-    /// Locates the middle vertex of arc `(from, to)` with weight `weight`,
-    /// searching both directions (arcs live wherever their lower endpoint
-    /// is). Returns `None` for original arcs.
-    fn find_middle(&self, from: Vertex, to: Vertex, weight: Weight) -> Option<Vertex> {
-        if self.rank[from as usize] < self.rank[to as usize] {
-            // Upward arc: stored at `from` in forward_up.
-            let range = self.forward_up.arc_range(from);
-            for (i, a) in self.forward_up.out(from).iter().enumerate() {
-                if a.head == to && a.weight == weight {
-                    let m = self.forward_middle[range.start + i];
-                    return (m != NO_MIDDLE).then_some(m);
-                }
-            }
-        } else {
-            // Downward arc: stored at `to` in backward_up.
-            let range = self.backward_up.arc_range(to);
-            for (i, a) in self.backward_up.out(to).iter().enumerate() {
-                if a.head == from && a.weight == weight {
-                    let m = self.backward_middle[range.start + i];
-                    return (m != NO_MIDDLE).then_some(m);
-                }
-            }
-        }
-        panic!("arc ({from},{to},{weight}) not found in hierarchy");
-    }
-
-    /// Splits a shortcut's weight over its two halves. `middle` was
-    /// contracted before both endpoints, so the first half `(from, middle)`
-    /// is stored at `middle` in `backward_up` and the second half
-    /// `(middle, to)` at `middle` in `forward_up`.
+    /// path (exclusive of `from`, inclusive of `to`) with
+    /// [`crate::unpack::unpack_arc`].
     ///
-    /// With parallel arcs, several `(from, middle)` weights can be
-    /// `<= total`, and the smallest is not necessarily the half this
-    /// shortcut was built from — pairing it blindly leaves a remainder that
-    /// matches no `(middle, to)` arc and makes `find_middle` panic. Only a
-    /// `w1` whose complement `total - w1` actually exists as a
-    /// `(middle, to)` weight is a valid split.
-    fn split_weights(
-        &self,
-        from: Vertex,
-        middle: Vertex,
-        to: Vertex,
-        total: Weight,
-    ) -> (Weight, Weight) {
-        let w1 = self
-            .backward_up
-            .out(middle)
-            .iter()
-            .filter(|a| a.head == from && a.weight <= total)
-            .map(|a| a.weight)
-            .filter(|&w1| {
-                let w2 = total - w1;
-                self.forward_up
-                    .out(middle)
-                    .iter()
-                    .any(|a| a.head == to && a.weight == w2)
-            })
-            .min()
-            .expect("no (from,middle)+(middle,to) pair sums to the shortcut weight");
-        (w1, total - w1)
+    /// # Panics
+    ///
+    /// Panics if `(from, to, weight)` is not an arc of the hierarchy.
+    pub fn unpack_arc(&self, from: Vertex, to: Vertex, weight: Weight, out: &mut Vec<Vertex>) {
+        unpack::unpack_arc(self, from, to, weight, out);
+    }
+}
+
+/// Arcs up are `forward_up`'s; arcs from above are `backward_up`'s.
+impl ShortcutArcs for Hierarchy {
+    fn arcs_up(&self, v: Vertex) -> impl Iterator<Item = (Vertex, Weight, Vertex)> + '_ {
+        let middles = &self.forward_middle[self.forward_up.arc_range(v)];
+        let arcs = self.forward_up.out(v).iter().zip(middles);
+        arcs.map(|(a, &m)| (a.head, a.weight, m))
+    }
+
+    fn arcs_down(&self, v: Vertex) -> impl Iterator<Item = (Vertex, Weight, Vertex)> + '_ {
+        let middles = &self.backward_middle[self.backward_up.arc_range(v)];
+        let arcs = self.backward_up.out(v).iter().zip(middles);
+        arcs.map(|(a, &m)| (a.head, a.weight, m))
     }
 }
 
@@ -257,77 +195,21 @@ mod tests {
 
     #[test]
     fn unpack_pairs_parallel_arc_halves_correctly() {
-        // Vertices: middle 0 (rank 0), u = 1 (rank 1), w = 2 (rank 2).
-        // Two parallel arcs u -> 0 with weights 2 and 6, one arc 0 -> 2 with
-        // weight 4, and the shortcut u -> 2 with weight 10 built from the
-        // *heavier* parallel arc (6 + 4). A split that grabs the minimum
-        // (from, middle) weight <= total would pick 2, leaving remainder 8,
-        // which matches no (0, 2) arc; the complement rule must pick 6.
-        let forward_up = Csr::from_arc_list(
-            3,
-            vec![(0, Arc::new(2, 4)), (1, Arc::new(2, 10))],
-        );
-        let backward_up = Csr::from_arc_list(
-            3,
-            vec![(0, Arc::new(1, 2)), (0, Arc::new(1, 6))],
-        );
-        let h = Hierarchy {
-            rank: vec![0, 1, 2],
-            level: vec![0, 1, 2],
-            forward_middle: vec![NO_MIDDLE, 0],
-            backward_middle: vec![NO_MIDDLE, NO_MIDDLE],
-            forward_up,
-            backward_up,
-            num_shortcuts: 1,
-        };
-        h.validate().unwrap();
+        let f = crate::fixtures::parallel_arc_halves();
+        f.h.validate().unwrap();
+        let (from, to, weight) = f.arc;
         let mut path = Vec::new();
-        h.unpack_arc(1, 2, 10, &mut path);
-        assert_eq!(path, vec![0, 2], "shortcut must unpack via the 6+4 pair");
+        f.h.unpack_arc(from, to, weight, &mut path);
+        f.check(&path);
     }
 
     #[test]
     fn unpack_survives_deep_shortcut_chains() {
-        // The hierarchy a corridor produces: directed path 0 -> 1 -> ... ->
-        // n-1 (unit weights) with interior vertices contracted left to
-        // right, each contraction extending one nested shortcut 0 -> i+1 via
-        // i. The top arc 0 -> n-1 therefore unpacks through a left-leaning
-        // chain of depth ~n, which overflowed the call stack when unpacking
-        // recursed per half.
-        let n: usize = 100_000;
-        let last = (n - 1) as Vertex;
-        let mut fwd = Vec::with_capacity(n - 1);
-        let mut fwd_middle = Vec::with_capacity(n - 1);
-        // Vertex 0 is contracted second to last; its lone out-arc is the
-        // full-length shortcut via n-2.
-        fwd.push((0, Arc::new(last, last)));
-        fwd_middle.push(last - 1);
-        let mut bwd = Vec::with_capacity(n - 2);
-        let mut bwd_middle = Vec::with_capacity(n - 2);
-        for i in 1..=(n - 2) as Vertex {
-            // Interior vertex i: original out-arc i -> i+1, and the incoming
-            // (possibly shortcut) arc 0 -> i of weight i at contraction time.
-            fwd.push((i, Arc::new(i + 1, 1)));
-            fwd_middle.push(NO_MIDDLE);
-            bwd.push((i, Arc::new(0, i)));
-            bwd_middle.push(if i >= 2 { i - 1 } else { NO_MIDDLE });
-        }
-        let mut rank: Vec<u32> = (0..n as u32).map(|i| i.wrapping_sub(1)).collect();
-        rank[0] = (n - 2) as u32;
-        rank[n - 1] = (n - 1) as u32;
-        let h = Hierarchy {
-            level: rank.clone(),
-            rank,
-            forward_middle: fwd_middle,
-            backward_middle: bwd_middle,
-            forward_up: Csr::from_arc_list(n, fwd),
-            backward_up: Csr::from_arc_list(n, bwd),
-            num_shortcuts: n - 2,
-        };
-        h.validate().unwrap();
+        let f = crate::fixtures::deep_shortcut_chain();
+        f.h.validate().unwrap();
+        let (from, to, weight) = f.arc;
         let mut path = Vec::new();
-        h.unpack_arc(0, last, last, &mut path);
-        let want: Vec<Vertex> = (1..n as Vertex).collect();
-        assert_eq!(path, want, "deep chain must unpack to the full corridor");
+        f.h.unpack_arc(from, to, weight, &mut path);
+        f.check(&path);
     }
 }

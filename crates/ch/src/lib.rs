@@ -23,9 +23,17 @@
 //! them in parallel — see [`contract::Contractor`] — with a bit-identical
 //! result for any thread count.
 
+// The shared test fixtures name this crate the way `phast-core` does.
+#[cfg(test)]
+extern crate self as phast_ch;
+
 pub mod contract;
+#[cfg(test)]
+mod fixtures;
 pub mod hierarchy;
 pub mod query;
+pub mod search;
+pub mod unpack;
 
 pub use contract::{contract_graph, resolve_threads, with_threads, ContractionConfig, Contractor};
 pub use hierarchy::Hierarchy;

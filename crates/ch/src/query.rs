@@ -1,9 +1,11 @@
-//! CH searches: the bidirectional point-to-point query and the full
-//! (target-independent) forward upward search PHAST's first phase runs.
+//! CH searches over a [`Hierarchy`]: the bidirectional point-to-point
+//! query and the full (target-independent) forward upward search PHAST's
+//! first phase runs. Both are the one [`Search`].
 
 use crate::hierarchy::Hierarchy;
-use phast_graph::{Vertex, Weight, INF};
-use phast_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
+use crate::search::{Search, NO_PARENT};
+use phast_graph::{Csr, Vertex, Weight, INF};
+use phast_obs::Counters;
 
 /// The forward CH search of PHAST's first phase: Dijkstra from `s` in `G↑`
 /// run until the queue is empty — no stopping rule at all, and the paper
@@ -12,26 +14,22 @@ use phast_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
 /// Reusable: internal arrays are `n`-sized but reset in `O(touched)`.
 pub struct UpwardSearch<'h> {
     h: &'h Hierarchy,
-    dist: Vec<Weight>,
-    touched: Vec<Vertex>,
-    queue: IndexedBinaryHeap,
+    search: Search,
 }
 
 impl<'h> UpwardSearch<'h> {
     /// Creates a search over the hierarchy.
     pub fn new(h: &'h Hierarchy) -> Self {
-        let n = h.num_vertices();
         Self {
             h,
-            dist: vec![INF; n],
-            touched: Vec::new(),
-            queue: IndexedBinaryHeap::new(n),
+            search: Search::new(h.num_vertices(), false),
         }
     }
 
     /// Runs the search and returns the *search space*: every visited vertex
-    /// with its (upper bound) distance label, in the order vertices were
-    /// settled. This is the ~2 KB payload GPHAST copies to the device.
+    /// with its (upper bound) distance label, in the order the search
+    /// reached them, source first. This is the ~2 KB payload GPHAST copies
+    /// to the device.
     pub fn run(&mut self, s: Vertex) -> Vec<(Vertex, Weight)> {
         let mut space = Vec::new();
         self.run_into(s, &mut space);
@@ -40,31 +38,10 @@ impl<'h> UpwardSearch<'h> {
 
     /// Like [`Self::run`], reusing the caller's buffer.
     pub fn run_into(&mut self, s: Vertex, space: &mut Vec<(Vertex, Weight)>) {
+        let search = &mut self.search;
+        search.run(&self.h.forward_up, s, &mut Counters::default());
         space.clear();
-        for &v in &self.touched {
-            self.dist[v as usize] = INF;
-        }
-        self.touched.clear();
-        self.queue.clear();
-
-        self.dist[s as usize] = 0;
-        self.touched.push(s);
-        self.queue.insert(s, 0);
-        while let Some((v, dv)) = self.queue.pop_min() {
-            space.push((v, dv));
-            for a in self.h.forward_up.out(v) {
-                let cand = dv + a.weight;
-                if cand < self.dist[a.head as usize] {
-                    if self.dist[a.head as usize] == INF {
-                        self.touched.push(a.head);
-                        self.queue.insert(a.head, cand);
-                    } else {
-                        self.queue.decrease_key(a.head, cand);
-                    }
-                    self.dist[a.head as usize] = cand;
-                }
-            }
-        }
+        space.extend(search.trail().iter().map(|&v| (v, search.label(v))));
     }
 }
 
@@ -75,12 +52,9 @@ impl<'h> UpwardSearch<'h> {
 /// reaches `µ`.
 pub struct ChQuery<'h> {
     h: &'h Hierarchy,
-    df: Vec<Weight>,
-    db: Vec<Weight>,
-    pf: Vec<Vertex>,
-    pb: Vec<Vertex>,
-    touched_f: Vec<Vertex>,
-    touched_b: Vec<Vertex>,
+    /// The forward search (from `s` in `forward_up`) and the backward one
+    /// (from `t` in `backward_up`), kept across queries.
+    sides: [Search; 2],
     stall_on_demand: bool,
 }
 
@@ -97,19 +71,12 @@ pub struct QueryStats {
 }
 
 impl<'h> ChQuery<'h> {
-    const NO_PARENT: Vertex = Vertex::MAX;
-
     /// Creates a query engine over the hierarchy.
     pub fn new(h: &'h Hierarchy) -> Self {
         let n = h.num_vertices();
         Self {
             h,
-            df: vec![INF; n],
-            db: vec![INF; n],
-            pf: vec![Self::NO_PARENT; n],
-            pb: vec![Self::NO_PARENT; n],
-            touched_f: Vec::new(),
-            touched_b: Vec::new(),
+            sides: [Search::new(n, true), Search::new(n, true)],
             stall_on_demand: false,
         }
     }
@@ -125,19 +92,6 @@ impl<'h> ChQuery<'h> {
         self
     }
 
-    fn reset(&mut self) {
-        for &v in &self.touched_f {
-            self.df[v as usize] = INF;
-            self.pf[v as usize] = Self::NO_PARENT;
-        }
-        for &v in &self.touched_b {
-            self.db[v as usize] = INF;
-            self.pb[v as usize] = Self::NO_PARENT;
-        }
-        self.touched_f.clear();
-        self.touched_b.clear();
-    }
-
     /// Shortest `s`-`t` distance, or `None` if `t` is unreachable.
     pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Weight> {
         self.query_with_stats(s, t).0
@@ -145,98 +99,60 @@ impl<'h> ChQuery<'h> {
 
     /// [`Self::query`] plus search statistics.
     pub fn query_with_stats(&mut self, s: Vertex, t: Vertex) -> (Option<Weight>, QueryStats) {
-        self.reset();
-        let n = self.h.num_vertices();
-        let mut qf = IndexedBinaryHeap::new(n);
-        let mut qb = IndexedBinaryHeap::new(n);
-        self.df[s as usize] = 0;
-        self.db[t as usize] = 0;
-        self.touched_f.push(s);
-        self.touched_b.push(t);
-        qf.insert(s, 0);
-        qb.insert(t, 0);
+        let h = self.h;
+        // Side 0 searches `forward_up` and stalls over `backward_up`; side
+        // 1 the other way round.
+        let graphs = [&h.forward_up, &h.backward_up];
+        let [fwd, bwd] = &mut self.sides;
+        fwd.start(s);
+        bwd.start(t);
         let mut mu = if s == t { 0 } else { INF };
-        let mut meeting = (s == t).then_some(s);
-        let mut stats = QueryStats::default();
-
+        let mut stats = QueryStats {
+            meeting: (s == t).then_some(s),
+            ..QueryStats::default()
+        };
         // Alternate sides; each side stops when its minimum reaches µ.
         loop {
-            let fgo = qf.peek_min().is_some_and(|(_, k)| k < mu);
-            let bgo = qb.peek_min().is_some_and(|(_, k)| k < mu);
-            if !fgo && !bgo {
+            let go = self.sides.each_ref().map(|q| q.min_key().is_some_and(|k| k < mu));
+            if go == [false, false] {
                 break;
             }
-            if fgo {
-                let (v, dv) = qf.pop_min().expect("peeked");
-                stats.settled += 1;
-                if self.db[v as usize] < INF && dv + self.db[v as usize] < mu {
-                    mu = dv + self.db[v as usize];
-                    meeting = Some(v);
-                }
-                // Stall-on-demand: a shorter path into v from above proves
-                // this label cannot extend to a shortest path.
-                if self.stall_on_demand
-                    && self
-                        .h
-                        .backward_up
-                        .out(v)
-                        .iter()
-                        .any(|a| self.df[a.head as usize].saturating_add(a.weight) < dv)
-                {
-                    stats.stalled += 1;
-                    continue;
-                }
-                for a in self.h.forward_up.out(v) {
-                    let cand = dv + a.weight;
-                    let w = a.head as usize;
-                    if cand < self.df[w] {
-                        if self.df[w] == INF {
-                            self.touched_f.push(a.head);
-                            qf.insert(a.head, cand);
-                        } else {
-                            qf.decrease_key(a.head, cand);
-                        }
-                        self.df[w] = cand;
-                        self.pf[w] = v;
-                    }
-                }
-            }
-            if bgo {
-                let (v, dv) = qb.pop_min().expect("peeked");
-                stats.settled += 1;
-                if self.df[v as usize] < INF && dv + self.df[v as usize] < mu {
-                    mu = dv + self.df[v as usize];
-                    meeting = Some(v);
-                }
-                if self.stall_on_demand
-                    && self
-                        .h
-                        .forward_up
-                        .out(v)
-                        .iter()
-                        .any(|a| self.db[a.head as usize].saturating_add(a.weight) < dv)
-                {
-                    stats.stalled += 1;
-                    continue;
-                }
-                for a in self.h.backward_up.out(v) {
-                    let cand = dv + a.weight;
-                    let w = a.head as usize;
-                    if cand < self.db[w] {
-                        if self.db[w] == INF {
-                            self.touched_b.push(a.head);
-                            qb.insert(a.head, cand);
-                        } else {
-                            qb.decrease_key(a.head, cand);
-                        }
-                        self.db[w] = cand;
-                        self.pb[w] = v;
-                    }
-                }
+            for side in (0..2).filter(|&side| go[side]) {
+                let [fwd, bwd] = &mut self.sides;
+                let (me, other) = if side == 0 { (fwd, bwd) } else { (bwd, fwd) };
+                let (out, into) = (graphs[side], graphs[1 - side]);
+                Self::settle(me, other, out, into, self.stall_on_demand, &mut mu, &mut stats);
             }
         }
-        stats.meeting = meeting;
         ((mu < INF).then_some(mu), stats)
+    }
+
+    /// Settles the next vertex `v` of side `me`: updates `µ` and the
+    /// meeting vertex where `other` reached `v` too, then relaxes `v`'s
+    /// arcs in `out` — unless stall-on-demand finds an arc of `into`
+    /// (arriving from above) that proves `v`'s label cannot extend to a
+    /// shortest path.
+    fn settle(
+        me: &mut Search,
+        other: &Search,
+        out: &Csr,
+        into: &Csr,
+        stall: bool,
+        mu: &mut Weight,
+        stats: &mut QueryStats,
+    ) {
+        let (v, dv) = me.pop().expect("a side only settles with a queue below µ");
+        stats.settled += 1;
+        let dother = other.label(v);
+        if dother < INF && dv + dother < *mu {
+            *mu = dv + dother;
+            stats.meeting = Some(v);
+        }
+        if stall && into.out(v).iter().any(|a| me.label(a.head).saturating_add(a.weight) < dv) {
+            stats.stalled += 1;
+            return;
+        }
+        me.relax(v, dv, out.out(v));
     }
 
     /// Shortest path as original-graph vertices (inclusive of both ends),
@@ -245,41 +161,38 @@ impl<'h> ChQuery<'h> {
         let (dist, stats) = self.query_with_stats(s, t);
         let dist = dist?;
         let u = stats.meeting.expect("distance implies meeting vertex");
+        let [fwd, bwd] = &self.sides;
 
-        // Upward chain s -> ... -> u in G↑ (vertices from u back to s).
-        let mut up_chain = vec![u];
-        let mut x = u;
-        while self.pf[x as usize] != Self::NO_PARENT {
-            x = self.pf[x as usize];
-            up_chain.push(x);
-        }
-        up_chain.reverse(); // s ... u
-
-        // Downward chain u -> ... -> t (each backward-search parent step
-        // (x -> y) corresponds to original arc y -> x).
-        let mut down_chain = vec![u];
-        let mut x = u;
-        while self.pb[x as usize] != Self::NO_PARENT {
-            x = self.pb[x as usize];
-            down_chain.push(x);
-        }
-        // down_chain: u ... t
+        // Upward chain s -> ... -> u in G↑, then the downward chain u ->
+        // ... -> t (each backward-search parent step (x -> y) corresponds
+        // to the arc y -> x).
+        let mut up_chain = parent_chain(fwd, u);
+        up_chain.reverse();
+        let down_chain = parent_chain(bwd, u);
 
         let mut path = vec![s];
         for pair in up_chain.windows(2) {
             let (a, b) = (pair[0], pair[1]);
-            let w = self.df[b as usize] - self.df[a as usize];
-            self.h.unpack_arc(a, b, w, &mut path);
+            self.h.unpack_arc(a, b, fwd.label(b) - fwd.label(a), &mut path);
         }
         for pair in down_chain.windows(2) {
             let (a, b) = (pair[0], pair[1]);
-            // db decreases along the chain towards t (db[a] = db[b] + w for
-            // the original downward arc a -> b).
-            let w = self.db[a as usize] - self.db[b as usize];
-            self.h.unpack_arc(a, b, w, &mut path);
+            // The backward labels decrease along the chain towards t.
+            self.h.unpack_arc(a, b, bwd.label(a) - bwd.label(b), &mut path);
         }
         Some((dist, path))
     }
+}
+
+/// `v` and its parents in `search`, back to the search's source.
+fn parent_chain(search: &Search, v: Vertex) -> Vec<Vertex> {
+    let mut chain = vec![v];
+    let mut x = v;
+    while search.parent(x) != NO_PARENT {
+        x = search.parent(x);
+        chain.push(x);
+    }
+    chain
 }
 
 #[cfg(test)]

@@ -37,11 +37,15 @@ pub mod rphast;
 pub mod simd;
 pub mod sweep;
 pub mod tree;
-mod upward;
+
+#[cfg(test)]
+#[path = "../../ch/src/fixtures.rs"]
+mod ch_fixtures;
 
 use phast_ch::hierarchy::NO_MIDDLE;
+use phast_ch::unpack::{self, ShortcutArcs};
 use phast_ch::{contract_graph, ContractionConfig, Hierarchy};
-use phast_graph::csr::{ReverseArc, ReverseCsr};
+use phast_graph::csr::{bucket_by_key, ReverseArc, ReverseCsr};
 use phast_graph::{Arc, Csr, Graph, Permutation, Vertex, Weight, INF};
 
 pub use batch::{run_hetero_batch, HeteroAnswer, HeteroQuery};
@@ -273,23 +277,26 @@ impl Phast {
             .collect();
         let level_ranges = level_ranges_of(&level_of_sweep);
 
-        // A hierarchy graph relabeled to sweep IDs as `(v, (u, weight),
-        // middle)` per arc `(v, u)`, shortcut middles riding along.
+        // A hierarchy graph relabeled to sweep IDs and sorted into CSR
+        // order, shortcut middles riding along: `first`, and per arc `(v,
+        // u)` of `src` the arc to `u` keyed by `v`, and its middle.
         let map_mid = |m: Vertex| if m == NO_MIDDLE { NO_MIDDLE } else { perm.map(m) };
-        let relabel = |src: &Csr, mids: &[Vertex]| -> Vec<(Vertex, Arc, Vertex)> {
+        let sorted = |src: &Csr, mids: &[Vertex]| {
             let arcs = src.iter_arcs().zip(mids);
-            arcs.map(|((v, u, w), &m)| (perm.map(v), Arc::new(perm.map(u), w), map_mid(m)))
-                .collect()
+            let list: Vec<_> = arcs
+                .map(|((v, u, w), &m)| (perm.map(v), (Arc::new(perm.map(u), w), map_mid(m))))
+                .collect();
+            let (first, rows) = bucket_by_key(n, &list);
+            let (arcs, middles): (Vec<Arc>, Vec<Vertex>) = rows.into_iter().unzip();
+            (first, arcs, middles)
         };
-        let up_list = relabel(up_src, up_mid_src);
-        let up = Csr::from_arc_list(n, up_list.iter().map(|&(t, a, _)| (t, a)).collect());
-        let up_middle = replay_middles(up.first(), &up_list);
+        let (first, arcs, up_middle) = sorted(up_src, up_mid_src);
+        let up = Csr::from_raw(first, arcs);
         // `down_src.out(v)` lists (v, u) with u above v; as *incoming* arcs
         // of v they are (tail u, weight), keyed by head v.
-        let down_list = relabel(down_src, down_mid_src);
-        let incoming = |&(v, a, _): &(Vertex, Arc, Vertex)| (v, ReverseArc::new(a.head, a.weight));
-        let down = ReverseCsr::from_arc_list(n, down_list.iter().map(incoming).collect());
-        let down_middle = replay_middles(down.first(), &down_list);
+        let (first, arcs, down_middle) = sorted(down_src, down_mid_src);
+        let arcs = arcs.iter().map(|a| ReverseArc::new(a.head, a.weight)).collect();
+        let down = ReverseCsr::try_from_raw(first, arcs).expect("relabeled arcs stay in range");
 
         // Original-graph incoming arcs (flipped for the reverse solver),
         // relabeled to sweep IDs.
@@ -451,7 +458,7 @@ impl Phast {
 
     /// Expands one `G+` arc `(from, to)` of the given weight into the
     /// underlying original-arc path in **sweep IDs** (exclusive of `from`,
-    /// inclusive of `to`), recursively unpacking shortcut middles —
+    /// inclusive of `to`) with [`phast_ch::unpack::unpack_arc`] —
     /// Section VII-A's "a path in `G+` can be expanded into the
     /// corresponding path in `G` in time proportional to the number of
     /// arcs on it".
@@ -460,48 +467,7 @@ impl Phast {
     ///
     /// Panics if `(from, to, weight)` is not an arc of the search graphs.
     pub fn unpack_arc_sweep(&self, from: Vertex, to: Vertex, weight: Weight, out: &mut Vec<Vertex>) {
-        match self.find_middle_sweep(from, to, weight) {
-            None => out.push(to),
-            Some(m) => {
-                // First half (from, m): m sits below both endpoints, so the
-                // arc is downward and stored at m's incoming list.
-                let w1 = self
-                    .down
-                    .incoming(m)
-                    .iter()
-                    .filter(|a| a.tail == from && a.weight <= weight)
-                    .map(|a| a.weight)
-                    .min()
-                    .expect("shortcut half (from, middle) must exist");
-                self.unpack_arc_sweep(from, m, w1, out);
-                self.unpack_arc_sweep(m, to, weight - w1, out);
-            }
-        }
-    }
-
-    /// Finds the middle vertex of `G+` arc `(from, to, weight)` in sweep
-    /// IDs; `None` means the arc is original.
-    fn find_middle_sweep(&self, from: Vertex, to: Vertex, weight: Weight) -> Option<Vertex> {
-        if to < from {
-            // Upward arc (head earlier in sweep order): stored at `from`.
-            let range = self.up.arc_range(from);
-            for (i, a) in self.up.out(from).iter().enumerate() {
-                if a.head == to && a.weight == weight {
-                    let m = self.up_middle[range.start + i];
-                    return (m != NO_MIDDLE).then_some(m);
-                }
-            }
-        } else {
-            // Downward arc: stored at `to` as an incoming arc.
-            let range = self.down.arc_range(to);
-            for (i, a) in self.down.incoming(to).iter().enumerate() {
-                if a.tail == from && a.weight == weight {
-                    let m = self.down_middle[range.start + i];
-                    return (m != NO_MIDDLE).then_some(m);
-                }
-            }
-        }
-        panic!("arc ({from},{to},{weight}) not found in the search graphs");
+        unpack::unpack_arc(self, from, to, weight, out);
     }
 
     /// Bytes of the sweep data structures (Table VI memory column).
@@ -656,18 +622,20 @@ fn level_ranges_of(level_of_sweep: &[u32]) -> Vec<std::ops::Range<u32>> {
     ranges
 }
 
-/// Rebuilds a per-arc side array in CSR order by replaying the stable
-/// counting sort `Csr::from_arc_list` performs over `list`'s order.
-fn replay_middles(first: &[u32], list: &[(Vertex, Arc, Vertex)]) -> Vec<Vertex> {
-    let n = first.len() - 1;
-    let mut cursor: Vec<u32> = first[..n].to_vec();
-    let mut middles = vec![NO_MIDDLE; list.len()];
-    for &(tail, _, m) in list {
-        let slot = cursor[tail as usize] as usize;
-        cursor[tail as usize] += 1;
-        middles[slot] = m;
+/// Sweep IDs put the higher vertex first: arcs up are `up`'s, arcs from
+/// above are `down`'s incoming arcs.
+impl ShortcutArcs for Phast {
+    fn arcs_up(&self, v: Vertex) -> impl Iterator<Item = (Vertex, Weight, Vertex)> + '_ {
+        let middles = &self.up_middle[self.up.arc_range(v)];
+        let arcs = self.up.out(v).iter().zip(middles);
+        arcs.map(|(a, &m)| (a.head, a.weight, m))
     }
-    middles
+
+    fn arcs_down(&self, v: Vertex) -> impl Iterator<Item = (Vertex, Weight, Vertex)> + '_ {
+        let middles = &self.down_middle[self.down.arc_range(v)];
+        let arcs = self.down.incoming(v).iter().zip(middles);
+        arcs.map(|(a, &m)| (a.tail, a.weight, m))
+    }
 }
 
 #[cfg(test)]
@@ -822,6 +790,33 @@ mod tests {
         let tiled = Phast::with_degree_tile(&g, &h, Direction::Forward, DEGREE_TILE);
         assert_eq!(default.permutation(), tiled.permutation());
         assert_ne!(default.permutation(), by_level.permutation());
+    }
+
+    /// Builds `f`'s hierarchy into a `Phast` and unpacks `f.arc` twice:
+    /// through `unpack_arc_sweep`, and as the tree path from the arc's
+    /// tail to its head.
+    fn unpack_through_phast(f: &ch_fixtures::Unpack) {
+        let p = PhastBuilder::new().build_with_hierarchy(&f.graph, &f.h);
+        let (from, to, weight) = f.arc;
+        let mut sweep = Vec::new();
+        p.unpack_arc_sweep(p.to_sweep(from), p.to_sweep(to), weight, &mut sweep);
+        let path: Vec<Vertex> = sweep.iter().map(|&v| p.to_original(v)).collect();
+        f.check(&path);
+        let mut trees = p.tree_engine();
+        trees.run(from);
+        let tree_path = trees.path_to(to).expect("the arc's head is reachable");
+        assert_eq!(tree_path[0], from);
+        f.check(&tree_path[1..]);
+    }
+
+    #[test]
+    fn unpack_pairs_parallel_arc_halves_correctly() {
+        unpack_through_phast(&ch_fixtures::parallel_arc_halves());
+    }
+
+    #[test]
+    fn unpack_survives_deep_shortcut_chains() {
+        unpack_through_phast(&ch_fixtures::deep_shortcut_chain());
     }
 
     /// The arrays of `p`, for `from_parts`.

@@ -25,8 +25,8 @@
 use crate::parallel::sweep_levels;
 use crate::rphast::TargetSelection;
 use crate::simd::{best_simd_for, sweep_range, InOrder, SimdLevel, SweepParams, MAX_K};
-use crate::upward::{UpwardSearch, NO_PARENT};
 use crate::Phast;
+use phast_ch::search::{Search, NO_PARENT};
 use phast_graph::{Vertex, Weight, INF};
 use phast_obs::{PhaseTimer, QueryStats};
 
@@ -50,7 +50,7 @@ pub struct MultiTreeEngine<'p> {
     parent: Vec<Vertex>,
     /// `1` if the row holds labels of the current run's upward searches.
     marked: Vec<u8>,
-    up: UpwardSearch,
+    up: Search,
     /// The kernel [`Self::force_simd`] asked for; `None` runs the best.
     forced: Option<SimdLevel>,
     /// Original IDs of the sources of the last batch.
@@ -82,7 +82,7 @@ impl<'p> MultiTreeEngine<'p> {
             dist: vec![INF; n * k],
             parent: vec![NO_PARENT; if parents { n } else { 0 }],
             marked: vec![0; n],
-            up: UpwardSearch::new(n, parents),
+            up: Search::new(n, parents),
             forced: None,
             sources: Vec::new(),
             view: FULL_VIEW,

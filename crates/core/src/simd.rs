@@ -31,7 +31,7 @@
 //! without a bounds check, rests on them.
 
 use crate::rphast::TargetSelection;
-use crate::upward::NO_PARENT;
+use phast_ch::search::NO_PARENT;
 use crate::Phast;
 use phast_graph::csr::ReverseArc;
 use phast_graph::INF;

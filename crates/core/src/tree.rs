@@ -7,8 +7,8 @@
 //! parent. With strictly positive arc lengths the result is a valid
 //! shortest path tree of `G`.
 
-use crate::upward::NO_PARENT;
 use crate::{MultiTreeEngine, Phast};
+use phast_ch::search::NO_PARENT;
 use phast_dijkstra::ShortestPathTree;
 use phast_graph::{Vertex, Weight, INF};
 

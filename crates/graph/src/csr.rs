@@ -35,6 +35,36 @@ impl ReverseArc {
     }
 }
 
+/// Stable counting sort of `(key, value)` pairs into a CSR: returns
+/// (`first` of length `buckets + 1`, values grouped by key in input
+/// order). Every CSR of the workspace is sorted by it, so one sort fixes
+/// every arc order (and the artifact bytes that record it); side arrays
+/// such as shortcut middles ride along in the value.
+///
+/// # Panics
+///
+/// Panics if a key is `buckets` or more.
+pub fn bucket_by_key<T: Copy>(buckets: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
+    let mut first = vec![0u32; buckets + 1];
+    for &(k, _) in pairs {
+        first[k as usize + 1] += 1;
+    }
+    for i in 1..=buckets {
+        first[i] += first[i - 1];
+    }
+    let mut values: Vec<T> = Vec::with_capacity(pairs.len());
+    if let Some(&(_, fill)) = pairs.first() {
+        let mut cursor = first.clone();
+        values.resize(pairs.len(), fill);
+        for &(k, v) in pairs {
+            let slot = cursor[k as usize] as usize;
+            values[slot] = v;
+            cursor[k as usize] += 1;
+        }
+    }
+    (first, values)
+}
+
 /// A static directed graph in CSR form: `first[v]..first[v+1]` indexes the
 /// slice of `arclist` holding the outgoing arcs of `v`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,26 +115,11 @@ impl Csr {
         Ok(Self { first, arcs })
     }
 
-    /// Builds a CSR from an unsorted list of `(tail, Arc)` pairs using a
-    /// counting sort; `n` is the number of vertices.
-    pub fn from_arc_list(n: usize, mut list: Vec<(Vertex, Arc)>) -> Self {
-        let mut first = vec![0u32; n + 1];
-        for &(tail, _) in &list {
-            assert!((tail as usize) < n, "arc tail out of range");
-            first[tail as usize + 1] += 1;
-        }
-        for v in 0..n {
-            first[v + 1] += first[v];
-        }
-        // Stable counting sort into place; `cursor` tracks the next free slot
-        // per tail.
-        let mut cursor: Vec<u32> = first[..n].to_vec();
-        let mut arcs = vec![Arc::new(0, 0); list.len()];
-        for (tail, arc) in list.drain(..) {
-            let slot = cursor[tail as usize];
-            cursor[tail as usize] += 1;
-            arcs[slot as usize] = arc;
-        }
+    /// Builds a CSR from an unsorted list of `(tail, Arc)` pairs with
+    /// [`bucket_by_key`]; `n` is the number of vertices.
+    pub fn from_arc_list(n: usize, list: Vec<(Vertex, Arc)>) -> Self {
+        assert!(list.iter().all(|&(tail, _)| (tail as usize) < n), "arc tail out of range");
+        let (first, arcs) = bucket_by_key(n, &list);
         Self::from_raw(first, arcs)
     }
 
@@ -162,25 +177,8 @@ impl Csr {
     /// recording the tail of the original arc. Incoming arcs are sorted by
     /// head ID (the CSR order), matching the paper's downward-graph layout.
     pub fn reversed(&self) -> ReverseCsr {
-        let n = self.num_vertices();
-        let mut first = vec![0u32; n + 1];
-        for a in self.arcs.iter() {
-            first[a.head as usize + 1] += 1;
-        }
-        for v in 0..n {
-            first[v + 1] += first[v];
-        }
-        let mut cursor: Vec<u32> = first[..n].to_vec();
-        let mut arcs = vec![ReverseArc::new(0, 0); self.arcs.len()];
-        for (tail, head, weight) in self.iter_arcs() {
-            let slot = cursor[head as usize];
-            cursor[head as usize] += 1;
-            arcs[slot as usize] = ReverseArc::new(tail, weight);
-        }
-        ReverseCsr {
-            first: first.into(),
-            arcs: arcs.into(),
-        }
+        let list = self.iter_arcs().map(|(tail, head, weight)| (head, ReverseArc::new(tail, weight)));
+        ReverseCsr::from_arc_list(self.num_vertices(), list.collect())
     }
 
     /// Returns the same graph with every arc flipped (`(u,v)` becomes
@@ -211,24 +209,11 @@ pub struct ReverseCsr {
 
 impl ReverseCsr {
     /// Builds a reverse CSR from an unsorted list of `(head, ReverseArc)`
-    /// pairs using a counting sort; `n` is the number of vertices.
+    /// pairs with [`bucket_by_key`]; `n` is the number of vertices.
     pub fn from_arc_list(n: usize, list: Vec<(Vertex, ReverseArc)>) -> Self {
-        let fwd: Vec<(Vertex, Arc)> = list
-            .into_iter()
-            .map(|(head, r)| (head, Arc::new(r.tail, r.weight)))
-            .collect();
-        let csr = Csr::from_arc_list(n, fwd);
-        // Reinterpret: a Csr keyed by head whose Arc.head field holds tails
-        // is exactly a ReverseCsr.
-        Self {
-            first: csr.first,
-            arcs: csr
-                .arcs
-                .iter()
-                .map(|a| ReverseArc::new(a.head, a.weight))
-                .collect::<Vec<_>>()
-                .into(),
-        }
+        assert!(list.iter().all(|&(head, _)| (head as usize) < n), "arc head out of range");
+        let (first, arcs) = bucket_by_key(n, &list);
+        Self::try_from_raw(first, arcs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds a reverse CSR directly from its two arrays, with the same

@@ -2,6 +2,7 @@
 
 use crate::weights::MetricWeights;
 use phast_ch::hierarchy::{Hierarchy, NO_MIDDLE};
+use phast_graph::csr::bucket_by_key;
 use phast_graph::{Arc, Csr, Graph, Vertex, Weight, INF};
 use rustc_hash::FxHashMap;
 use std::ops::Range;
@@ -463,31 +464,6 @@ fn get_or_add(
         inn[v as usize].push((u, id));
         id
     })
-}
-
-/// Stable counting sort of `(key, value)` pairs into a CSR: returns
-/// (`first` of length `buckets + 1`, values grouped by key in input
-/// order). The deterministic backbone of the arc numbering and the
-/// base-arc layout.
-fn bucket_by_key<T: Copy>(buckets: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
-    let mut first = vec![0u32; buckets + 1];
-    for &(k, _) in pairs {
-        first[k as usize + 1] += 1;
-    }
-    for i in 1..=buckets {
-        first[i] += first[i - 1];
-    }
-    let mut values: Vec<T> = Vec::with_capacity(pairs.len());
-    if let Some(&(_, fill)) = pairs.first() {
-        let mut cursor = first.clone();
-        values.resize(pairs.len(), fill);
-        for &(k, v) in pairs {
-            let slot = cursor[k as usize] as usize;
-            values[slot] = v;
-            cursor[k as usize] += 1;
-        }
-    }
-    (first, values)
 }
 
 #[cfg(test)]

@@ -292,8 +292,10 @@ wire_smoke() {
     cargo test -q --release --test wire_codec
     filtered_tests -q --release -p phast-router --test failover corrupt_tail
     step "benchmark package: tests + smoke suite"
-    cargo test -q --offline --manifest-path benchmark/Cargo.toml
-    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    # `--locked`: a dependency edge that would rewrite benchmark/Cargo.lock
+    # fails here instead of silently on the next benchmark run.
+    cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+    cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
         suite --smoke --repeat 1 --out benchmark/out/smoke.json
     echo "wire smoke ok"
 }
@@ -344,7 +346,7 @@ case "${1:-}" in
 esac
 if [[ "${1:-}" != "quick" ]]; then
     step "release build"
-    cargo build --release --workspace
+    cargo build --release --workspace --locked
     PROFILE_FLAG="--release"
 fi
 
