@@ -7,7 +7,9 @@
 //! connection, line-delimited JSON both ways: every complete request line
 //! gets exactly one reply line, in one write. What a line *means* is
 //! behind the [`LineService`] seam (the scheduler answers it, the router
-//! relays it); what the edge enforces is the same for both:
+//! relays it), which is also told when each connection opens and closes
+//! (the scheduler counts its connections to close batch windows early);
+//! what the edge enforces is the same for both:
 //!
 //! * **Bounded connections.** At most [`FrontLimits::max_conns`] live
 //!   connections, tracked by the [`ConnRegistry`]; one past the cap gets a
@@ -250,6 +252,33 @@ pub trait LineService: Send + Sync + 'static {
 
     /// Counts one enforcement action of the edge.
     fn count(&self, event: EdgeEvent);
+
+    /// A connection was admitted; [`close`](Self::close) follows exactly
+    /// once, when it ends for any reason. Between the two, the front
+    /// calls [`answer`](Self::answer) for one line at a time and reads
+    /// the next line only after the reply is written.
+    fn open(&self) {}
+
+    /// The connection an [`open`](Self::open) announced has ended.
+    fn close(&self) {}
+}
+
+/// One admitted connection as its service counts it: opened on creation,
+/// closed on drop — whether the connection thread returns, unwinds, or
+/// never starts because the spawn failed.
+struct Opened<S: LineService>(Arc<S>);
+
+impl<S: LineService> Opened<S> {
+    fn new(service: &Arc<S>) -> Self {
+        service.open();
+        Opened(Arc::clone(service))
+    }
+}
+
+impl<S: LineService> Drop for Opened<S> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// A listening port served by one accept thread and one thread per
@@ -366,19 +395,20 @@ fn accept_loop<S: LineService>(
             refuse(&stream, ErrorKind::Busy, why);
             continue;
         };
-        let svc = Arc::clone(service);
+        let opened = Opened::new(service);
         if std::thread::Builder::new()
             .name(format!("{name}-conn"))
             .spawn(move || {
                 let _guard = guard;
-                let _ = serve_connection(&stream, &*svc, limits);
+                let _ = serve_connection(&stream, &*opened.0, limits);
             })
             .is_err()
         {
             // Thread spawn failed (resource exhaustion). The closure —
-            // and with it the stream and its registry guard — is dropped
-            // by the failed spawn, closing and deregistering the
-            // connection; only the counter is left to us.
+            // and with it the stream, its registry guard and its
+            // `Opened` — is dropped by the failed spawn, closing and
+            // deregistering the connection; only the counter is left to
+            // us.
             service.count(EdgeEvent::AcceptError);
         }
     }

@@ -8,7 +8,8 @@
 //!
 //! * [`scheduler`] — the embeddable service. Incoming requests accumulate
 //!   in a bounded admission queue; workers drain them after a configurable
-//!   *batch window* into one [`MultiTreeEngine`] per worker, run at 4, 8
+//!   *batch window*, cut short once every front connection is waiting,
+//!   into one [`MultiTreeEngine`] per worker, run at 4, 8
 //!   or 16 lanes (padding short batches) and at one lane — or replaced by
 //!   a bidirectional CH query for a lone point-to-point request — when
 //!   the window closes with one request. Many-to-many `matrix` requests run

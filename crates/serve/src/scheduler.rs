@@ -14,9 +14,15 @@
 //!   hint — refusing early beats queuing until deadlines blow (see
 //!   [`crate::overload`]).
 //! * **Window, then drain.** A worker adopts the queue's head, waits at
-//!   most [`ServeConfig::window`] for companions (leaving early when the
-//!   queue reaches the maximum width), then drains up to
-//!   [`ServeConfig::max_k`] requests as one batch.
+//!   most [`ServeConfig::window`] for companions, then drains up to
+//!   [`ServeConfig::max_k`] requests as one batch. The window closes early
+//!   when the queue reaches the maximum width, or when every live
+//!   line-front connection has a request admitted and unanswered: a front
+//!   answers a line before it reads the next, so no companion can come
+//!   from them until this batch runs (`windows_closed_early`). A service
+//!   with no front connection (in-process [`Service::call`] /
+//!   [`Service::submit`]) or with an idle one waits out the clock
+//!   (`windows_expired`).
 //! * **Degradation ladder.** A worker owns one sweep engine of `max_k`
 //!   lanes and sets the lane count per batch: a batch of `r` requests
 //!   runs at the narrowest configured width `>= r` (by default 4 / 8 /
@@ -85,8 +91,10 @@ pub struct ServeConfig {
     /// Maximum requests per batched sweep (`1..=64`); the engine ladder
     /// is every power of two in `{4, 8, 16, ...}` up to this value.
     pub max_k: usize,
-    /// How long a worker holds the first request of a batch open for
-    /// companions. Zero batches whatever is already queued.
+    /// The longest a worker holds the first request of a batch open for
+    /// companions. Zero batches whatever is already queued. The window
+    /// ends sooner once every live front connection is waiting on an
+    /// admitted request, since none of them can send a companion.
     pub window: Duration,
     /// Admission queue capacity; submissions beyond it are rejected with
     /// [`ErrorKind::QueueFull`].
@@ -223,6 +231,28 @@ struct SchedState {
     /// re-enrolled — rolling back twice keeps walking into the past
     /// instead of ping-ponging onto the bad metric.
     history: VecDeque<Arc<MetricEpoch>>,
+    /// Live line-front connections (opened, not yet closed).
+    front_conns: usize,
+    /// Front connections with a request admitted and not yet answered.
+    front_waiting: usize,
+}
+
+impl SchedState {
+    /// Whether every live front connection waits on an admitted request.
+    /// A front reads a connection's next line only after answering the
+    /// last, so none of them can send a companion: holding a window open
+    /// longer gains nothing.
+    fn fronts_all_waiting(&self) -> bool {
+        self.front_conns > 0 && self.front_waiting >= self.front_conns
+    }
+}
+
+/// Who submitted a job: an in-process caller, or a line-front connection
+/// that sends nothing more until this job is answered.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Caller {
+    InProcess,
+    Front,
 }
 
 struct Shared {
@@ -283,6 +313,8 @@ impl Service {
                 open: true,
                 epoch,
                 history: VecDeque::new(),
+                front_conns: 0,
+                front_waiting: 0,
             }),
             cv: Condvar::new(),
             stats: ServiceStats::default(),
@@ -473,7 +505,8 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<mpsc::Receiver<JobReply>, ServeError> {
         self.validate(&query)?;
-        Ok(self.submit_work(WorkItem::Query(query), deadline)?.0)
+        let work = WorkItem::Query(query);
+        Ok(self.submit_work(work, deadline, Caller::InProcess)?.0)
     }
 
     /// Submits a many-to-many matrix request without blocking. Targets
@@ -488,17 +521,19 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<mpsc::Receiver<JobReply>, ServeError> {
         self.validate_matrix(&sources, &targets)?;
-        Ok(self
-            .submit_work(WorkItem::Matrix { sources, targets }, deadline)?
-            .0)
+        let work = WorkItem::Matrix { sources, targets };
+        Ok(self.submit_work(work, deadline, Caller::InProcess)?.0)
     }
 
     /// Submits work, returning the reply receiver and the id of the epoch
-    /// the job was admitted under (and will therefore execute on).
+    /// the job was admitted under (and will therefore execute on). A front
+    /// caller counts as waiting from admission until
+    /// [`Self::await_reply`].
     fn submit_work(
         &self,
         work: WorkItem,
         deadline: Option<Duration>,
+        caller: Caller,
     ) -> Result<(mpsc::Receiver<JobReply>, u64), ServeError> {
         let now = Instant::now();
         let (tx, rx) = mpsc::channel();
@@ -545,6 +580,9 @@ impl Service {
             };
             epoch_id = g.epoch.id;
             g.queue.push_back(job);
+            if caller == Caller::Front {
+                g.front_waiting += 1;
+            }
         }
         self.shared.stats.add_admitted(1);
         self.shared.cv.notify_all();
@@ -569,15 +607,47 @@ impl Service {
         query: HeteroQuery,
         deadline: Option<Duration>,
     ) -> Result<(HeteroAnswer, u64), ServeError> {
+        self.call_as(Caller::InProcess, query, deadline)
+    }
+
+    /// [`Service::call_with_epoch`] submitted on behalf of `caller`.
+    pub(crate) fn call_as(
+        &self,
+        caller: Caller,
+        query: HeteroQuery,
+        deadline: Option<Duration>,
+    ) -> Result<(HeteroAnswer, u64), ServeError> {
         self.validate(&query)?;
-        let (rx, epoch_id) = self.submit_work(WorkItem::Query(query), deadline)?;
-        match rx.recv() {
-            Ok(reply) => reply.map(|a| (a, epoch_id)),
-            Err(_) => Err(ServeError::new(
+        let (rx, epoch_id) = self.submit_work(WorkItem::Query(query), deadline, caller)?;
+        self.await_reply(&rx, caller).map(|a| (a, epoch_id))
+    }
+
+    /// Blocks until `rx` delivers the reply; a front caller stops
+    /// counting as waiting.
+    fn await_reply(&self, rx: &mpsc::Receiver<JobReply>, caller: Caller) -> JobReply {
+        let reply = rx.recv().unwrap_or_else(|_| {
+            Err(ServeError::new(
                 ErrorKind::Internal,
                 "worker dropped the request",
-            )),
+            ))
+        });
+        if caller == Caller::Front {
+            self.shared.state.lock().unwrap().front_waiting -= 1;
         }
+        reply
+    }
+
+    /// A line-front connection opened: from now on a window that waits
+    /// for companions waits for it too.
+    pub(crate) fn front_opened(&self) {
+        self.shared.state.lock().unwrap().front_conns += 1;
+    }
+
+    /// A line-front connection closed: the connections left may all be
+    /// waiting, so a worker holding a window open re-checks.
+    pub(crate) fn front_closed(&self) {
+        self.shared.state.lock().unwrap().front_conns -= 1;
+        self.shared.cv.notify_all();
     }
 
     /// Submits a matrix request and blocks until the rows arrive (one row
@@ -600,18 +670,25 @@ impl Service {
         targets: Vec<Vertex>,
         deadline: Option<Duration>,
     ) -> Result<(Vec<Vec<Weight>>, u64), ServeError> {
+        self.matrix_as(Caller::InProcess, sources, targets, deadline)
+    }
+
+    /// [`Service::matrix_with_epoch`] submitted on behalf of `caller`.
+    pub(crate) fn matrix_as(
+        &self,
+        caller: Caller,
+        sources: Vec<Vertex>,
+        targets: Vec<Vertex>,
+        deadline: Option<Duration>,
+    ) -> Result<(Vec<Vec<Weight>>, u64), ServeError> {
         self.validate_matrix(&sources, &targets)?;
-        let (rx, epoch_id) = self.submit_work(WorkItem::Matrix { sources, targets }, deadline)?;
-        match rx.recv() {
-            Ok(Ok(HeteroAnswer::Matrix(rows))) => Ok((rows, epoch_id)),
-            Ok(Ok(_)) => Err(ServeError::new(
+        let work = WorkItem::Matrix { sources, targets };
+        let (rx, epoch_id) = self.submit_work(work, deadline, caller)?;
+        match self.await_reply(&rx, caller)? {
+            HeteroAnswer::Matrix(rows) => Ok((rows, epoch_id)),
+            _ => Err(ServeError::new(
                 ErrorKind::Internal,
                 "matrix job answered with a non-matrix shape",
-            )),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(ServeError::new(
-                ErrorKind::Internal,
-                "worker dropped the request",
             )),
         }
     }
@@ -887,12 +964,20 @@ fn drain_on_epoch(
                 vec![g.queue.pop_front().expect("head observed above")]
             } else {
                 // Hold the window open for companions; leave early when
-                // the batch is full or the service is draining for
-                // shutdown.
+                // the batch is full, the service is draining for
+                // shutdown, or no front connection can send a companion.
+                // `ended` is the counter of the rule that closed the
+                // window, bumped only if this worker drains a batch.
                 let window_end = Instant::now() + cfg.window;
+                let mut ended: Option<fn(&ServiceStats, u64)> = None;
                 while g.queue.len() < cfg.max_k && g.open {
+                    if g.fronts_all_waiting() {
+                        ended = Some(ServiceStats::add_windows_closed_early);
+                        break;
+                    }
                     let now = Instant::now();
                     if now >= window_end {
+                        ended = Some(ServiceStats::add_windows_expired);
                         break;
                     }
                     let (guard, _) = shared.cv.wait_timeout(g, window_end - now).unwrap();
@@ -912,6 +997,9 @@ fn drain_on_epoch(
                         matches!(j.work, WorkItem::Query(_)) && j.epoch.id == epoch.id
                     })
                     .count();
+                if let Some(count) = ended.filter(|_| take > 0) {
+                    count(&shared.stats, 1);
+                }
                 g.queue.drain(..take).collect::<Vec<Job>>()
             }
         };

@@ -14,7 +14,7 @@
 
 use crate::conn::{EdgeEvent, FrontLimits, LineFront, LineService};
 use crate::protocol::{self, Op};
-use crate::scheduler::Service;
+use crate::scheduler::{Caller, Service};
 use phast_core::HeteroAnswer;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -73,9 +73,19 @@ impl LineService for Service {
 
     fn answer<'c>(&self, reply: &'c mut String, line: &str) -> &'c [u8] {
         reply.clear();
-        handle_line_into(self, line, reply);
+        handle_line_as(self, Caller::Front, line, reply);
         reply.push('\n');
         reply.as_bytes()
+    }
+
+    /// Front connections are counted so that a batch window can close as
+    /// soon as every one of them waits on an admitted request.
+    fn open(&self) {
+        self.front_opened();
+    }
+
+    fn close(&self) {
+        self.front_closed();
     }
 
     fn count(&self, event: EdgeEvent) {
@@ -99,6 +109,11 @@ pub fn handle_line(service: &Service, line: &str) -> String {
 
 /// [`handle_line`] appending the reply line to a caller-owned buffer.
 pub fn handle_line_into(service: &Service, line: &str, reply: &mut String) {
+    handle_line_as(service, Caller::InProcess, line, reply);
+}
+
+/// [`handle_line_into`] submitting on behalf of `caller`.
+fn handle_line_as(service: &Service, caller: Caller, line: &str, reply: &mut String) {
     let (id, outcome) = match protocol::parse_request(line) {
         Err(err) => {
             service.stats().add_rejected_invalid(1);
@@ -112,9 +127,9 @@ pub fn handle_line_into(service: &Service, line: &str, reply: &mut String) {
                     reply.push_str(&protocol::encode_report(req.id, &report));
                     return;
                 }
-                Op::Query(query) => service.call_with_epoch(query, deadline),
+                Op::Query(query) => service.call_as(caller, query, deadline),
                 Op::Matrix { sources, targets } => service
-                    .matrix_with_epoch(sources, targets, deadline)
+                    .matrix_as(caller, sources, targets, deadline)
                     .map(|(rows, epoch)| (HeteroAnswer::Matrix(rows), epoch)),
             };
             (req.id, outcome)

@@ -40,6 +40,11 @@ phast_obs::counter_table! {
         rejected_invalid: add_rejected_invalid => "rejected_invalid",
         /// Requests whose deadline expired before their batch formed.
         deadline_misses: add_deadline_misses => "deadline_misses",
+        /// Batch windows that closed before their clock ran out because
+        /// every live front connection was waiting on an admitted request.
+        windows_closed_early: add_windows_closed_early => "windows_closed_early",
+        /// Batch windows that ran their full [`ServeConfig::window`](crate::ServeConfig::window).
+        windows_expired: add_windows_expired => "windows_expired",
         /// Batched sweeps executed (occupancy >= 2 lives in `multi_batches`).
         batches: add_batches => "batches",
         /// Real (non-padding) requests summed over all batched sweeps.

@@ -17,7 +17,7 @@ use phast_router::{Router, RouterConfig};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn start(cfg: ServeConfig) -> (Server, u32) {
@@ -75,11 +75,16 @@ struct Tier {
 
 impl Tier {
     fn start(front: Front, edge: Edge) -> Tier {
+        Tier::start_windowed(front, edge, Duration::ZERO)
+    }
+
+    /// [`Tier::start`] with the server's batch window set to `window`.
+    fn start_windowed(front: Front, edge: Edge, window: Duration) -> Tier {
         let Edge { max_conns, io_timeout, max_line_bytes } = edge;
         match front {
             Front::Server => {
                 let (server, n) = start(ServeConfig {
-                    window: Duration::ZERO,
+                    window,
                     max_conns,
                     io_timeout,
                     max_line_bytes,
@@ -89,7 +94,7 @@ impl Tier {
             }
             Front::Router => {
                 let (server, n) = start(ServeConfig {
-                    window: Duration::ZERO,
+                    window,
                     ..ServeConfig::default()
                 });
                 let cfg = RouterConfig {
@@ -192,6 +197,9 @@ fn queue_full_rejects_instead_of_blocking() {
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
+    // This test's own client connects first: its idle connection keeps
+    // the window open, since it could still send a companion.
+    let mut c = Client::connect(addr).expect("connect");
     // Two requests from background connections fill the queue.
     let fillers: Vec<_> = (0..2)
         .map(|_| {
@@ -203,7 +211,6 @@ fn queue_full_rejects_instead_of_blocking() {
         .collect();
     // Give them time to be admitted (well under the 250 ms window).
     std::thread::sleep(Duration::from_millis(80));
-    let mut c = Client::connect(addr).expect("connect");
     let err = c.tree(1, None).expect_err("third submission must bounce");
     assert_eq!(err.kind, ErrorKind::QueueFull);
     // The admitted requests are unaffected by the rejection.
@@ -214,6 +221,125 @@ fn queue_full_rejects_instead_of_blocking() {
     assert_eq!(c.tree(1, None).expect("served after drain")[1], 0);
     assert_eq!(server.service().stats().rejected_queue_full(), 1);
     server.shutdown();
+}
+
+/// A batch window far longer than any test step.
+const LONG_WINDOW: Duration = Duration::from_millis(300);
+
+/// `count` clients the server already counts as connections: each has
+/// had one `stats` reply, through the router too.
+fn counted_clients(addr: SocketAddr, count: usize) -> Vec<Client> {
+    (0..count)
+        .map(|_| {
+            let mut c = Client::connect(addr).expect("connect");
+            c.stats().expect("stats");
+            c
+        })
+        .collect()
+}
+
+/// Sends one `tree` from every client at the same instant, and returns
+/// once all answers are in and checked.
+fn trees_at_once(clients: &mut [Client]) {
+    let barrier = Barrier::new(clients.len());
+    std::thread::scope(|scope| {
+        for (source, c) in clients.iter_mut().enumerate() {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                barrier.wait();
+                let dist = c.tree(source as u32, None).expect("tree");
+                assert_eq!(dist[source], 0);
+            });
+        }
+    });
+}
+
+/// The counters a batch window moves. `stats` lines submit nothing, so
+/// they read zero until the first tree.
+#[derive(Debug, PartialEq, Eq)]
+struct WindowCounts {
+    batches: u64,
+    batched_requests: u64,
+    closed_early: u64,
+    expired: u64,
+}
+
+impl WindowCounts {
+    fn of(tier: &Tier) -> WindowCounts {
+        let stats = tier.server.service().stats();
+        WindowCounts {
+            batches: stats.batches(),
+            batched_requests: stats.batched_requests(),
+            closed_early: stats.windows_closed_early(),
+            expired: stats.windows_expired(),
+        }
+    }
+}
+
+/// The pair's trees as one batch, in a window that `closed_early` or not.
+fn one_batch_of_two(closed_early: bool) -> WindowCounts {
+    WindowCounts {
+        batches: 1,
+        batched_requests: 2,
+        closed_early: u64::from(closed_early),
+        expired: u64::from(!closed_early),
+    }
+}
+
+#[test]
+fn a_window_closes_once_every_connection_is_waiting() {
+    for front in FRONTS {
+        let tier = Tier::start_windowed(front, Edge::default(), LONG_WINDOW);
+        let mut pair = counted_clients(tier.addr(), 2);
+        let t = Instant::now();
+        trees_at_once(&mut pair);
+        let took = t.elapsed();
+        // Both connections are waiting once both trees are admitted: no
+        // companion can come, so the batch runs without the clock.
+        assert!(took < Duration::from_millis(150), "{front:?}: the pair took {took:?}");
+        assert_eq!(WindowCounts::of(&tier), one_batch_of_two(true), "{front:?}");
+        tier.shutdown();
+    }
+}
+
+#[test]
+fn an_idle_connection_keeps_the_window_open() {
+    for front in FRONTS {
+        let tier = Tier::start_windowed(front, Edge::default(), LONG_WINDOW);
+        let mut pair = counted_clients(tier.addr(), 2);
+        let _idle = counted_clients(tier.addr(), 1);
+        let t = Instant::now();
+        trees_at_once(&mut pair);
+        let took = t.elapsed();
+        // The idle client could still send a companion.
+        assert!(took >= LONG_WINDOW, "{front:?}: the pair took {took:?}");
+        assert_eq!(WindowCounts::of(&tier), one_batch_of_two(false), "{front:?}");
+        tier.shutdown();
+    }
+}
+
+#[test]
+fn closing_the_idle_connection_starts_the_batch() {
+    for front in FRONTS {
+        let tier = Tier::start_windowed(front, Edge::default(), LONG_WINDOW);
+        let mut pair = counted_clients(tier.addr(), 2);
+        let idle = counted_clients(tier.addr(), 1);
+        let stats = tier.server.service().stats();
+        let t = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| trees_at_once(&mut pair));
+            // Both trees wait in the window before the idle client leaves.
+            while stats.admitted() < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(idle);
+        });
+        let took = t.elapsed();
+        // The close, not the clock, ended the window.
+        assert!(took < Duration::from_millis(200), "{front:?}: the pair took {took:?}");
+        assert_eq!(WindowCounts::of(&tier), one_batch_of_two(true), "{front:?}");
+        tier.shutdown();
+    }
 }
 
 #[test]
@@ -350,6 +476,8 @@ fn saturation_sheds_with_a_retry_hint_and_a_retrying_client_recovers() {
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
+    // Connected before the fillers, the idle client keeps the window open.
+    let mut c = Client::connect(addr).expect("connect");
     let fillers: Vec<_> = (0..2)
         .map(|_| {
             std::thread::spawn(move || {
@@ -360,7 +488,6 @@ fn saturation_sheds_with_a_retry_hint_and_a_retrying_client_recovers() {
         .collect();
     std::thread::sleep(Duration::from_millis(60));
     // A non-retrying client sees the typed shed, with its retry hint...
-    let mut c = Client::connect(addr).expect("connect");
     let err = c.tree(1, None).expect_err("saturated queue must shed");
     assert_eq!(err.kind, ErrorKind::Overloaded);
     let hint = err.retry_after_ms.expect("overloaded carries retry_after_ms");

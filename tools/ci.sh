@@ -14,6 +14,7 @@
 #     contract-smoke   the parallel-contraction gate
 #     wire-smoke       the reply-codec gate + the benchmark's smoke suite
 #     kernel-smoke     the sweep-kernel gate (release)
+#     asan             the AddressSanitizer gate (nightly)
 #   tools/ci.sh help          # this header
 #
 # Mirrors the checks the repo treats as tier-1: a release build, the full
@@ -322,9 +323,27 @@ kernel_smoke() {
     echo "kernel smoke ok"
 }
 
+# The AddressSanitizer gate (ROADMAP item 8): the crates that hold the
+# `unsafe` — the store's mmap borrows and codec (every `phast-store` test
+# target), the sweep kernels (`phast-core`'s lib tests) and the kernel
+# battery over the adversarial corpus — built with the installed nightly
+# and `-Zsanitizer=address`. The explicit `--target` keeps the sanitizer
+# flags off build scripts and proc macros; the gate has its own target
+# dir, so it never invalidates the stable builds.
+asan() {
+    step "AddressSanitizer gate (phast-store, phast-core lib, kernel battery; nightly)"
+    local target
+    for target in "-p phast-store" "-p phast-core --lib" "--test kernel_battery"; do
+        # shellcheck disable=SC2086
+        RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+            cargo +nightly test -q --offline --target x86_64-unknown-linux-gnu $target
+    done
+    echo "asan ok"
+}
+
 # The gates that also run alone, in the order the full run takes them.
 GATES=(bench-smoke matrix-smoke rollout-smoke router-chaos edge-smoke
-    store-smoke contract-smoke wire-smoke kernel-smoke)
+    store-smoke contract-smoke wire-smoke kernel-smoke asan)
 
 PROFILE_FLAG=""
 case "${1:-}" in
