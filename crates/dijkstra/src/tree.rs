@@ -51,8 +51,10 @@ impl ShortestPathTree {
     }
 
     /// Verifies this is a valid shortest path tree of `g`:
-    /// every tree arc exists and is tight, and every graph arc satisfies the
-    /// triangle inequality `d(v) <= d(u) + w(u, v)`.
+    /// every tree arc exists and is tight, every graph arc satisfies the
+    /// triangle inequality `d(v) <= d(u) + w(u, v)`, and every reached
+    /// vertex reaches the root through its parents (tight arcs of weight 0
+    /// could otherwise close a cycle that holds up labels too small).
     pub fn validate(&self, g: &Csr) -> Result<(), String> {
         let n = g.num_vertices();
         if self.dist.len() != n {
@@ -81,6 +83,39 @@ impl ShortestPathTree {
                 .any(|a| a.head == v && self.dist[p as usize] + a.weight == self.dist[v as usize]);
             if !tight {
                 return Err(format!("tree arc ({p},{v}) is absent or not tight"));
+            }
+        }
+        self.check_rooted()
+    }
+
+    /// Walks each reached vertex's parents until the root or a vertex
+    /// already known to reach it; a walk that meets itself is a cycle.
+    /// Every vertex is walked once: O(n).
+    fn check_rooted(&self) -> Result<(), String> {
+        const UNSEEN: u8 = 0;
+        const ON_PATH: u8 = 1;
+        const ROOTED: u8 = 2;
+        let mut state = vec![UNSEEN; self.len()];
+        state[self.root as usize] = ROOTED;
+        let mut path = Vec::new();
+        for v in 0..self.len() {
+            if self.dist[v] >= INF {
+                continue;
+            }
+            let mut u = v;
+            while state[u] == UNSEEN {
+                state[u] = ON_PATH;
+                path.push(u);
+                match self.parent[u] {
+                    Self::NO_PARENT => return Err(format!("vertex {u} does not reach the root")),
+                    p => u = p as usize,
+                }
+            }
+            if state[u] == ON_PATH {
+                return Err(format!("the parents of vertex {u} form a cycle"));
+            }
+            for w in path.drain(..) {
+                state[w] = ROOTED;
             }
         }
         Ok(())
@@ -172,6 +207,18 @@ mod tests {
         let mut t = tree_of(&g, 0);
         t.parent[5] = 0; // no arc 0 -> 5
         assert!(t.validate(g.forward()).is_err());
+    }
+
+    #[test]
+    fn rejects_parents_that_form_a_cycle() {
+        // Every label obeys the triangle inequality and both tree arcs are
+        // tight, but 1 and 2 hold each other up: the true labels are 5, 5.
+        let mut b = GraphBuilder::new(3);
+        b.add_arc(0, 1, 5).add_arc(1, 2, 0).add_arc(2, 1, 0);
+        let g = b.build();
+        let t = ShortestPathTree::new(0, vec![0, 3, 3], vec![ShortestPathTree::NO_PARENT, 2, 1]);
+        assert!(t.validate(g.forward()).is_err());
+        tree_of(&g, 0).validate(g.forward()).unwrap();
     }
 
     #[test]

@@ -159,12 +159,14 @@ fn request_caught_by_dying_replica_fails_over_exactly_once() {
 fn corrupt_tail_of_a_large_reply_is_a_transport_fault() {
     let net = RoadNetworkConfig::new(6, 6, 3, Metric::TravelTime).build();
     let healthy = spawn_backend(&net);
-    let tree = HeteroAnswer::Tree(vec![123_456; 75_000]);
+    let tree = HeteroAnswer::Tree(vec![123_456; 95_000]);
     let mut corrupt = phast_serve::protocol::encode_answer(Some(7), &tree, Some(1)).into_bytes();
     assert!(corrupt.len() > 500_000);
-    // Break the last distance; braces, brackets and length stay plausible.
+    // Break the last group of the packed labels with a byte outside the
+    // base64 alphabet; braces, quotes and length stay plausible.
     let at = corrupt.len() - 16;
-    corrupt[at] = b'x';
+    assert!(corrupt[at..].ends_with(b"=\",\"epoch\":1}"));
+    corrupt[at] = b'!';
     corrupt.push(b'\n');
     let liar = spawn_scripted_backend(Some(corrupt));
     let router = spawn_router_after_startup_probe(liar, healthy.local_addr());

@@ -16,7 +16,7 @@
 //! admission. Successful replies:
 //!
 //! ```json
-//! {"id":1,"ok":true,"op":"tree","dist":[0,10,30]}
+//! {"id":1,"ok":true,"op":"tree","dist":"AAAAAAoAAAAeAAAA"}
 //! {"id":2,"ok":true,"op":"many","dist":[12,7,7]}
 //! {"id":3,"ok":true,"op":"p2p","dist":null}
 //! {"id":4,"ok":true,"op":"stats","report":{...}}
@@ -29,9 +29,15 @@
 //! target set and shared, so a sloppy target list is a client bug the
 //! server reports as `malformed` rather than silently deduplicating.
 //!
-//! `tree` distances are in original vertex order; unreachable vertices
-//! carry the `INF` sentinel (`2147483647`), except for `p2p` where an
-//! unreachable target serializes as `null`. Error replies are typed:
+//! A `tree` reply packs its distances: `dist` is a string holding the
+//! RFC 4648 base64 (standard alphabet, padded with `=`) of the distances as
+//! little-endian 32-bit words, in original vertex order — above, the words
+//! 0, 10 and 30. The decoders also read a `tree` whose `dist` is an array
+//! of integers, as older servers send it. Every other answer writes its
+//! distances as decimal integers. An unreachable vertex carries the `INF`
+//! sentinel, 2^31 − 1 (`2147483647`, the word `ff ff ff 7f`), in every
+//! shape but `p2p`, where an unreachable target serializes as `null`.
+//! Error replies are typed:
 //!
 //! ```json
 //! {"id":3,"ok":false,"error":"queue_full","message":"admission queue at capacity 1024"}
@@ -51,15 +57,15 @@
 //! # The reply codec
 //!
 //! An answer can be one integer per vertex, so answers do not pass through
-//! a `serde` `Value` tree: [`encode_answer_into`] writes the digits into a
-//! caller-owned buffer, and one scanner (`scan`) reads a reply line in a
-//! single validating pass — storing the distances for
-//! [`decode_reply_with_epoch`], only counting them for [`classify_reply`]
-//! and [`decode_epoch`]. Requests, error replies and `stats` reports are
-//! small and stay on `serde_json`. The bytes on the wire are those the
-//! `Value` path wrote, and a line is accepted exactly when it was before;
-//! that path survives in `oracle` as the test-only reference
-//! (`tests/wire_codec.rs`, DESIGN.md §9).
+//! a `serde` `Value` tree: [`encode_answer_into`] writes the digits (or a
+//! tree's base64) into a caller-owned buffer, and one scanner (`scan`)
+//! reads a reply line in a single validating pass — storing the distances
+//! for [`decode_reply_with_epoch`], only checking them for
+//! [`classify_reply`] and [`decode_epoch`]. Requests, error replies and
+//! `stats` reports are small and stay on `serde_json`. The `Value` path
+//! survives in `oracle` as the test-only reference: its lines are the
+//! encoder's byte for byte, and it accepts a line exactly when the scanner
+//! does (`tests/wire_codec.rs`, DESIGN.md §9).
 
 use phast_core::{HeteroAnswer, HeteroQuery};
 use phast_graph::{Vertex, INF};
@@ -408,6 +414,73 @@ fn push_dists(out: &mut String, dist: &[u32]) {
     out.push(']');
 }
 
+/// The RFC 4648 base64 alphabet, `+` and `/` included; `=` pads.
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Every 12-bit value as its two base64 digits.
+const DIGIT_PAIRS: [[u8; 2]; 4096] = {
+    let mut pairs = [[0u8; 2]; 4096];
+    let mut v = 0;
+    while v < 4096 {
+        pairs[v] = [BASE64[v >> 6], BASE64[v & 63]];
+        v += 1;
+    }
+    pairs
+};
+
+/// Appends `"…"`: the base64 of `dist` as little-endian words.
+fn push_packed(out: &mut String, dist: &[u32]) {
+    out.reserve((dist.len() * 4).div_ceil(3) * 4 + 2);
+    out.push('"');
+    // Three words are 12 bytes are 16 digits, with no padding: written
+    // into a block on the stack and appended a block at a time, as
+    // `push_dists` does.
+    let mut block = [0u8; 4096];
+    let whole = dist.len() - dist.len() % 3;
+    for run in dist[..whole].chunks(block.len() / 16 * 3) {
+        for (w, digits) in run.chunks_exact(3).zip(block.chunks_exact_mut(16)) {
+            // The 12 bytes as two big-endian 48-bit halves, 12 bits a pair.
+            let (a, b, c) = (w[0].swap_bytes(), w[1].swap_bytes(), w[2].swap_bytes());
+            let hi = u64::from(a) << 16 | u64::from(b >> 16);
+            let lo = u64::from(b & 0xFFFF) << 32 | u64::from(c);
+            let pair = |half: u64, shift: u32| DIGIT_PAIRS[(half >> shift) as usize & 0xFFF];
+            let pairs = [
+                pair(hi, 36),
+                pair(hi, 24),
+                pair(hi, 12),
+                pair(hi, 0),
+                pair(lo, 36),
+                pair(lo, 24),
+                pair(lo, 12),
+                pair(lo, 0),
+            ];
+            digits.copy_from_slice(pairs.as_flattened());
+        }
+        let used = run.len() / 3 * 16;
+        out.push_str(std::str::from_utf8(&block[..used]).expect("base64 digits"));
+    }
+    // One or two words left: 4 or 8 bytes, the last group padded.
+    let mut tail = [0u8; 8];
+    let rest = &dist[whole..];
+    for (bytes, w) in tail.chunks_exact_mut(4).zip(rest) {
+        bytes.copy_from_slice(&w.to_le_bytes());
+    }
+    for group in tail[..rest.len() * 4].chunks(3) {
+        let v = group
+            .iter()
+            .enumerate()
+            .fold(0, |v, (i, &b)| v | usize::from(b) << (16 - 8 * i));
+        for i in 0..4 {
+            out.push(if i <= group.len() {
+                char::from(BASE64[v >> (18 - 6 * i) & 63])
+            } else {
+                '='
+            });
+        }
+    }
+    out.push('"');
+}
+
 /// Appends a successful answer to `out` as one reply line (no trailing
 /// newline), writing every distance straight into the buffer — a caller
 /// that keeps `out` across replies encodes without allocating. `epoch`
@@ -436,7 +509,8 @@ pub fn encode_answer_into(
     });
     out.push_str("\",\"dist\":");
     match answer {
-        HeteroAnswer::Tree(d) | HeteroAnswer::Many(d) => push_dists(out, d),
+        HeteroAnswer::Tree(d) => push_packed(out, d),
+        HeteroAnswer::Many(d) => push_dists(out, d),
         HeteroAnswer::Matrix(rows) => {
             out.push('[');
             for (i, row) in rows.iter().enumerate() {
@@ -564,7 +638,7 @@ fn reply_of(f: scan::Fields<'_>) -> Result<Reply, ServeError> {
     }
     let op = f.op.ok_or_else(|| malformed("reply lacks `op`"))?;
     let answer = match (op.as_ref(), f.dist) {
-        ("tree", Dist::Flat { vals, .. }) => HeteroAnswer::Tree(vals),
+        ("tree", Dist::Packed(vals) | Dist::Flat { vals, .. }) => HeteroAnswer::Tree(vals),
         ("many", Dist::Flat { vals, .. }) => HeteroAnswer::Many(vals),
         ("matrix", Dist::Rows(rows)) => HeteroAnswer::Matrix(rows),
         ("matrix", Dist::Flat { len: 0, .. }) => HeteroAnswer::Matrix(Vec::new()),

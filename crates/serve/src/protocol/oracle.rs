@@ -1,6 +1,7 @@
 //! The differential oracle of the reply codec: the `Value`-tree encoder
-//! and decoder that shipped before the streaming codec, moved here
-//! unchanged, and the definition of "the shipped codec agrees with it".
+//! and decoder that shipped before the streaming codec, a deliberately
+//! naive bit-at-a-time base64 for a `tree`'s packed labels, and the
+//! definition of "the shipped codec agrees with it".
 //!
 //! It compiles only into tests — this crate's unit tests, and
 //! `tests/wire_codec.rs`, which includes this file by `#[path]`. So
@@ -24,6 +25,57 @@ fn dist_array(dist: &[u32]) -> Value {
     Value::Array(dist.iter().map(|&d| Value::Int(i64::from(d))).collect())
 }
 
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// The RFC 4648 base64 of the labels' little-endian bytes, padded: one bit
+/// at a time, six to a digit, the last digit filled up with zeros.
+fn packed(dist: &[u32]) -> String {
+    let bits: Vec<u8> = dist
+        .iter()
+        .flat_map(|d| d.to_le_bytes())
+        .flat_map(|byte| (0..8).rev().map(move |i| byte >> i & 1))
+        .collect();
+    let mut s: String = bits
+        .chunks(6)
+        .map(|six| {
+            let v = (0..6).fold(0, |v, i| v << 1 | usize::from(six.get(i).copied().unwrap_or(0)));
+            char::from(BASE64[v])
+        })
+        .collect();
+    while !s.len().is_multiple_of(4) {
+        s.push('=');
+    }
+    s
+}
+
+/// The inverse of [`packed`], or `None` unless `s` is exactly what it
+/// writes for some labels.
+fn unpacked(s: &str) -> Option<Vec<u32>> {
+    let digits = s.trim_end_matches('=');
+    if !s.len().is_multiple_of(4) || s.len() - digits.len() > 2 {
+        return None;
+    }
+    let mut bits = Vec::new();
+    for c in digits.bytes() {
+        let v = BASE64.iter().position(|&d| d == c)?;
+        bits.extend((0..6).rev().map(|i| v >> i & 1 == 1));
+    }
+    let (whole, spare) = bits.split_at(bits.len() / 8 * 8);
+    if spare.contains(&true) || !whole.len().is_multiple_of(32) {
+        return None;
+    }
+    let bytes: Vec<u8> = whole
+        .chunks(8)
+        .map(|byte| byte.iter().fold(0, |v, &b| v << 1 | u8::from(b)))
+        .collect();
+    Some(
+        bytes
+            .chunks(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect(),
+    )
+}
+
 fn write_line(v: &Value) -> String {
     let mut out = String::new();
     v.write_json(&mut out);
@@ -34,7 +86,7 @@ fn write_line(v: &Value) -> String {
 /// stringifies it.
 pub fn encode_answer(id: Option<i64>, answer: &HeteroAnswer, epoch: Option<u64>) -> String {
     let (op, dist) = match answer {
-        HeteroAnswer::Tree(d) => ("tree", dist_array(d)),
+        HeteroAnswer::Tree(d) => ("tree", Value::String(packed(d))),
         HeteroAnswer::Many(d) => ("many", dist_array(d)),
         HeteroAnswer::Matrix(rows) => (
             "matrix",
@@ -109,7 +161,14 @@ pub fn decode_reply(line: &str) -> Result<Reply, ServeError> {
             .collect()
     };
     Ok(match op {
-        "tree" => Reply::Answer(HeteroAnswer::Tree(dists(&v)?)),
+        // Packed, or the decimal array of older servers. An escape cannot
+        // spell packed labels: the digits must stand in the line as they are.
+        "tree" => Reply::Answer(HeteroAnswer::Tree(match v.get("dist") {
+            Some(Value::String(s)) => unpacked(s)
+                .filter(|_| line.contains(&format!("\"{s}\"")))
+                .ok_or_else(|| ServeError::new(ErrorKind::Malformed, "bad packed labels"))?,
+            _ => dists(&v)?,
+        })),
         "many" => Reply::Answer(HeteroAnswer::Many(dists(&v)?)),
         "matrix" => {
             let rows = v

@@ -4,22 +4,26 @@
 //! One walk over the bytes of a reply line validates **all** of it as
 //! JSON and picks out the handful of top-level fields a reply can carry.
 //! Distances are parsed straight into `Vec<u32>`s — no intermediate
-//! `Value` per integer — or, with `store` off, only counted, so a hop
-//! that merely needs "ok, or which error?" allocates nothing for a
-//! well-formed answer.
+//! `Value` per integer; a `tree`'s packed string is decoded 16 digits to 3
+//! words at a time — or, with `store` off, only checked, so a hop that
+//! merely needs "ok, or which error?" allocates nothing for a well-formed
+//! answer.
 //!
 //! The grammar is the `serde_json` stand-in's, leniencies included
 //! (leading zeros, `1.`, integral floats as integers, `MAX_DEPTH`
 //! nesting): a line is accepted here exactly when `serde_json::from_str`
 //! accepts it. Only the shapes an encoder writes are read here; a string
 //! with an escape or a number that is not a short run of digits is cut
-//! out and handed to `serde_json` itself. `tests/wire_codec.rs` holds the
-//! two against each other on every truncation and byte flip of every
-//! reply shape.
+//! out and handed to `serde_json` itself. A `dist` string is packed words
+//! only when it is canonical base64 of whole words, escapes excluded;
+//! any other string is a valid line whose `dist` is no payload.
+//! `tests/wire_codec.rs` holds the scanner against the test-only `Value`
+//! oracle on every truncation and byte flip of every reply shape.
 //!
 //! [`decode_reply`]: super::decode_reply
 //! [`decode_epoch`]: super::decode_epoch
 
+use super::BASE64;
 use std::borrow::Cow;
 
 /// Container nesting limit of the `serde_json` stand-in's parser.
@@ -36,6 +40,121 @@ const KEYS: [&str; 8] = [
     "retry_after_ms",
     "report",
 ];
+
+/// Each byte's base64 digit value; `NOT_A_DIGIT` for every other byte.
+const SEXTETS: [u8; 256] = {
+    let mut table = [NOT_A_DIGIT; 256];
+    let mut v = 0;
+    while v < 64 {
+        table[BASE64[v] as usize] = v as u8;
+        v += 1;
+    }
+    table
+};
+
+/// Marks a byte that is no base64 digit (`=`, `"` and `\\` included).
+const NOT_A_DIGIT: u8 = 0x80;
+
+/// Per position in a group of four digits, each digit's six bits where
+/// they land among the group's three bytes, the first byte lowest: a group
+/// is the OR of four entries. A non-digit sets bits from 24 up.
+const PLACED: [[u32; 256]; 4] = {
+    let mut placed = [[u32::MAX; 256]; 4];
+    let mut b = 0;
+    while b < 256 {
+        let s = SEXTETS[b] as u32;
+        if s < 64 {
+            placed[0][b] = s << 2;
+            placed[1][b] = s >> 4 | (s & 0xF) << 12;
+            placed[2][b] = s >> 2 << 8 | (s & 0x3) << 22;
+            placed[3][b] = s << 16;
+        }
+        b += 1;
+    }
+    placed
+};
+
+/// A base64 digit, decided without a table so that a block of them is
+/// checked many bytes at a time.
+fn is_digit(b: u8) -> bool {
+    (b.wrapping_sub(b'A') < 26)
+        | (b.wrapping_sub(b'a') < 26)
+        | (b.wrapping_sub(b'0') < 10)
+        | (b == b'+')
+        | (b == b'/')
+}
+
+/// How many leading bytes of `body` are 64-byte blocks of digits only.
+fn digit_blocks(body: &[u8]) -> usize {
+    let mut len = 0;
+    for block in body.chunks_exact(64) {
+        if !block.iter().fold(true, |all, &b| all & is_digit(b)) {
+            break;
+        }
+        len += 64;
+    }
+    len
+}
+
+/// Decodes 16-digit blocks of `body` (12 bytes, 3 words each) onto `out`
+/// until a block holds a non-digit; returns the digits decoded.
+fn decode_blocks(body: &[u8], out: &mut Vec<u32>) -> usize {
+    let mut len = 0;
+    for block in body.chunks_exact(16) {
+        let block: &[u8; 16] = block.try_into().expect("16 digits");
+        let group = |i: usize| {
+            PLACED[0][usize::from(block[i])]
+                | PLACED[1][usize::from(block[i + 1])]
+                | PLACED[2][usize::from(block[i + 2])]
+                | PLACED[3][usize::from(block[i + 3])]
+        };
+        let (a, b, c, d) = (group(0), group(4), group(8), group(12));
+        if (a | b | c | d) >> 24 != 0 {
+            break;
+        }
+        out.extend_from_slice(&[a | b << 24, b >> 8 | c << 16, c >> 16 | d << 8]);
+        len += 16;
+    }
+    len
+}
+
+/// Whether `digits` and `pad` `=` are the base64 of whole words: groups of
+/// four, at most two `=`, and none of the bits the last digit carries
+/// beyond the last byte (4 or 2) set.
+fn whole_words(digits: &[u8], pad: usize) -> bool {
+    let spare = match digits.len() % 4 {
+        0 => 0,
+        2 => 0xF,
+        3 => 0x3,
+        _ => return false,
+    };
+    let bytes = digits.len() / 4 * 3 + (digits.len() % 4).saturating_sub(1);
+    let last = digits.last().map_or(0, |&b| SEXTETS[usize::from(b)]);
+    pad <= 2
+        && (digits.len() + pad).is_multiple_of(4)
+        && bytes.is_multiple_of(4)
+        && last & spare == 0
+}
+
+/// Decodes the digits after the last whole block onto `out`, a bit at a
+/// time: they make whole words (checked by [`whole_words`]).
+fn decode_tail(digits: &[u8], out: &mut Vec<u32>) {
+    let (mut acc, mut bits) = (0u32, 0);
+    let (mut word, mut len) = (0u32, 0);
+    for &b in digits {
+        acc = acc << 6 | u32::from(SEXTETS[usize::from(b)]);
+        bits += 6;
+        if bits >= 8 {
+            bits -= 8;
+            word |= (acc >> bits & 0xFF) << (8 * len);
+            len += 1;
+            if len == 4 {
+                out.push(word);
+                (word, len) = (0, 0);
+            }
+        }
+    }
+}
 
 /// Why a line is not JSON.
 #[derive(Debug)]
@@ -66,6 +185,9 @@ pub(super) enum Dist {
     Flat { len: usize, vals: Vec<u32> },
     /// A non-empty array of distance arrays (filled only when storing).
     Rows(Vec<Vec<u32>>),
+    /// A string of well-formed packed words (a `tree`): the base64 of
+    /// little-endian `u32`s. Empty when the scanner does not store.
+    Packed(Vec<u32>),
     /// Valid JSON that is no distance payload.
     Other,
 }
@@ -375,8 +497,42 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// Packed words, cursor on the opening `"`: RFC 4648 base64 with its
+    /// padding, no other byte, no bits left over, whole words only. Any
+    /// other string is validated as a string and read as `Other`.
+    fn packed(&mut self) -> Scan<Dist> {
+        let open = self.pos;
+        let body = &self.bytes[open + 1..];
+        let mut vals = Vec::new();
+        let mut end = if self.store {
+            vals.reserve(body.len() / 16 * 3 + 2);
+            decode_blocks(body, &mut vals)
+        } else {
+            digit_blocks(body)
+        };
+        // Less than a block of digits is left, then the padding and the quote.
+        let tail = end;
+        while body.get(end).copied().is_some_and(is_digit) {
+            end += 1;
+        }
+        let pad = body[end..].iter().take_while(|&&b| b == b'=').count();
+        if body.get(end + pad) != Some(&b'"') {
+            // Not packed words after all; still maybe a JSON string.
+            return self.string().map(|_| Dist::Other);
+        }
+        self.pos = open + end + pad + 2;
+        if !whole_words(&body[..end], pad) {
+            return Ok(Dist::Other);
+        }
+        if self.store {
+            decode_tail(&body[tail..end], &mut vals);
+        }
+        Ok(Dist::Packed(vals))
+    }
+
     fn dist(&mut self) -> Scan<Dist> {
         match self.peek() {
+            Some(b'"') => self.packed(),
             Some(b'n') => self.literal("null").map(|()| Dist::None),
             Some(b'-' | b'0'..=b'9') => Ok(self.distance()?.map_or(Dist::Other, Dist::Scalar)),
             Some(b'[') => {

@@ -6,9 +6,11 @@
 //! This is the scheduler's core guarantee (DESIGN.md §9): batching is a
 //! throughput optimization, invisible in the answers.
 
-use phast::graph::gen::{Metric, RoadNetworkConfig};
-use phast::graph::{Vertex, Weight};
+use phast::dijkstra::dijkstra::shortest_paths;
+use phast::graph::gen::{adversarial, Metric, RoadNetworkConfig};
+use phast::graph::{Vertex, Weight, INF};
 use phast::serve::{Client, ServeConfig, Server, Service};
+use phast_router::{Router, RouterConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -128,4 +130,39 @@ fn concurrent_batched_answers_match_direct_engine_calls() {
     let manys = exchanges.iter().filter(|e| matches!(e, Exchange::Many { .. })).count();
     let p2ps = exchanges.iter().filter(|e| matches!(e, Exchange::P2p { .. })).count();
     assert!(trees > 0 && manys > 0 && p2ps > 0, "{trees}/{manys}/{p2ps}");
+}
+
+/// A tree crosses every hop packed (base64 of little-endian words): the
+/// server encodes, the router validates without storing, the client
+/// decodes. On the adversarial corpus — zero weights, parallel arcs,
+/// self-loops and an island that gives `INF` labels — and at vertex counts
+/// of every padding class, what arrives is Dijkstra's tree.
+#[test]
+fn packed_trees_through_client_router_server_equal_dijkstra() {
+    let mut classes = [false; 3];
+    for (w, h) in [(9, 9), (9, 10), (10, 11)] {
+        let graph = adversarial(&RoadNetworkConfig::new(w, h, 5, Metric::TravelTime).build().graph);
+        let n = graph.num_vertices() as Vertex;
+        classes[n as usize % 3] = true;
+        let service = Service::for_graph(&graph, ServeConfig::default());
+        let server = Server::spawn(service, "127.0.0.1:0").expect("bind");
+        let router = Router::spawn(
+            RouterConfig {
+                backends: vec![server.local_addr()],
+                ..RouterConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("router bind");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        // Base vertices miss the island; island vertices reach only it.
+        for source in [0, n / 2, n - 5, n - 4, n - 1] {
+            let dist = client.tree(source, None).expect("tree");
+            assert_eq!(dist, shortest_paths(graph.forward(), source).dist, "tree from {source}");
+            assert!(dist.contains(&INF), "tree from {source} reaches everything");
+        }
+        router.shutdown();
+        server.shutdown();
+    }
+    assert_eq!(classes, [true; 3], "vertex counts cover every padding class");
 }

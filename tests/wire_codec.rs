@@ -3,11 +3,11 @@
 //! and decoder they replaced, which survive as the test-only oracle in
 //! `crates/serve/src/protocol/oracle.rs`.
 //!
-//! The contract under test: the bytes on the wire did not change, and
+//! The contract under test: the bytes on the wire equal the oracle's, and
 //! `decode_reply`, `decode_reply_with_epoch`, `decode_epoch` and
-//! `classify_reply` accept and reject exactly the lines the old decoder
-//! did — the same `Ok` value, or an `Err` of the same kind — however
-//! mangled the line.
+//! `classify_reply` accept and reject exactly the lines the oracle's
+//! decoder does — the same `Ok` value, or an `Err` of the same kind —
+//! however mangled the line.
 
 // The oracle resolves these through `super::`.
 use phast::serve::protocol::{
@@ -426,11 +426,13 @@ fn nesting_bombs_and_trailing_garbage_agree() {
 fn classify_reply_validates_the_whole_line() {
     // A fault in the last distance of a long line is still a fault: the
     // router relays a line only when `classify_reply` passes all of it.
+    // (A byte turned into another base64 digit is another tree, as a
+    // digit turned into another digit was: the line has no checksum.)
     let line = encode_answer(Some(1), &HeteroAnswer::Tree(vec![123_456; 90_000]), Some(9));
     assert_eq!(classify_reply(line.as_bytes()), Ok(ReplyClass::Ok));
     let tail = line.len() - 20;
     for (at, byte) in [
-        (tail, b'x'),
+        (tail, b'!'),
         (tail, b'-'),
         (line.len() - 1, b']'),
         (tail, 0xFF),
@@ -447,4 +449,160 @@ fn classify_reply_validates_the_whole_line() {
         classify_reply(encode_error(Some(5), &shed).as_bytes()),
         Ok(ReplyClass::Error(shed))
     );
+}
+
+/// `n` labels of every size, `INF` and `u32::MAX` among them.
+fn labels(n: usize) -> Vec<u32> {
+    (0..n as u32)
+        .map(|i| match i % 5 {
+            1 => INF,
+            3 => u32::MAX,
+            _ => i.wrapping_mul(0x9E37_79B9) >> (i % 29),
+        })
+        .collect()
+}
+
+#[test]
+fn packed_trees_roundtrip_in_every_padding_class() {
+    for n in 0..=64 {
+        let dist = labels(n);
+        let answer = HeteroAnswer::Tree(dist.clone());
+        let line = assert_encoders_agree(Some(n as i64), &answer, Some(4));
+        // ⌈4n / 3⌉ groups of four digits, the last padded to fill.
+        let packed = line
+            .split("\"dist\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("a packed dist");
+        assert_eq!(packed.len(), (4 * n).div_ceil(3) * 4, "{line}");
+        assert_eq!(packed.len() - packed.trim_end_matches('=').len(), [0, 2, 1][n % 3], "{line}");
+        let tree = Reply::Answer(HeteroAnswer::Tree(dist));
+        assert_eq!(decode_reply_with_epoch(&line).unwrap(), (tree.clone(), Some(4)));
+        assert_eq!(decode_reply(&line).unwrap(), tree);
+        assert_eq!(decode_epoch(&line), Some(4));
+        assert_eq!(classify_reply(line.as_bytes()), Ok(ReplyClass::Ok));
+        assert_decoders_agree(&line);
+    }
+    // The module doc's example: the words 0, 10 and 30.
+    assert_eq!(
+        encode_answer(Some(1), &HeteroAnswer::Tree(vec![0, 10, 30]), None),
+        r#"{"id":1,"ok":true,"op":"tree","dist":"AAAAAAoAAAAeAAAA"}"#
+    );
+    // INF is the word `ff ff ff 7f`.
+    assert_eq!(
+        encode_answer(None, &HeteroAnswer::Tree(vec![INF, u32::MAX]), None),
+        r#"{"id":null,"ok":true,"op":"tree","dist":"////f/////8="}"#
+    );
+}
+
+#[test]
+fn packed_trees_of_every_padding_class_survive_truncation_and_flips() {
+    for n in [1, 2, 3, 4] {
+        let line = encode_answer(Some(3), &HeteroAnswer::Tree(labels(n)), Some(1));
+        for cut in 0..=line.len() {
+            assert_decoders_agree(&line[..cut]);
+        }
+        for at in 0..line.len() {
+            for byte in 0..=127u8 {
+                let mut bytes = line.clone().into_bytes();
+                bytes[at] = byte;
+                assert_decoders_agree(std::str::from_utf8(&bytes).expect("ASCII"));
+            }
+        }
+    }
+}
+
+#[test]
+fn malformed_packed_labels_are_typed_errors() {
+    let lines = [
+        // Bits beyond the last byte set: 1 word (4 spare bits), 2 words (2).
+        "AAAAAB==",
+        "AAAAAAAAAAB=",
+        // `=` mid-string, and more padding than a group takes.
+        "AA=AAAAA",
+        "AAAAAAAA=AAAAAA=",
+        "AAAAAAAAAA==AAAA",
+        "AAAA====",
+        "====",
+        // Lengths that are not a multiple of 4.
+        "A",
+        "AAAAAAA",
+        "AAAAAAAAAAA",
+        "AAAAAA=",
+        // Partial words: 3, 2, 6 and 9 bytes.
+        "AAAA",
+        "AAA=",
+        "AAAAAAAA",
+        "AAAAAAAAAAAA",
+        // The URL-safe alphabet.
+        "AA-AAA==",
+        "AA_AAA==",
+        // An escape, even one that spells a digit.
+        r"AA\u0041AAA==",
+        r"AAAAAAAAA\/A=",
+        r"AAAAAA\u003d=",
+        // Blanks, and a non-ASCII character.
+        "AAAA AA==",
+        "AAAAAA== ",
+        "AAAAAé==",
+    ];
+    for packed in lines {
+        let line = format!(r#"{{"ok":true,"op":"tree","dist":"{packed}","epoch":2}}"#);
+        for err in [
+            decode_reply(&line).unwrap_err(),
+            decode_reply_with_epoch(&line).unwrap_err(),
+            classify_reply(line.as_bytes()).unwrap_err(),
+        ] {
+            assert_eq!(err.kind, ErrorKind::Malformed, "{line}");
+        }
+        // The line is still JSON: the epoch reads, as on any bad payload.
+        assert_eq!(decode_epoch(&line), Some(2), "{line}");
+        assert_decoders_agree(&line);
+    }
+    // Only a tree packs its labels.
+    let one = encode_answer(None, &HeteroAnswer::Tree(vec![7]), None);
+    for op in ["many", "matrix", "p2p"] {
+        let line = one.replace("\"tree\"", &format!("\"{op}\""));
+        assert_eq!(decode_reply(&line).unwrap_err().kind, ErrorKind::Malformed, "{line}");
+        assert_decoders_agree(&line);
+    }
+}
+
+#[test]
+fn a_decimal_tree_from_an_older_server_still_decodes() {
+    let line = r#"{"id":1,"ok":true,"op":"tree","dist":[0,10,2147483647,4294967295],"epoch":3}"#;
+    let tree = Reply::Answer(HeteroAnswer::Tree(vec![0, 10, INF, u32::MAX]));
+    assert_eq!(decode_reply_with_epoch(line).unwrap(), (tree.clone(), Some(3)));
+    assert_eq!(decode_reply(line).unwrap(), tree);
+    assert_eq!(decode_epoch(line), Some(3));
+    assert_eq!(classify_reply(line.as_bytes()), Ok(ReplyClass::Ok));
+    assert_decoders_agree(line);
+}
+
+#[test]
+fn many_matrix_and_p2p_lines_keep_their_bytes() {
+    let edge = vec![0, 9, INF, u32::MAX];
+    for (answer, line) in [
+        (
+            HeteroAnswer::Many(edge.clone()),
+            r#"{"id":2,"ok":true,"op":"many","dist":[0,9,2147483647,4294967295],"epoch":5}"#,
+        ),
+        (
+            HeteroAnswer::Matrix(vec![edge, vec![], vec![7]]),
+            concat!(
+                r#"{"id":2,"ok":true,"op":"matrix","#,
+                r#""dist":[[0,9,2147483647,4294967295],[],[7]],"epoch":5}"#
+            ),
+        ),
+        (
+            HeteroAnswer::Point(12),
+            r#"{"id":2,"ok":true,"op":"p2p","dist":12,"epoch":5}"#,
+        ),
+        (
+            HeteroAnswer::Point(INF),
+            r#"{"id":2,"ok":true,"op":"p2p","dist":null,"epoch":5}"#,
+        ),
+    ] {
+        assert_eq!(encode_answer(Some(2), &answer, Some(5)), line);
+    }
 }

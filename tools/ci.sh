@@ -12,7 +12,7 @@
 #     edge-smoke       the TCP edge gate: one front, both tiers, chaos
 #     store-smoke      the artifact store gate (release)
 #     contract-smoke   the parallel-contraction gate
-#     wire-smoke       the reply-codec gate + the benchmark's smoke suite
+#     wire-smoke       the reply codec: battery, unit tests, benchmark smoke
 #     kernel-smoke     the sweep-kernel gate (release)
 #     asan             the AddressSanitizer gate (nightly)
 #   tools/ci.sh help          # this header
@@ -280,9 +280,10 @@ contract_smoke() {
 }
 
 # The reply-codec gate (DESIGN.md §9): the streaming encoder and the
-# single-pass scanner against the `Value` oracle they replaced, in
-# release (byte-identical lines; same verdict on every truncation, byte
-# flip and spelling), and the router's proof that its validate-only pass
+# single-pass scanner against the test-only `Value` oracle, in release
+# (byte-identical lines; same verdict on every truncation, byte flip and
+# spelling; packed `tree` labels in every padding class), the codec's own
+# unit tests by name, and the router's proof that its validate-only pass
 # still reads the whole line (a ~500 KB reply with a corrupt tail is a
 # transport fault, answered once by the healthy replica). Then the
 # benchmark package, which times this codec end to end: its own tests
@@ -291,6 +292,7 @@ contract_smoke() {
 wire_smoke() {
     step "reply codec gate (differential battery + corrupt-tail failover, release)"
     cargo test -q --release --test wire_codec
+    filtered_tests -q --release -p phast-serve --lib protocol::
     filtered_tests -q --release -p phast-router --test failover corrupt_tail
     step "benchmark package: tests + smoke suite"
     # `--locked`: a dependency edge that would rewrite benchmark/Cargo.lock
